@@ -29,6 +29,7 @@ from .kraus import (
     extract_kraus_binomial,
     extract_kraus_direct,
     extract_kraus_split_step,
+    iter_kraus_steps,
     kraus_closed_form_first_term,
     minor_map,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "holevo",
     "holevo_max",
     "is_density_matrix",
+    "iter_kraus_steps",
     "joint_state",
     "kraus_closed_form_first_term",
     "minor_map",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kraus import KrausSet, extract_kraus_direct
+from .kraus import KrausSet, extract_kraus_direct, residual_of, superoperator_of
 from .walk import canonical_angle
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(np.complex128)
@@ -69,36 +69,34 @@ def is_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> bool:
     return low >= -tol
 
 
-def assert_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> None:
+def assert_density_matrix(rho: np.ndarray, tol: float = 1e-12,
+                          name: str = "matrix") -> None:
+    """Raise ``ValueError`` naming ``name`` unless rho is a qubit state within tol."""
     if not is_density_matrix(rho, tol):
-        raise ValueError("matrix is not a valid qubit state within tolerance")
+        raise ValueError(f"{name} is not a valid qubit state within tolerance {tol:g}")
 
 
 # -- walk channels ------------------------------------------------------------
-
-def _operator_list(kraus) -> list[np.ndarray]:
-    if isinstance(kraus, KrausSet):
-        return kraus.operators()
-    return [np.asarray(k, dtype=np.complex128) for k in kraus]
-
 
 def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
     """Apply ``rho -> sum_mu K_mu rho K_mu^dag``.
 
     ``kraus`` may be a :class:`KrausSet` or any iterable of 2x2 operators.
     The set must satisfy completeness, which makes the map trace preserving.
+    A :class:`KrausSet` checks completeness and builds its 4x4
+    superoperator once, on first use; a plain list is checked on every call.
     """
-    operators = _operator_list(kraus)
-    acc = np.zeros((2, 2), dtype=np.complex128)
-    check = np.zeros((2, 2), dtype=np.complex128)
-    rho = np.asarray(rho, dtype=np.complex128)
-    for op in operators:
-        acc += op @ rho @ op.conj().T
-        check += op.conj().T @ op
-    residual = np.abs(check - np.eye(2)).max()
+    if isinstance(kraus, KrausSet):
+        residual, superop = kraus.completeness_residual(), kraus.superoperator
+    else:
+        operators = [np.asarray(k, dtype=np.complex128) for k in kraus]
+        if any(op.shape != (2, 2) for op in operators):
+            raise ValueError("kraus operators must be 2x2 matrices")
+        residual, superop = residual_of(operators), superoperator_of(operators)
     if residual > COMPLETENESS_TOL:
         raise ValueError(f"kraus set incomplete: residual {residual:.3e}")
-    return acc
+    rho = np.asarray(rho, dtype=np.complex128)
+    return (superop @ rho.reshape(4)).reshape(2, 2)
 
 
 def n_step_map(theta: float, n: int, rho: np.ndarray) -> np.ndarray:
@@ -186,9 +184,13 @@ class RTNParams:
     dt: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("a", "gamma", "dt"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.a < 0:
+        if not self.a >= 0:
             raise ValueError(f"amplitude must be >= 0, got {self.a}")
         if not self.dt > 0:
             raise ValueError(f"step duration must be positive, got {self.dt}")

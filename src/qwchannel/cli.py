@@ -11,9 +11,9 @@ holevo          maximized Holevo quantity per (theta, step)
 verify          run the named consistency checks and report pass/fail
 
 Options may also come from a JSON config file (``--config``); explicit
-command-line flags win on conflict.  Sweeps fan out over a thread pool sized
-by ``QWCHANNEL_WORKERS`` (default: available parallelism); rows are always
-emitted in deterministic sorted order.
+command-line flags win on conflict.  Each sweep walks once per coin angle
+(:func:`~qwchannel.kraus.iter_kraus_steps`) and emits its rows in
+deterministic sorted order.
 """
 
 from __future__ import annotations
@@ -21,23 +21,25 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from .channels import (
     RTNParams,
     apply_kraus,
+    assert_density_matrix,
     coin_state_from_angle,
     density_matrix,
     rtn_kraus,
     rtn_lambda,
 )
-from .kraus import extract_kraus_direct, extract_kraus_split_step
+from .kraus import extract_kraus_direct, extract_kraus_split_step, iter_kraus_steps
 from .verification import run_checks
 from .witnesses import (
+    _RHO_DOWN,
+    _RHO_UP,
     holevo_max,
     mixedness,
     purity,
@@ -45,31 +47,12 @@ from .witnesses import (
     trace_distance,
 )
 
-_RHO_UP = np.diag([1.0, 0.0]).astype(np.complex128)
-_RHO_DOWN = np.diag([0.0, 1.0]).astype(np.complex128)
-
 DEFAULT_THETA_GRID = [0.0, math.pi, 64]
 DEFAULT_TRACE_STEPS = 20
 DEFAULT_HOLEVO_STEPS = 8
-WORKERS_ENV = "QWCHANNEL_WORKERS"
 
 
 # -- plumbing -----------------------------------------------------------------
-
-def _worker_count() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _parallel_map(fn, items: list) -> list:
-    workers = _worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
 
 def _parse_grid_text(text: str) -> list:
     parts = text.split(":")
@@ -82,10 +65,18 @@ def _parse_grid_text(text: str) -> list:
     return [start, stop, count]
 
 
-def _grid_values(spec) -> list[float]:
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _grid_values(spec, name: str) -> list[float]:
     if isinstance(spec, str):
         spec = _parse_grid_text(spec)
-    start, stop, count = float(spec[0]), float(spec[1]), int(spec[2])
+    start, stop = _finite(name, spec[0]), _finite(name, spec[1])
+    count = int(spec[2])
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
     return [float(v) for v in np.linspace(start, stop, count)]
@@ -168,14 +159,14 @@ def _emit(header: list[str], rows: list[tuple], fmt: str, out: str | None) -> No
 
 def _theta_values(options: dict) -> list[float]:
     if options.get("theta") is not None:
-        return [float(options["theta"])]
-    return _grid_values(options["theta_grid"])
+        return [_finite("theta", options["theta"])]
+    return _grid_values(options["theta_grid"], "theta_grid")
 
 
 def _delta_values(options: dict) -> list[float]:
     if options.get("delta_grid") is not None:
-        return _grid_values(options["delta_grid"])
-    return [float(options.get("delta") or 0.0)]
+        return _grid_values(options["delta_grid"], "delta_grid")
+    return [_finite("delta", options.get("delta") or 0.0)]
 
 
 def _matrix_from_pairs(payload) -> np.ndarray:
@@ -222,6 +213,23 @@ def cmd_kraus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _input_sweep(thetas: list[float], deltas: list[float], steps: list[int],
+                 measure) -> list[tuple]:
+    """Rows ``(theta, delta, step, *measure(output))`` sorted by that key.
+
+    ``measure`` maps the channel output for input angle ``delta`` to a
+    tuple of row values; every step count of one angle comes from one walk.
+    """
+    inputs = [density_matrix(coin_state_from_angle(delta)) for delta in deltas]
+    rows = []
+    for theta in thetas:
+        for kset in iter_kraus_steps(theta, steps):
+            for delta, rho in zip(deltas, inputs):
+                rows.append((theta, delta, kset.t, *measure(apply_kraus(kset, rho))))
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    return rows
+
+
 def cmd_probability(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     options = _effective(args, parser, {
         "theta": None, "theta_grid": DEFAULT_THETA_GRID,
@@ -231,19 +239,7 @@ def cmd_probability(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     thetas = _theta_values(options)
     deltas = _delta_values(options)
     steps = _parse_steps(options["steps"])
-
-    def cell(item):
-        theta, step = item
-        kset = extract_kraus_direct(theta, step)
-        rows = []
-        for delta in deltas:
-            rho = apply_kraus(kset, density_matrix(coin_state_from_angle(delta)))
-            rows.append((theta, delta, step, float(rho[0, 0].real)))
-        return rows
-
-    cells = [(theta, step) for theta in thetas for step in steps]
-    rows = [row for group in _parallel_map(cell, cells) for row in group]
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    rows = _input_sweep(thetas, deltas, steps, lambda rho: (float(rho[0, 0].real),))
     _emit(["theta", "delta", "step", "p_up"], rows, options["format"], options["out"])
     return 0
 
@@ -261,17 +257,14 @@ def cmd_trace_distance(args: argparse.Namespace, parser: argparse.ArgumentParser
         parser.error(f"unknown mode {options['mode']!r}")
     modes = ["concat", "nstep"] if options["mode"] == "both" else [options["mode"]]
 
-    def cell(theta):
-        rows = []
+    rows = []
+    for theta in thetas:
         for mode in modes:
             rows.append((theta, 0, mode, trace_distance(_RHO_UP, _RHO_DOWN)))
             series = td_series(theta, n_max, mode=mode)
             rows.extend((theta, n, mode, d)
                         for n, d in zip(series.steps, series.values)
                         if n in steps)
-        return rows
-
-    rows = [row for group in _parallel_map(cell, thetas) for row in group]
     rows.sort(key=lambda r: (r[0], r[2], r[1]))
     _emit(["theta", "step", "mode", "d"], rows, options["format"], options["out"])
     return 0
@@ -284,7 +277,7 @@ def cmd_rtn_composite(args: argparse.Namespace, parser: argparse.ArgumentParser)
         "markovian_ratio": 0.4, "nonmarkovian_ratio": 2.0,
         "format": "csv", "out": None,
     })
-    theta = float(options["theta"])
+    theta = _finite("theta", options["theta"])
     steps = _parse_steps(options["steps"])
     gamma = float(options["rtn_gamma"])
     dt = float(options["rtn_dt"])
@@ -300,11 +293,11 @@ def cmd_rtn_composite(args: argparse.Namespace, parser: argparse.ArgumentParser)
                                             gamma=gamma, dt=dt)))
     order = {name: rank for rank, (name, _) in enumerate(regimes)}
 
-    def cell(step):
-        kset = extract_kraus_direct(theta, step)
+    rows = []
+    for kset in iter_kraus_steps(theta, steps):
+        step = kset.t
         top = apply_kraus(kset, _RHO_UP)
         bottom = apply_kraus(kset, _RHO_DOWN)
-        rows = []
         for name, params in regimes:
             if params is None:
                 rows.append((step, name, trace_distance(top, bottom)))
@@ -313,9 +306,6 @@ def cmd_rtn_composite(args: argparse.Namespace, parser: argparse.ArgumentParser)
                 rows.append((step, name,
                              trace_distance(apply_kraus(dephase, top),
                                             apply_kraus(dephase, bottom))))
-        return rows
-
-    rows = [row for group in _parallel_map(cell, steps) for row in group]
     rows.sort(key=lambda r: (order[r[1]], r[0]))
     _emit(["step", "regime", "d"], rows, options["format"], options["out"])
     return 0
@@ -332,20 +322,8 @@ def cmd_purity(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         options["delta_grid"] = [0.0, math.pi, 33]
     deltas = _delta_values(options)
     steps = _parse_steps(options["steps"])
-
-    def cell(item):
-        theta, step = item
-        kset = extract_kraus_direct(theta, step)
-        rows = []
-        for delta in deltas:
-            rho = apply_kraus(kset, density_matrix(coin_state_from_angle(delta)))
-            p = purity(rho)
-            rows.append((theta, delta, step, p, mixedness(rho)))
-        return rows
-
-    cells = [(theta, step) for theta in thetas for step in steps]
-    rows = [row for group in _parallel_map(cell, cells) for row in group]
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    rows = _input_sweep(thetas, deltas, steps,
+                        lambda rho: (purity(rho), mixedness(rho)))
     _emit(["theta", "delta", "step", "purity", "mixedness"],
           rows, options["format"], options["out"])
     return 0
@@ -368,17 +346,15 @@ def cmd_holevo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             rho2 = _matrix_from_pairs(options["ensemble"]["rho2"])
         except (KeyError, TypeError, ValueError) as exc:
             parser.error(f"bad ensemble spec: {exc}")
+        assert_density_matrix(rho1, name="ensemble rho1")
+        assert_density_matrix(rho2, name="ensemble rho2")
 
-    def cell(item):
-        theta, step = item
-        kset = extract_kraus_direct(theta, step)
-        chi, p_star = holevo_max(rho1, rho2,
-                                 lambda rho: apply_kraus(kset, rho),
-                                 grid_size=grid_size)
-        return (theta, step, chi, p_star)
-
-    cells = [(theta, step) for theta in thetas for step in steps]
-    rows = _parallel_map(cell, cells)
+    rows = []
+    for theta in thetas:
+        for kset in iter_kraus_steps(theta, steps):
+            chi, p_star = holevo_max(rho1, rho2, partial(apply_kraus, kset),
+                                     grid_size=grid_size)
+            rows.append((theta, kset.t, chi, p_star))
     rows.sort(key=lambda r: (r[0], r[1]))
     _emit(["theta", "step", "chi_max", "p1_star"],
           rows, options["format"], options["out"])

@@ -5,8 +5,10 @@ a channel on the coin alone, ``rho -> sum_mu K_mu rho K_mu^dag`` with one
 2x2 operator per reachable site.  Two independent extraction routes are
 provided:
 
-* :func:`extract_kraus_direct` evolves both coin basis inputs and gathers
-  the coin amplitudes site by site (ground truth), and
+* :func:`iter_kraus_steps` walks both coin basis inputs together and
+  gathers the coin amplitudes site by site at every requested step count,
+  streaming one set per step from a single walk; :func:`extract_kraus_direct`
+  is its single-step case (ground truth), and
 * :func:`extract_kraus_binomial` rebuilds the t-step joint operator from the
   ordered binomial expansion of ``(P + Q)^t`` plus commutator correction
   terms, then projects the same way (validator).
@@ -23,18 +25,20 @@ the sets aligned with the closed-form first term
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
 from .walk import (
     Lattice,
+    build_coin,
     build_shifts,
     canonical_angle,
     coin_projections,
-    evolve,
-    joint_state,
+    walk_step,
 )
 
 # amplitude below which a wrong-parity site is accepted as numerically empty
@@ -91,12 +95,21 @@ class KrausSet:
                 return matrix
         raise KeyError(f"no operator with label {mu}")
 
+    # The two derived values below are computed on first use and then kept:
+    # sets that are only built and serialized never pay for them.
+
     def completeness_residual(self) -> float:
         """Max-entry deviation of sum K^dag K from the identity."""
-        acc = np.zeros((2, 2), dtype=np.complex128)
-        for _, matrix in self.entries:
-            acc += matrix.conj().T @ matrix
-        return float(np.abs(acc - np.eye(2)).max())
+        return self._residual
+
+    @cached_property
+    def _residual(self) -> float:
+        return residual_of(self.operators())
+
+    @cached_property
+    def superoperator(self) -> np.ndarray:
+        """The channel as a 4x4 matrix acting on row-major ``vec(rho)``."""
+        return superoperator_of(self.operators())
 
     # -- serialization (complex entries as [re, im] pairs) -----------------
 
@@ -144,6 +157,19 @@ class KrausSet:
         return cls.from_dict(json.loads(text))
 
 
+def residual_of(operators) -> float:
+    """Max-entry deviation of ``sum K^dag K`` from the identity."""
+    ops = np.asarray(operators, dtype=np.complex128).reshape(-1, 2, 2)
+    gram = np.einsum("mji,mjk->ik", ops.conj(), ops)
+    return float(np.abs(gram - np.eye(2)).max())
+
+
+def superoperator_of(operators) -> np.ndarray:
+    """``sum_mu K_mu (x) conj(K_mu)``, so ``vec(out) = S @ vec(rho)`` row-major."""
+    ops = np.asarray(operators, dtype=np.complex128).reshape(-1, 2, 2)
+    return np.einsum("mij,mkl->ikjl", ops, ops.conj()).reshape(4, 4)
+
+
 def minor_map(matrix: np.ndarray) -> np.ndarray:
     """Flip a 2x2 matrix across both axes: [[a,b],[c,d]] -> [[d,c],[b,a]].
 
@@ -155,31 +181,63 @@ def minor_map(matrix: np.ndarray) -> np.ndarray:
     return m[::-1, ::-1].copy()
 
 
-def _gather_entries(up_out: np.ndarray, down_out: np.ndarray, lattice: Lattice,
-                    t: int) -> tuple:
-    """Collect the per-site 2x2 blocks from the two basis-input outputs.
+def _gather_entries(outputs: np.ndarray, lattice: Lattice, t: int) -> tuple:
+    """Collect the per-site 2x2 blocks of a t-step walk of both basis inputs.
 
-    Column ``s`` of the block at label ``mu`` holds the coin amplitudes that
-    input ``e_s`` left on site ``x = -mu``.  Sites of the wrong parity must
-    be empty and are dropped.
+    ``outputs[c, s, j]`` is the coin-``c`` amplitude that input ``e_s`` left
+    on storage site ``j``, so the block at label ``mu`` is
+    ``outputs[:, :, j]`` for the site ``x = -mu``.  Sites of the wrong parity
+    must be empty and are dropped.
     """
-    entries = []
-    for x in range(-t, t + 1):
-        j = lattice.index_of(x)
-        block = np.array(
-            [[up_out[0, j], down_out[0, j]], [up_out[1, j], down_out[1, j]]],
-            dtype=np.complex128,
-        )
-        mu = -x
-        if (mu - t) % 2 == 0:
-            entries.append((mu, block))
-        elif np.abs(block).max() >= ZERO_SITE_TOL:
+    origin = lattice.origin_index
+    wrong = np.arange(-t + 1, t, 2)  # the same set as sites x and as labels
+    if wrong.size:
+        amplitude = np.abs(outputs[:, :, origin + wrong]).max(axis=(0, 1))
+        loud = np.flatnonzero(amplitude >= ZERO_SITE_TOL)
+        if loud.size:
             raise ValueError(
-                f"site {x} of wrong parity carries amplitude "
-                f"{np.abs(block).max():.3e}; extraction is inconsistent"
+                f"site {wrong[loud[0]]} of wrong parity carries amplitude "
+                f"{amplitude[loud[0]]:.3e}; extraction is inconsistent"
             )
-    entries.sort(key=lambda item: item[0])
-    return tuple(entries)
+    labels = np.arange(-t, t + 1, 2)
+    blocks = np.ascontiguousarray(outputs[:, :, origin - labels].transpose(2, 0, 1))
+    return tuple(zip(labels.tolist(), blocks))
+
+
+def iter_kraus_steps(theta: float, steps: Iterable[int]) -> Iterator[KrausSet]:
+    """Stream the operator sets of several step counts from one walk.
+
+    Both coin basis inputs start at the origin and walk together as one
+    ``(coin, input, site)`` array on the lattice sized for the largest
+    count.  At each requested count the per-site blocks are gathered into
+    a :class:`KrausSet` and yielded; sets come out in ascending order, one
+    per distinct count.  Nothing is kept between yields, so a series of
+    length n costs O(n^2) site updates and the memory of one set.  The
+    step counts are checked when this is called, not on first iteration.
+    """
+    wanted = sorted({int(t) for t in steps})
+    if not wanted:
+        raise ValueError("at least one step count is required")
+    if wanted[0] < 1:
+        raise ValueError(f"step count must be >= 1, got {wanted[0]}")
+    return _walk_sets(canonical_angle(theta), wanted)
+
+
+def _walk_sets(theta: float, wanted: list[int]) -> Iterator[KrausSet]:
+    lattice = Lattice.for_steps(wanted[-1])
+    origin = lattice.origin_index
+    coin = build_coin(theta)
+    outputs = np.zeros((2, 2, lattice.size), dtype=np.complex128)
+    outputs[0, 0, origin] = 1.0
+    outputs[1, 1, origin] = 1.0
+    done = 0
+    for t in wanted:
+        for n in range(done + 1, t + 1):
+            # step n only touches sites -n..n: the walk came from the origin,
+            # so the sites at +-n are still empty and the rolls wrap zeros
+            walk_step(outputs[:, :, origin - n:origin + n + 1], coin)
+        done = t
+        yield KrausSet(theta=theta, t=t, entries=_gather_entries(outputs, lattice, t))
 
 
 def extract_kraus_direct(theta: float, t: int) -> KrausSet:
@@ -188,21 +246,10 @@ def extract_kraus_direct(theta: float, t: int) -> KrausSet:
     Each basis coin state is placed at the origin and walked ``t`` steps;
     the coin amplitudes gathered on each site form one column of that
     site's operator.  This is the ground-truth route: completeness follows
-    from unitarity plus the full position trace.
+    from unitarity plus the full position trace.  It is the single-step
+    case of :func:`iter_kraus_steps`.
     """
-    t = int(t)
-    if t < 1:
-        raise ValueError(f"step count must be >= 1, got {t}")
-    theta = canonical_angle(theta)
-    lattice = Lattice.for_steps(t)
-    outs = []
-    for s in (0, 1):
-        amps = np.zeros(2)
-        amps[s] = 1.0
-        psi = evolve(joint_state(lattice, amps), theta, t)
-        outs.append(psi.reshape(2, lattice.size))
-    entries = _gather_entries(outs[0], outs[1], lattice, t)
-    return KrausSet(theta=theta, t=t, entries=entries)
+    return next(iter_kraus_steps(theta, (t,)))
 
 
 def commutator_corrections(p: np.ndarray, q: np.ndarray, t: int) -> list[np.ndarray]:
@@ -257,9 +304,8 @@ def extract_kraus_binomial(theta: float, t: int, t_max: int = 8) -> KrausSet:
         joint += weight * (corrections[k] @ q_pow[t - k])
 
     origin = lattice.origin_index
-    up_out = joint[:, origin].reshape(2, lattice.size)
-    down_out = joint[:, lattice.size + origin].reshape(2, lattice.size)
-    entries = _gather_entries(up_out, down_out, lattice, t)
+    outputs = joint[:, [origin, lattice.size + origin]].reshape(2, lattice.size, 2)
+    entries = _gather_entries(outputs.transpose(0, 2, 1), lattice, t)
     return KrausSet(theta=theta, t=t, entries=entries)
 
 

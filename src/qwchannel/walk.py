@@ -140,8 +140,8 @@ def _lattice_of(psi: np.ndarray) -> Lattice:
 def evolve(psi0: np.ndarray, theta: float, t: int) -> np.ndarray:
     """Apply ``t`` walk steps to a normalized joint state.
 
-    The unitary is applied step by step (coin rotation on the reshaped
-    (2, L) block, then two rolls); the dense 2L x 2L power is never formed.
+    The unitary is applied step by step (:func:`walk_step`: coin rotation on
+    the (2, L) block, then two rolls); the dense 2L x 2L power is never formed.
     Requires the guard band ``L >= 2t + 3`` so no amplitude can wrap.
     """
     t = int(t)
@@ -153,13 +153,25 @@ def evolve(psi0: np.ndarray, theta: float, t: int) -> np.ndarray:
             f"lattice of size {lattice.size} supports at most "
             f"{lattice.max_steps} wrap-free steps, requested {t}"
         )
-    psi = np.array(psi0, dtype=np.complex128).reshape(2, lattice.size)
+    psi = np.array(psi0, dtype=np.complex128).reshape(2, 1, lattice.size)
     coin = build_coin(theta)
     for _ in range(t):
-        psi = coin @ psi
-        psi[0] = np.roll(psi[0], -1)
-        psi[1] = np.roll(psi[1], +1)
+        walk_step(psi, coin)
     return psi.reshape(-1)
+
+
+def walk_step(amplitudes: np.ndarray, coin: np.ndarray) -> None:
+    """Advance a batch of walkers by one step, in place.
+
+    ``amplitudes`` has shape ``(2, k, L)``: coin component, walker, site.
+    Each walker gets its own 2x2 coin product, the same arithmetic as a
+    walker alone in the array; then the upper component of every walker
+    moves one site left (cyclically) and the lower one right.
+    """
+    for k in range(amplitudes.shape[1]):
+        amplitudes[:, k] = coin @ amplitudes[:, k]
+    amplitudes[0] = np.roll(amplitudes[0], -1, axis=-1)
+    amplitudes[1] = np.roll(amplitudes[1], +1, axis=-1)
 
 
 def position_distribution(psi: np.ndarray) -> dict[int, float]:

@@ -25,7 +25,7 @@ from .channels import (
     rtn_kraus,
     rtn_lambda,
 )
-from .kraus import extract_kraus_direct
+from .kraus import extract_kraus_direct, iter_kraus_steps
 from .walk import canonical_angle
 
 MODE_NSTEP = "nstep"
@@ -65,7 +65,8 @@ def td_series(theta: float, n_max: int, mode: str = MODE_NSTEP,
 
     mode "nstep" applies the single n-step channel, "concat" repeats the
     one-step channel n times, and "composite" chains telegraph dephasing
-    (with the given parameters) after the n-step channel.
+    (with the given parameters) after the n-step channel.  The n-step sets
+    all come from one walk (:func:`iter_kraus_steps`).
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -82,12 +83,11 @@ def td_series(theta: float, n_max: int, mode: str = MODE_NSTEP,
     elif mode in (MODE_NSTEP, MODE_COMPOSITE):
         if mode == MODE_COMPOSITE and rtn is None:
             raise ValueError("composite mode needs telegraph-noise parameters")
-        for n in range(1, n_max + 1):
-            kset = extract_kraus_direct(theta, n)
+        for kset in iter_kraus_steps(theta, range(1, n_max + 1)):
             top = apply_kraus(kset, _RHO_UP)
             bottom = apply_kraus(kset, _RHO_DOWN)
             if mode == MODE_COMPOSITE:
-                dephase = rtn_kraus(rtn_lambda(rtn, n * rtn.dt))
+                dephase = rtn_kraus(rtn_lambda(rtn, kset.t * rtn.dt))
                 top = apply_kraus(dephase, top)
                 bottom = apply_kraus(dephase, bottom)
             values.append(trace_distance(top, bottom))

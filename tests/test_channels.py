@@ -303,3 +303,11 @@ def test_channel_linearity():
         split = (alpha * n_step_map(theta, n, rho1)
                  + (1 - alpha) * n_step_map(theta, n, rho2))
         assert np.abs(mixed - split).max() <= 1e-12
+
+
+@pytest.mark.parametrize("field", ["a", "gamma", "dt"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_rtn_params_reject_non_finite_values(field, bad):
+    values = {"a": 0.4, "gamma": 1.0, "dt": 1.0, field: bad}
+    with pytest.raises(ValueError, match=field):
+        RTNParams(**values)

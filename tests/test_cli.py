@@ -318,3 +318,72 @@ def test_invalid_arguments_exit_code_two(tmp_path):
     bad_grid = tmp_path / "bad.json"
     bad_grid.write_text(json.dumps({"theta_grid": "garbage"}))
     assert main(["probability", "--config", str(bad_grid)]) == 2
+
+
+@pytest.mark.parametrize("command", ["probability", "purity"])
+@pytest.mark.parametrize("flags", [["--delta", "nan"], ["--delta", "inf"],
+                                   ["--delta-grid", "0:nan:3"],
+                                   ["--delta-grid=-inf:1:3"]])
+def test_non_finite_delta_flags_are_refused(capsys, command, flags):
+    code = main([command, "--theta", "0.4", "--steps", "2", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    field = "delta_grid" if flags[0].startswith("--delta-grid") else "delta"
+    assert f"{field} must be finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["probability", "purity"])
+@pytest.mark.parametrize("key, value", [("delta", "nan"), ("delta", float("inf")),
+                                        ("delta_grid", [0.0, "nan", 3])])
+def test_non_finite_delta_from_config_is_refused(tmp_path, capsys, command, key, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: value, "theta": 0.4, "steps": 2}))
+    code = main([command, "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{key} must be finite" in captured.err
+
+
+def test_rtn_composite_refuses_non_finite_amplitude(capsys):
+    code = main(["rtn-composite", "--steps", "3", "--rtn-a", "nan"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "a must be finite" in captured.err
+
+
+def test_holevo_refuses_trace_two_ensemble_state(tmp_path, capsys):
+    config = tmp_path / "ensemble.json"
+    zero = [0.0, 0.0]
+    config.write_text(json.dumps({"ensemble": {
+        "rho1": [[[2.0, 0.0], zero], [zero, zero]],
+        "rho2": [[[0.5, 0.0], zero], [zero, [0.5, 0.0]]],
+    }}))
+    code = main(["holevo", "--theta", "0.4", "--steps", "2", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "rho1" in captured.err
+
+
+def test_holevo_accepts_valid_config_ensemble(tmp_path, capsys):
+    config = tmp_path / "ensemble.json"
+    zero = [0.0, 0.0]
+    config.write_text(json.dumps({"ensemble": {
+        "rho1": [[[1.0, 0.0], zero], [zero, zero]],
+        "rho2": [[[0.5, 0.0], zero], [zero, [0.5, 0.0]]],
+    }}))
+    code = main(["holevo", "--theta", "0.4", "--steps", "2", "--config", str(config)])
+    assert code == 0
+    assert len(parse_csv(capsys.readouterr().out)) == 2
+
+
+@pytest.mark.parametrize("command", ["probability", "purity", "holevo", "rtn-composite"])
+def test_non_finite_theta_is_refused_by_name(capsys, command):
+    code = main([command, "--theta", "nan", "--steps", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "theta must be finite" in captured.err
