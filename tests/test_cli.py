@@ -368,18 +368,6 @@ def test_holevo_refuses_trace_two_ensemble_state(tmp_path, capsys):
     assert "rho1" in captured.err
 
 
-def test_holevo_accepts_valid_config_ensemble(tmp_path, capsys):
-    config = tmp_path / "ensemble.json"
-    zero = [0.0, 0.0]
-    config.write_text(json.dumps({"ensemble": {
-        "rho1": [[[1.0, 0.0], zero], [zero, zero]],
-        "rho2": [[[0.5, 0.0], zero], [zero, [0.5, 0.0]]],
-    }}))
-    code = main(["holevo", "--theta", "0.4", "--steps", "2", "--config", str(config)])
-    assert code == 0
-    assert len(parse_csv(capsys.readouterr().out)) == 2
-
-
 @pytest.mark.parametrize("command", ["probability", "purity", "holevo", "rtn-composite"])
 def test_non_finite_theta_is_refused_by_name(capsys, command):
     code = main([command, "--theta", "nan", "--steps", "2"])

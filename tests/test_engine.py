@@ -42,16 +42,6 @@ def test_every_streamed_set_matches_the_position_traced_walk():
         assert seen == 40
 
 
-def test_single_step_extraction_is_the_streamed_set():
-    for theta in THETAS:
-        streamed = list(iter_kraus_steps(theta, (3, 9, 25)))
-        for kset in streamed:
-            single = extract_kraus_direct(theta, kset.t)
-            assert single.labels() == kset.labels()
-            for a, b in zip(single.operators(), kset.operators()):
-                assert np.array_equal(a, b)
-
-
 def test_yields_exactly_the_requested_steps_in_ascending_order():
     stream = iter_kraus_steps(0.7, [9, 2, 5, 2])
     assert isinstance(stream, types.GeneratorType)
