@@ -41,7 +41,6 @@ from .witnesses import (
     _RHO_DOWN,
     _RHO_UP,
     holevo_max,
-    mixedness,
     purity,
     td_series,
     trace_distance,
@@ -203,12 +202,9 @@ def cmd_kraus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         else:
             sys.stdout.write(text)
     else:
-        rows = []
-        for mu, matrix in kset.entries:
-            for row in range(2):
-                for col in range(2):
-                    value = matrix[row, col]
-                    rows.append((mu, row, col, float(value.real), float(value.imag)))
+        rows = [(mu, row, col, *matrix[row][col])
+                for mu, matrix in zip(kset.labels(), kset.pairs())
+                for row in range(2) for col in range(2)]
         _emit(["mu", "row", "col", "re", "im"], rows, "csv", options["out"])
     return 0
 
@@ -311,6 +307,12 @@ def cmd_rtn_composite(args: argparse.Namespace, parser: argparse.ArgumentParser)
     return 0
 
 
+def _purity_and_mixedness(rho: np.ndarray) -> tuple[float, float]:
+    # the qubit case of witnesses.mixedness, from the one purity evaluation
+    p = purity(rho)
+    return p, 2.0 * (1.0 - p)
+
+
 def cmd_purity(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     options = _effective(args, parser, {
         "theta": None, "theta_grid": DEFAULT_THETA_GRID,
@@ -322,8 +324,7 @@ def cmd_purity(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         options["delta_grid"] = [0.0, math.pi, 33]
     deltas = _delta_values(options)
     steps = _parse_steps(options["steps"])
-    rows = _input_sweep(thetas, deltas, steps,
-                        lambda rho: (purity(rho), mixedness(rho)))
+    rows = _input_sweep(thetas, deltas, steps, _purity_and_mixedness)
     _emit(["theta", "delta", "step", "purity", "mixedness"],
           rows, options["format"], options["out"])
     return 0

@@ -5,19 +5,20 @@ a channel on the coin alone, ``rho -> sum_mu K_mu rho K_mu^dag`` with one
 2x2 operator per reachable site.  Two independent extraction routes are
 provided:
 
-* :func:`iter_kraus_steps` walks both coin basis inputs together and
-  gathers the coin amplitudes site by site at every requested step count,
-  streaming one set per step from a single walk; :func:`extract_kraus_direct`
-  is its single-step case (ground truth), and
-* :func:`extract_kraus_binomial` rebuilds the t-step joint operator from the
-  ordered binomial expansion of ``(P + Q)^t`` plus commutator correction
-  terms, then projects the same way (validator).
+* :func:`iter_kraus_steps` walks the operators themselves, in 128 (t + 1)
+  bytes and with no position lattice, by ``K_mu(n + 1) = C_up K_{mu-1}(n)
+  + C_down K_{mu+1}(n)`` from ``K_0(0) = I``, streaming one set per
+  requested step count from a single walk; :func:`extract_kraus_direct` is
+  its single-step case (ground truth),
+* :func:`extract_kraus_binomial` rebuilds the t-step joint operator on a
+  guarded lattice from the ordered binomial expansion of ``(P + Q)^t`` plus
+  commutator correction terms, then gathers each site's block (validator).
 
 Label convention: ``mu = +t`` tags the branch on which the upper coin block
 acts at every step, so ``K_{+t} = C_up^t`` and ``K_{-t} = C_down^t``.
 Because the walk shifts the upper component to the *left*, ``mu`` is the
-negated lattice coordinate of the site a block is gathered from.  This keeps
-the sets aligned with the closed-form first term
+negated lattice coordinate of the walker's site.  This keeps the sets
+aligned with the closed-form first term
 (:func:`kraus_closed_form_first_term`) and gives the mirror symmetry
 ``K_{-mu} = minor_map(K_{+mu})``.
 """
@@ -38,10 +39,9 @@ from .walk import (
     build_shifts,
     canonical_angle,
     coin_projections,
-    walk_step,
 )
 
-# amplitude below which a wrong-parity site is accepted as numerically empty
+# amplitude below which a wrong-parity site of a dense projection is empty
 ZERO_SITE_TOL = 1e-14
 
 STANDARD = "standard"
@@ -113,21 +113,18 @@ class KrausSet:
 
     # -- serialization (complex entries as [re, im] pairs) -----------------
 
+    def pairs(self) -> list:
+        """Every operator as nested ``[re, im]`` lists, in label order."""
+        ops = np.asarray(self.operators(), dtype=np.complex128)
+        return np.stack((ops.real, ops.imag), -1).tolist()
+
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
             "theta": self.theta,
             "t": self.t,
-            "entries": [
-                {
-                    "mu": mu,
-                    "matrix": [
-                        [[float(v.real), float(v.imag)] for v in row]
-                        for row in matrix
-                    ],
-                }
-                for mu, matrix in self.entries
-            ],
+            "entries": [{"mu": mu, "matrix": matrix}
+                        for mu, matrix in zip(self.labels(), self.pairs())],
         }
 
     @classmethod
@@ -181,39 +178,17 @@ def minor_map(matrix: np.ndarray) -> np.ndarray:
     return m[::-1, ::-1].copy()
 
 
-def _gather_entries(outputs: np.ndarray, lattice: Lattice, t: int) -> tuple:
-    """Collect the per-site 2x2 blocks of a t-step walk of both basis inputs.
-
-    ``outputs[c, s, j]`` is the coin-``c`` amplitude that input ``e_s`` left
-    on storage site ``j``, so the block at label ``mu`` is
-    ``outputs[:, :, j]`` for the site ``x = -mu``.  Sites of the wrong parity
-    must be empty and are dropped.
-    """
-    origin = lattice.origin_index
-    wrong = np.arange(-t + 1, t, 2)  # the same set as sites x and as labels
-    if wrong.size:
-        amplitude = np.abs(outputs[:, :, origin + wrong]).max(axis=(0, 1))
-        loud = np.flatnonzero(amplitude >= ZERO_SITE_TOL)
-        if loud.size:
-            raise ValueError(
-                f"site {wrong[loud[0]]} of wrong parity carries amplitude "
-                f"{amplitude[loud[0]]:.3e}; extraction is inconsistent"
-            )
-    labels = np.arange(-t, t + 1, 2)
-    blocks = np.ascontiguousarray(outputs[:, :, origin - labels].transpose(2, 0, 1))
-    return tuple(zip(labels.tolist(), blocks))
-
-
 def iter_kraus_steps(theta: float, steps: Iterable[int]) -> Iterator[KrausSet]:
     """Stream the operator sets of several step counts from one walk.
 
-    Both coin basis inputs start at the origin and walk together as one
-    ``(coin, input, site)`` array on the lattice sized for the largest
-    count.  At each requested count the per-site blocks are gathered into
-    a :class:`KrausSet` and yielded; sets come out in ascending order, one
-    per distinct count.  Nothing is kept between yields, so a series of
-    length n costs O(n^2) site updates and the memory of one set.  The
-    step counts are checked when this is called, not on first iteration.
+    The operators themselves are walked, with no position lattice:
+    ``K_mu(n + 1) = C_up K_{mu-1}(n) + C_down K_{mu+1}(n)`` from
+    ``K_0(0) = I``, one 2x2 coin product per step on two ``(2, 2t + 2)``
+    buffers (128 (t + 1) bytes for the largest count t).  Each requested
+    count yields a copy as a :class:`KrausSet`, ascending, one per distinct
+    count, so a series of length n costs O(n^2) operator updates and the
+    memory of one set.  The step counts are checked when this is called,
+    not on first iteration.
     """
     wanted = sorted({int(t) for t in steps})
     if not wanted:
@@ -224,30 +199,32 @@ def iter_kraus_steps(theta: float, steps: Iterable[int]) -> Iterator[KrausSet]:
 
 
 def _walk_sets(theta: float, wanted: list[int]) -> Iterator[KrausSet]:
-    lattice = Lattice.for_steps(wanted[-1])
-    origin = lattice.origin_index
     coin = build_coin(theta)
-    outputs = np.zeros((2, 2, lattice.size), dtype=np.complex128)
-    outputs[0, 0, origin] = 1.0
-    outputs[1, 1, origin] = 1.0
+    # after n steps, ops[c, 2j + s] is entry (c, s) of the operator at label -n + 2j
+    ops = np.zeros((2, 2 * wanted[-1] + 2), dtype=np.complex128)
+    ops[:, :2] = np.eye(2)
+    rotated = np.empty_like(ops)
     done = 0
     for t in wanted:
-        for n in range(done + 1, t + 1):
-            # step n only touches sites -n..n: the walk came from the origin,
-            # so the sites at +-n are still empty and the rolls wrap zeros
-            walk_step(outputs[:, :, origin - n:origin + n + 1], coin)
+        for n in range(done, t):
+            width = 2 * n + 2
+            np.matmul(coin, ops[:, :width], out=rotated[:, :width])
+            # the upper row moves to label mu + 1 (two columns on), the lower to mu - 1
+            ops[0, 2:width + 2] = rotated[0, :width]
+            ops[0, :2] = 0.0
+            ops[1, :width] = rotated[1, :width]
         done = t
-        yield KrausSet(theta=theta, t=t, entries=_gather_entries(outputs, lattice, t))
+        blocks = ops[:, :2 * t + 2].reshape(2, t + 1, 2).transpose(1, 0, 2).copy()
+        yield KrausSet(theta=theta, t=t, entries=tuple(zip(range(-t, t + 1, 2), blocks)))
 
 
 def extract_kraus_direct(theta: float, t: int) -> KrausSet:
-    """Extract the t-step operator set by evolving both coin basis inputs.
+    """Extract the t-step operator set by walking the operators.
 
-    Each basis coin state is placed at the origin and walked ``t`` steps;
-    the coin amplitudes gathered on each site form one column of that
-    site's operator.  This is the ground-truth route: completeness follows
-    from unitarity plus the full position trace.  It is the single-step
-    case of :func:`iter_kraus_steps`.
+    Column ``s`` of ``K_mu`` is the coin amplitude that basis input ``e_s``
+    leaves on site ``-mu`` after ``t`` steps from the origin.  This is the
+    ground-truth route: completeness follows from unitarity plus the full
+    position trace.  It is the single-step case of :func:`iter_kraus_steps`.
     """
     return next(iter_kraus_steps(theta, (t,)))
 
@@ -303,10 +280,23 @@ def extract_kraus_binomial(theta: float, t: int, t_max: int = 8) -> KrausSet:
         joint += weight * (p_pow[k] @ q_pow[t - k])
         joint += weight * (corrections[k] @ q_pow[t - k])
 
+    # outputs[c, j, s]: the coin-c amplitude input e_s leaves on storage site
+    # j; the block at label mu sits on site x = -mu, and the sites of the
+    # wrong parity must be empty
     origin = lattice.origin_index
     outputs = joint[:, [origin, lattice.size + origin]].reshape(2, lattice.size, 2)
-    entries = _gather_entries(outputs.transpose(0, 2, 1), lattice, t)
-    return KrausSet(theta=theta, t=t, entries=entries)
+    wrong = np.arange(-t + 1, t, 2)  # the same set as sites x and as labels
+    if wrong.size:
+        amplitude = np.abs(outputs[:, origin + wrong]).max(axis=(0, 2))
+        loud = np.flatnonzero(amplitude >= ZERO_SITE_TOL)
+        if loud.size:
+            raise ValueError(
+                f"site {wrong[loud[0]]} of wrong parity carries amplitude "
+                f"{amplitude[loud[0]]:.3e}; extraction is inconsistent"
+            )
+    labels = np.arange(-t, t + 1, 2)
+    blocks = outputs[:, origin - labels].transpose(1, 0, 2).copy()
+    return KrausSet(theta=theta, t=t, entries=tuple(zip(labels.tolist(), blocks)))
 
 
 def kraus_closed_form_first_term(theta: float, t: int, mu: int) -> np.ndarray:

@@ -153,7 +153,7 @@ def evolve(psi0: np.ndarray, theta: float, t: int) -> np.ndarray:
             f"lattice of size {lattice.size} supports at most "
             f"{lattice.max_steps} wrap-free steps, requested {t}"
         )
-    psi = np.array(psi0, dtype=np.complex128).reshape(2, 1, lattice.size)
+    psi = np.array(psi0, dtype=np.complex128).reshape(2, lattice.size)
     coin = build_coin(theta)
     for _ in range(t):
         walk_step(psi, coin)
@@ -161,17 +161,15 @@ def evolve(psi0: np.ndarray, theta: float, t: int) -> np.ndarray:
 
 
 def walk_step(amplitudes: np.ndarray, coin: np.ndarray) -> None:
-    """Advance a batch of walkers by one step, in place.
+    """Advance one walker by one step, in place.
 
-    ``amplitudes`` has shape ``(2, k, L)``: coin component, walker, site.
-    Each walker gets its own 2x2 coin product, the same arithmetic as a
-    walker alone in the array; then the upper component of every walker
-    moves one site left (cyclically) and the lower one right.
+    ``amplitudes`` has shape ``(2, L)``: coin component, site.  The coin
+    rotates every site, then the upper component moves one site left
+    (cyclically) and the lower one right.
     """
-    for k in range(amplitudes.shape[1]):
-        amplitudes[:, k] = coin @ amplitudes[:, k]
-    amplitudes[0] = np.roll(amplitudes[0], -1, axis=-1)
-    amplitudes[1] = np.roll(amplitudes[1], +1, axis=-1)
+    amplitudes[:] = coin @ amplitudes
+    amplitudes[0] = np.roll(amplitudes[0], -1)
+    amplitudes[1] = np.roll(amplitudes[1], +1)
 
 
 def position_distribution(psi: np.ndarray) -> dict[int, float]:

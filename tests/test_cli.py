@@ -12,7 +12,8 @@ from qwchannel.channels import (
     n_step_map,
 )
 from qwchannel.cli import main
-from qwchannel.kraus import KrausSet, extract_kraus_direct
+from qwchannel.kraus import KrausSet, extract_kraus_direct, extract_kraus_split_step
+from qwchannel.walk import coin_projections
 from qwchannel.witnesses import holevo_max, purity
 
 PI = math.pi
@@ -375,3 +376,34 @@ def test_non_finite_theta_is_refused_by_name(capsys, command):
     assert code == 2
     assert captured.out == ""
     assert "theta must be finite" in captured.err
+
+
+def _per_value_dict(kset):
+    return {"kind": kset.kind, "theta": kset.theta, "t": kset.t,
+            "entries": [{"mu": mu, "matrix": [[[float(v.real), float(v.imag)]
+                                               for v in row] for row in m]}
+                        for mu, m in kset.entries]}
+
+
+@pytest.mark.parametrize("theta, t, split", [
+    (0.0, 3, False), (PI / 2, 4, False), (2.9, 5, False), (0.7, 2, True),
+])
+def test_kraus_dumps_equal_the_per_value_construction(capsys, theta, t, split):
+    kset = extract_kraus_split_step(theta, t) if split else extract_kraus_direct(theta, t)
+    assert kset.to_json(indent=2) == json.dumps(_per_value_dict(kset), indent=2)
+    argv = ["kraus", "--theta", repr(theta), "--t", str(t), "--format", "csv"]
+    code, out = run_cli(capsys, *argv, *(["--split"] if split else []))
+    assert code == 0
+    lines = ["mu,row,col,re,im"] + [
+        f"{mu},{r},{c},{float(m[r, c].real)!r},{float(m[r, c].imag)!r}"
+        for mu, m in kset.entries for r in range(2) for c in range(2)]
+    assert out == "\n".join(lines) + "\n"
+
+
+def test_kraus_json_keeps_signed_zeros():
+    up, down = coin_projections(0.0)
+    kset = KrausSet(theta=0.0, t=1, entries=((-1, -down), (1, -up)))
+    text = kset.to_json(indent=2)
+    assert "-0.0" in text
+    assert text == json.dumps(_per_value_dict(kset), indent=2)
+    assert KrausSet.from_json(text).to_json(indent=2) == text

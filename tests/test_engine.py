@@ -8,7 +8,7 @@ import pytest
 
 from qwchannel.channels import apply_kraus, density_matrix
 from qwchannel.kraus import KrausSet, extract_kraus_direct, iter_kraus_steps
-from qwchannel.walk import Lattice, evolve, joint_state
+from qwchannel.walk import Lattice, coin_projections, evolve, joint_state
 
 THETAS = (0.5047, math.pi / 6, 1.3, math.pi / 2, 2.9)
 
@@ -103,3 +103,47 @@ def test_plain_operator_lists_are_checked_every_call():
         apply_kraus([], rho)
     with pytest.raises(ValueError, match="2x2"):
         apply_kraus([np.eye(3)], rho)
+
+
+def traced_operators(theta, t):
+    """The set as columns gathered from the position-traced walk of e_0, e_1."""
+    lattice = Lattice.for_steps(t)
+    origin = lattice.origin_index
+    outs = [evolve(joint_state(lattice, np.eye(2)[s]), theta, t).reshape(2, lattice.size)
+            for s in (0, 1)]
+    labels = np.arange(-t, t + 1, 2)
+    return np.stack([out[:, origin - labels] for out in outs], axis=-1).transpose(1, 0, 2)
+
+
+def momentum_oracle(theta, t):
+    """``sum_j K_{-t+2j} w^j = (C_down + w C_up)^t``, solved on the t+1 roots of unity."""
+    up, down = coin_projections(theta)
+    coefficients = np.zeros((t + 1, 2, 2), dtype=np.complex128)
+    coefficients[0], coefficients[1] = down, up
+    samples = np.fft.ifft(coefficients, axis=0, norm="forward")
+    return np.fft.fft(np.linalg.matrix_power(samples, t), axis=0, norm="forward")
+
+
+@pytest.mark.parametrize("t", [100, 1000])
+@pytest.mark.parametrize("theta", [0.5047, 2.9, math.pi / 2])
+def test_long_walk_equals_the_position_traced_walk(theta, t):
+    kset = extract_kraus_direct(theta, t)
+    assert kset.labels() == list(range(-t, t + 1, 2))
+    assert np.array_equal(np.array(kset.operators()), traced_operators(theta, t))
+
+
+@pytest.mark.parametrize("theta", [0.5047, 1.3, math.pi / 2, 4.4])
+def test_sparse_streamed_sets_equal_single_extractions(theta):
+    sets = list(iter_kraus_steps(theta, [5, 17, 60, 301]))
+    assert [k.t for k in sets] == [5, 17, 60, 301]
+    for kset in sets:
+        single = extract_kraus_direct(theta, kset.t)
+        assert kset.labels() == single.labels()
+        assert np.array_equal(np.array(kset.operators()), np.array(single.operators()))
+
+
+@pytest.mark.parametrize("t", [50, 500, 2000])
+@pytest.mark.parametrize("theta", [0.0, 0.5047, 1.3, 2.9])
+def test_walk_agrees_with_the_momentum_space_oracle(theta, t):
+    walked = np.array(extract_kraus_direct(theta, t).operators())
+    assert np.abs(walked - momentum_oracle(theta, t)).max() <= 1e-15 * (t + 1)

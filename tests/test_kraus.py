@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qwchannel.kraus as kraus
 from qwchannel import reference
 from qwchannel.kraus import (
     KrausSet,
@@ -230,3 +231,11 @@ def test_invalid_step_counts():
         extract_kraus_direct(0.5, 0)
     with pytest.raises(ValueError):
         extract_kraus_split_step(0.5, 0)
+
+
+def test_binomial_guard_refuses_amplitude_on_wrong_parity_sites(monkeypatch):
+    monkeypatch.setattr(kraus, "ZERO_SITE_TOL", -1.0)  # every site counts as loud
+    with pytest.raises(ValueError, match="site -1 of wrong parity"):
+        extract_kraus_binomial(0.5, 2)
+    monkeypatch.undo()
+    assert extract_kraus_binomial(0.5, 2).labels() == [-2, 0, 2]
