@@ -10,10 +10,14 @@ purity          purity/mixedness of the channel output per (theta, delta, step)
 holevo          maximized Holevo quantity per (theta, step)
 verify          run the named consistency checks and report pass/fail
 
-Options may also come from a JSON config file (``--config``); explicit
-command-line flags win on conflict.  Each sweep walks once per coin angle
-(:func:`~qwchannel.kraus.iter_kraus_steps`) and emits its rows in
-deterministic sorted order.
+Options may also come from a JSON config file (``--config``): flags win, a
+config ``null`` is the same as leaving the key out, and a config may set only
+one side of ``theta``/``theta_grid`` and of ``delta``/``delta_grid``.  Each
+option has one check (``_CHECKS``), applied once to the merged value
+whatever its source: numbers must be finite, counts (``t``, ``grid_size``,
+step and grid counts) whole numbers up to ``MAX_COUNT``.  A refused value
+exits 2 with a message naming the option.  Each sweep walks once per coin
+angle (:func:`~qwchannel.kraus.iter_kraus_steps`); rows come out sorted.
 """
 
 from __future__ import annotations
@@ -32,14 +36,15 @@ from .channels import (
     assert_density_matrix,
     coin_state_from_angle,
     density_matrix,
-    rtn_kraus,
-    rtn_lambda,
 )
-from .kraus import extract_kraus_direct, extract_kraus_split_step, iter_kraus_steps
+from .kraus import (extract_kraus_direct, extract_kraus_split_step, iter_kraus_steps,
+                    matrix_from_pairs)
 from .verification import run_checks
 from .witnesses import (
     _RHO_DOWN,
     _RHO_UP,
+    MODE_COMPOSITE,
+    MODE_NSTEP,
     holevo_max,
     purity,
     td_series,
@@ -50,54 +55,106 @@ DEFAULT_THETA_GRID = [0.0, math.pi, 64]
 DEFAULT_TRACE_STEPS = 20
 DEFAULT_HOLEVO_STEPS = 8
 
+# largest count any option may ask for: 25x the largest in use (t = 4000),
+# refused before anything is allocated
+MAX_COUNT = 100_000
 
-# -- plumbing -----------------------------------------------------------------
 
-def _parse_grid_text(text: str) -> list:
-    parts = text.split(":")
+# -- option checks --------------------------------------------------------------
+# A check returns the value in its working type, or raises ArgumentTypeError
+# with a message naming the option.  Anything else a check raises (a failed
+# conversion, index or lookup) is re-raised by _effective naming the option.
+
+def _refuse(name: str, expected: str, value) -> argparse.ArgumentTypeError:
+    return argparse.ArgumentTypeError(f"{name} must be {expected}, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    if isinstance(value, bool):
+        raise _refuse(name, "a number", value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise _refuse(name, "finite", value)
+    return number
+
+
+def _positive(name: str, value) -> float:
+    if (number := _real(name, value)) <= 0:
+        raise _refuse(name, "positive", value)
+    return number
+
+
+def _nonnegative(name: str, value) -> float:
+    if (number := _real(name, value)) < 0:
+        raise _refuse(name, ">= 0", value)
+    return number
+
+
+def _count(name: str, value, low: int = 1) -> int:
+    number = _real(name, value)
+    if not (number.is_integer() and low <= number <= MAX_COUNT):
+        raise _refuse(name, f"a whole number in [{low}, {MAX_COUNT}]", value)
+    return int(number)
+
+
+def _grid_parts(name: str, value) -> list:
+    """``start:stop:count`` text or a list, as its three parts (the grid flags' type)."""
+    parts = value.split(":") if isinstance(value, str) else value
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"grid must be start:stop:count, got {text!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"grid count must be >= 1, got {count}")
-    return [start, stop, count]
+        raise _refuse(name, "start:stop:count", value)
+    return parts
 
 
-def _finite(name: str, value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+def _grid(name: str, value) -> list[float]:
+    parts = _grid_parts(name, value)
+    start, stop = _real(name, parts[0]), _real(name, parts[1])
+    return [float(v) for v in np.linspace(start, stop, _count(name, parts[2]))]
+
+
+def _steps(name: str, value) -> list[int]:
+    """A count N (steps 1..N), or a list or comma-separated text of step counts."""
+    if isinstance(value, str) and "," in value:
+        value = [part for part in value.split(",") if part.strip()]
+    if not isinstance(value, list):
+        return list(range(1, _count(name, value) + 1))
+    if not value:
+        raise _refuse(name, "a non-empty list", value)
+    return sorted({_count(name, step) for step in value})
+
+
+def _typed(kind: type, expected: str, name: str, value):
+    if not isinstance(value, kind):
+        raise _refuse(name, expected, value)
     return value
 
 
-def _grid_values(spec, name: str) -> list[float]:
-    if isinstance(spec, str):
-        spec = _parse_grid_text(spec)
-    start, stop = _finite(name, spec[0]), _finite(name, spec[1])
-    count = int(spec[2])
-    if count < 1:
-        raise ValueError(f"grid count must be >= 1, got {count}")
-    return [float(v) for v in np.linspace(start, stop, count)]
+def _choice(allowed: tuple, name: str, value) -> str:
+    if value not in allowed:
+        raise _refuse(name, f"one of {', '.join(allowed)}", value)
+    return value
 
 
-def _parse_steps(spec) -> list[int]:
-    if isinstance(spec, bool):
-        raise ValueError("steps must be an integer or list")
-    if isinstance(spec, int):
-        steps = list(range(1, spec + 1))
-    elif isinstance(spec, (list, tuple)):
-        steps = [int(v) for v in spec]
-    else:
-        text = str(spec).strip()
-        if "," in text:
-            steps = [int(p) for p in text.split(",") if p.strip()]
-        else:
-            steps = list(range(1, int(text) + 1))
-    if not steps or any(s < 1 for s in steps):
-        raise ValueError(f"steps must be >= 1, got {spec!r}")
-    return sorted(set(steps))
+def _ensemble(name: str, value) -> tuple[np.ndarray, np.ndarray]:
+    """``{"rho1": ..., "rho2": ...}``, each a qubit state as 2x2 ``[re, im]`` pairs."""
+    rho1, rho2 = matrix_from_pairs(value["rho1"]), matrix_from_pairs(value["rho2"])
+    assert_density_matrix(rho1, name="rho1")
+    assert_density_matrix(rho2, name="rho2")
+    return rho1, rho2
 
+
+_CHECKS = {
+    "theta": _real, "delta": _real,
+    "theta_grid": _grid, "delta_grid": _grid,
+    "t": _count, "steps": _steps, "grid_size": partial(_count, low=3),
+    "rtn_gamma": _positive, "rtn_dt": _positive, "rtn_a": _nonnegative,
+    "markovian_ratio": _nonnegative, "nonmarkovian_ratio": _nonnegative,
+    "split": partial(_typed, bool, "true or false"), "ensemble": _ensemble,
+    "mode": partial(_choice, ("nstep", "concat", "both")),
+    "format": partial(_choice, ("csv", "json")), "out": partial(_typed, str, "a path"),
+}
+
+
+# -- plumbing -----------------------------------------------------------------
 
 def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
     try:
@@ -110,45 +167,52 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
     return {key.replace("-", "_"): value for key, value in config.items()}
 
 
-# flag pairs that select between a scalar and a grid; an explicit flag on one
-# side silences the other side's config value
+# scalar/grid pairs: one side is in effect; a flag on one side silences the
+# config's other side, and a config may set only one side
 _EXCLUSIVE_PAIRS = (("theta", "theta_grid"), ("delta", "delta_grid"))
 
 
 def _effective(args: argparse.Namespace, parser: argparse.ArgumentParser,
                defaults: dict) -> dict:
-    """Merge defaults <- config file <- explicit flags (flags win)."""
+    """Merge defaults <- config file <- explicit flags, then check each value.
+
+    ``None`` (a config ``null``, a flag not given) leaves the value below it.
+    """
+    config = _load_config(args.config, parser) if getattr(args, "config", None) else {}
+    given = {key: value for key, value in config.items()
+             if key in defaults and value is not None}
+    flags = {key: getattr(args, key) for key in defaults
+             if getattr(args, key, None) is not None}
     merged = dict(defaults)
-    if getattr(args, "config", None):
-        config = _load_config(args.config, parser)
-        for key, value in config.items():
-            if key in merged:
-                merged[key] = value
-    for key in defaults:
-        given = getattr(args, key, None)
-        if given is not None:
-            merged[key] = given
-            for left, right in _EXCLUSIVE_PAIRS:
-                if key == left and getattr(args, right, None) is None:
-                    merged[right] = None
-                elif key == right and getattr(args, left, None) is None:
-                    merged[left] = None
+    for pair in _EXCLUSIVE_PAIRS:
+        if any(key in flags for key in pair):
+            given = {key: value for key, value in given.items() if key not in pair}
+        elif all(key in given for key in pair):
+            raise argparse.ArgumentTypeError(
+                f"config sets both {pair[0]} and {pair[1]}; give one")
+        if any(key in given or key in flags for key in pair):
+            merged.update((key, None) for key in pair if key in merged)
+    merged.update(given)
+    merged.update(flags)
+    for key, value in merged.items():
+        if value is not None:
+            try:
+                merged[key] = _CHECKS[key](key, value)
+            except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
+                raise ValueError(f"{key}: {exc}") from None
     return merged
 
 
+def _sweep_values(options: dict, name: str) -> list[float]:
+    """The values of a scalar/grid pair: the scalar alone, or the grid."""
+    return options[name + "_grid"] if options[name] is None else [options[name]]
+
+
 def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _emit(header: list[str], rows: list[tuple], fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
-    else:
-        lines = [",".join(header)]
-        lines.extend(",".join(_format_value(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", newline="\n") as fh:
             fh.write(text)
@@ -156,23 +220,14 @@ def _emit(header: list[str], rows: list[tuple], fmt: str, out: str | None) -> No
         sys.stdout.write(text)
 
 
-def _theta_values(options: dict) -> list[float]:
-    if options.get("theta") is not None:
-        return [_finite("theta", options["theta"])]
-    return _grid_values(options["theta_grid"], "theta_grid")
-
-
-def _delta_values(options: dict) -> list[float]:
-    if options.get("delta_grid") is not None:
-        return _grid_values(options["delta_grid"], "delta_grid")
-    return [_finite("delta", options.get("delta") or 0.0)]
-
-
-def _matrix_from_pairs(payload) -> np.ndarray:
-    return np.array(
-        [[complex(re, im) for re, im in row] for row in payload],
-        dtype=np.complex128,
-    )
+def _emit(header: list[str], rows: list[tuple], options: dict) -> None:
+    if options["format"] == "json":
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    else:
+        lines = [",".join(header)]
+        lines.extend(",".join(_format_value(v) for v in row) for row in rows)
+        text = "\n".join(lines) + "\n"
+    _write(text, options["out"])
 
 
 def _default_ensemble_pair() -> tuple[np.ndarray, np.ndarray]:
@@ -189,23 +244,18 @@ def cmd_kraus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     options = _effective(args, parser, {
         "theta": None, "t": None, "split": False, "format": "json", "out": None,
     })
-    if options["theta"] is None or options["t"] is None:
+    theta, t = options["theta"], options["t"]
+    if theta is None or t is None:
         parser.error("kraus requires --theta and --t")
-    theta, t = float(options["theta"]), int(options["t"])
-    kset = (extract_kraus_split_step(theta, t) if options["split"]
-            else extract_kraus_direct(theta, t))
+    extract = extract_kraus_split_step if options["split"] else extract_kraus_direct
+    kset = extract(theta, t)
     if options["format"] == "json":
-        text = kset.to_json(indent=2) + "\n"
-        if options["out"]:
-            with open(options["out"], "w", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(kset.to_json(indent=2) + "\n", options["out"])
     else:
         rows = [(mu, row, col, *matrix[row][col])
                 for mu, matrix in zip(kset.labels(), kset.pairs())
                 for row in range(2) for col in range(2)]
-        _emit(["mu", "row", "col", "re", "im"], rows, "csv", options["out"])
+        _emit(["mu", "row", "col", "re", "im"], rows, options)
     return 0
 
 
@@ -229,14 +279,12 @@ def _input_sweep(thetas: list[float], deltas: list[float], steps: list[int],
 def cmd_probability(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     options = _effective(args, parser, {
         "theta": None, "theta_grid": DEFAULT_THETA_GRID,
-        "delta": None, "delta_grid": None,
+        "delta": 0.0, "delta_grid": None,
         "steps": DEFAULT_HOLEVO_STEPS, "format": "csv", "out": None,
     })
-    thetas = _theta_values(options)
-    deltas = _delta_values(options)
-    steps = _parse_steps(options["steps"])
-    rows = _input_sweep(thetas, deltas, steps, lambda rho: (float(rho[0, 0].real),))
-    _emit(["theta", "delta", "step", "p_up"], rows, options["format"], options["out"])
+    rows = _input_sweep(_sweep_values(options, "theta"), _sweep_values(options, "delta"),
+                        options["steps"], lambda rho: (float(rho[0, 0].real),))
+    _emit(["theta", "delta", "step", "p_up"], rows, options)
     return 0
 
 
@@ -246,23 +294,17 @@ def cmd_trace_distance(args: argparse.Namespace, parser: argparse.ArgumentParser
         "steps": DEFAULT_TRACE_STEPS, "mode": "both",
         "format": "csv", "out": None,
     })
-    thetas = _theta_values(options)
-    steps = _parse_steps(options["steps"])
-    n_max = max(steps)
-    if options["mode"] not in ("nstep", "concat", "both"):
-        parser.error(f"unknown mode {options['mode']!r}")
+    steps = options["steps"]
     modes = ["concat", "nstep"] if options["mode"] == "both" else [options["mode"]]
 
     rows = []
-    for theta in thetas:
+    for theta in _sweep_values(options, "theta"):
         for mode in modes:
             rows.append((theta, 0, mode, trace_distance(_RHO_UP, _RHO_DOWN)))
-            series = td_series(theta, n_max, mode=mode)
-            rows.extend((theta, n, mode, d)
-                        for n, d in zip(series.steps, series.values)
-                        if n in steps)
+            series = td_series(theta, steps[-1], mode=mode)
+            rows.extend((theta, n, mode, series.values[n - 1]) for n in steps)
     rows.sort(key=lambda r: (r[0], r[2], r[1]))
-    _emit(["theta", "step", "mode", "d"], rows, options["format"], options["out"])
+    _emit(["theta", "step", "mode", "d"], rows, options)
     return 0
 
 
@@ -273,37 +315,24 @@ def cmd_rtn_composite(args: argparse.Namespace, parser: argparse.ArgumentParser)
         "markovian_ratio": 0.4, "nonmarkovian_ratio": 2.0,
         "format": "csv", "out": None,
     })
-    theta = _finite("theta", options["theta"])
-    steps = _parse_steps(options["steps"])
-    gamma = float(options["rtn_gamma"])
-    dt = float(options["rtn_dt"])
+    steps = options["steps"]
+    gamma, dt = options["rtn_gamma"], options["rtn_dt"]
     regimes = [
         ("none", None),
-        ("markovian", RTNParams(a=float(options["markovian_ratio"]) * gamma,
+        ("markovian", RTNParams(a=options["markovian_ratio"] * gamma,
                                 gamma=gamma, dt=dt)),
-        ("nonmarkovian", RTNParams(a=float(options["nonmarkovian_ratio"]) * gamma,
+        ("nonmarkovian", RTNParams(a=options["nonmarkovian_ratio"] * gamma,
                                    gamma=gamma, dt=dt)),
     ]
     if options["rtn_a"] is not None:
-        regimes.append(("custom", RTNParams(a=float(options["rtn_a"]),
-                                            gamma=gamma, dt=dt)))
-    order = {name: rank for rank, (name, _) in enumerate(regimes)}
+        regimes.append(("custom", RTNParams(a=options["rtn_a"], gamma=gamma, dt=dt)))
 
     rows = []
-    for kset in iter_kraus_steps(theta, steps):
-        step = kset.t
-        top = apply_kraus(kset, _RHO_UP)
-        bottom = apply_kraus(kset, _RHO_DOWN)
-        for name, params in regimes:
-            if params is None:
-                rows.append((step, name, trace_distance(top, bottom)))
-            else:
-                dephase = rtn_kraus(rtn_lambda(params, step * params.dt))
-                rows.append((step, name,
-                             trace_distance(apply_kraus(dephase, top),
-                                            apply_kraus(dephase, bottom))))
-    rows.sort(key=lambda r: (order[r[1]], r[0]))
-    _emit(["step", "regime", "d"], rows, options["format"], options["out"])
+    for name, params in regimes:
+        series = td_series(options["theta"], steps[-1], rtn=params,
+                           mode=MODE_NSTEP if params is None else MODE_COMPOSITE)
+        rows.extend((n, name, series.values[n - 1]) for n in steps)
+    _emit(["step", "regime", "d"], rows, options)
     return 0
 
 
@@ -316,17 +345,12 @@ def _purity_and_mixedness(rho: np.ndarray) -> tuple[float, float]:
 def cmd_purity(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     options = _effective(args, parser, {
         "theta": None, "theta_grid": DEFAULT_THETA_GRID,
-        "delta": None, "delta_grid": None,
+        "delta": None, "delta_grid": [0.0, math.pi, 33],
         "steps": DEFAULT_HOLEVO_STEPS, "format": "csv", "out": None,
     })
-    thetas = _theta_values(options)
-    if options.get("delta") is None and options.get("delta_grid") is None:
-        options["delta_grid"] = [0.0, math.pi, 33]
-    deltas = _delta_values(options)
-    steps = _parse_steps(options["steps"])
-    rows = _input_sweep(thetas, deltas, steps, _purity_and_mixedness)
-    _emit(["theta", "delta", "step", "purity", "mixedness"],
-          rows, options["format"], options["out"])
+    rows = _input_sweep(_sweep_values(options, "theta"), _sweep_values(options, "delta"),
+                        options["steps"], _purity_and_mixedness)
+    _emit(["theta", "delta", "step", "purity", "mixedness"], rows, options)
     return 0
 
 
@@ -336,29 +360,16 @@ def cmd_holevo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         "steps": DEFAULT_HOLEVO_STEPS, "grid_size": 33,
         "ensemble": None, "format": "csv", "out": None,
     })
-    thetas = _theta_values(options)
-    steps = _parse_steps(options["steps"])
-    grid_size = int(options["grid_size"])
-    if options["ensemble"] is None:
-        rho1, rho2 = _default_ensemble_pair()
-    else:
-        try:
-            rho1 = _matrix_from_pairs(options["ensemble"]["rho1"])
-            rho2 = _matrix_from_pairs(options["ensemble"]["rho2"])
-        except (KeyError, TypeError, ValueError) as exc:
-            parser.error(f"bad ensemble spec: {exc}")
-        assert_density_matrix(rho1, name="ensemble rho1")
-        assert_density_matrix(rho2, name="ensemble rho2")
+    rho1, rho2 = options["ensemble"] or _default_ensemble_pair()
 
     rows = []
-    for theta in thetas:
-        for kset in iter_kraus_steps(theta, steps):
+    for theta in _sweep_values(options, "theta"):
+        for kset in iter_kraus_steps(theta, options["steps"]):
             chi, p_star = holevo_max(rho1, rho2, partial(apply_kraus, kset),
-                                     grid_size=grid_size)
+                                     grid_size=options["grid_size"])
             rows.append((theta, kset.t, chi, p_star))
     rows.sort(key=lambda r: (r[0], r[1]))
-    _emit(["theta", "step", "chi_max", "p1_star"],
-          rows, options["format"], options["out"])
+    _emit(["theta", "step", "chi_max", "p1_star"], rows, options)
     return 0
 
 
@@ -382,76 +393,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, fmt_default: bool = True) -> None:
+    def command(name: str, fn, help: str, steps: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
         p.add_argument("--config", help="JSON config file (flags win on conflict)")
         p.add_argument("--out", help="output path (default: stdout)")
-        if fmt_default:
-            p.add_argument("--format", choices=("csv", "json"),
-                           help="output format (default: csv)")
+        p.add_argument("--format", choices=("csv", "json"),
+                       help="output format (default: csv)")
+        if steps:
+            p.add_argument("--steps", "--t", dest="steps",
+                           help="max step count N (runs 1..N) or comma list")
+        return p
 
-    def theta_flags(p: argparse.ArgumentParser) -> None:
+    def pair_flags(p: argparse.ArgumentParser, name: str, what: str) -> None:
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--theta", type=float, help="single coin angle (radians)")
-        group.add_argument("--theta-grid", type=_parse_grid_text, dest="theta_grid",
-                           help="coin angle grid start:stop:count")
+        group.add_argument(f"--{name}", type=float, help=f"single {what} (radians)")
+        group.add_argument(f"--{name}-grid", dest=f"{name}_grid",
+                           type=partial(_grid_parts, f"{name}_grid"),
+                           help=f"{what} grid start:stop:count")
 
-    def delta_flags(p: argparse.ArgumentParser) -> None:
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--delta", type=float,
-                           help="input-state angle (radians)")
-        group.add_argument("--delta-grid", type=_parse_grid_text, dest="delta_grid",
-                           help="input-state angle grid start:stop:count")
-
-    p = sub.add_parser("kraus", help="dump an extracted operator set")
+    p = command("kraus", cmd_kraus, "dump an extracted operator set", steps=False)
     p.add_argument("--theta", type=float, help="coin angle in radians")
     p.add_argument("--t", type=int, help="number of walk steps")
     p.add_argument("--split", action="store_true", default=None,
                    help="extract the split-step set (one split step = two steps)")
-    common(p)
-    p.set_defaults(fn=cmd_kraus)
 
-    p = sub.add_parser("probability", help="upper-coin probability sweep")
-    theta_flags(p)
-    delta_flags(p)
-    p.add_argument("--steps", "--t", dest="steps",
-                   help="max step count N (runs 1..N) or comma list")
-    common(p)
-    p.set_defaults(fn=cmd_probability)
+    p = command("probability", cmd_probability, "upper-coin probability sweep")
+    pair_flags(p, "theta", "coin angle")
+    pair_flags(p, "delta", "input-state angle")
 
-    p = sub.add_parser("trace-distance", help="distinguishability series")
-    theta_flags(p)
-    p.add_argument("--steps", "--t", dest="steps")
+    p = command("trace-distance", cmd_trace_distance, "distinguishability series")
+    pair_flags(p, "theta", "coin angle")
     p.add_argument("--mode", choices=("nstep", "concat", "both"))
-    common(p)
-    p.set_defaults(fn=cmd_trace_distance)
 
-    p = sub.add_parser("rtn-composite",
-                       help="trace distance under walk + telegraph noise")
+    p = command("rtn-composite", cmd_rtn_composite,
+                "trace distance under walk + telegraph noise")
     p.add_argument("--theta", type=float)
-    p.add_argument("--steps", "--t", dest="steps")
     p.add_argument("--rtn-a", type=float, dest="rtn_a",
                    help="extra custom-amplitude series")
     p.add_argument("--rtn-gamma", type=float, dest="rtn_gamma")
     p.add_argument("--rtn-dt", type=float, dest="rtn_dt")
     p.add_argument("--markovian-ratio", type=float, dest="markovian_ratio")
     p.add_argument("--nonmarkovian-ratio", type=float, dest="nonmarkovian_ratio")
-    common(p)
-    p.set_defaults(fn=cmd_rtn_composite)
 
-    p = sub.add_parser("purity", help="output purity/mixedness sweep")
-    theta_flags(p)
-    delta_flags(p)
-    p.add_argument("--steps", "--t", dest="steps")
-    common(p)
-    p.set_defaults(fn=cmd_purity)
+    p = command("purity", cmd_purity, "output purity/mixedness sweep")
+    pair_flags(p, "theta", "coin angle")
+    pair_flags(p, "delta", "input-state angle")
 
-    p = sub.add_parser("holevo", help="maximized Holevo quantity sweep")
-    theta_flags(p)
-    p.add_argument("--steps", "--t", dest="steps")
+    p = command("holevo", cmd_holevo, "maximized Holevo quantity sweep")
+    pair_flags(p, "theta", "coin angle")
     p.add_argument("--grid-size", type=int, dest="grid_size",
                    help="coarse grid points for the weight search")
-    common(p)
-    p.set_defaults(fn=cmd_holevo)
 
     p = sub.add_parser("verify", help="run the consistency check suite")
     p.set_defaults(fn=cmd_verify)

@@ -129,16 +129,8 @@ class KrausSet:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "KrausSet":
-        entries = tuple(
-            (
-                int(entry["mu"]),
-                np.array(
-                    [[complex(re, im) for re, im in row] for row in entry["matrix"]],
-                    dtype=np.complex128,
-                ),
-            )
-            for entry in payload["entries"]
-        )
+        entries = tuple((int(entry["mu"]), matrix_from_pairs(entry["matrix"]))
+                        for entry in payload["entries"])
         return cls(
             theta=float(payload["theta"]),
             t=int(payload["t"]),
@@ -152,6 +144,12 @@ class KrausSet:
     @classmethod
     def from_json(cls, text: str) -> "KrausSet":
         return cls.from_dict(json.loads(text))
+
+
+def matrix_from_pairs(rows) -> np.ndarray:
+    """One matrix of :meth:`KrausSet.pairs` back as a complex array."""
+    return np.array([[complex(re, im) for re, im in row] for row in rows],
+                    dtype=np.complex128)
 
 
 def residual_of(operators) -> float:

@@ -140,8 +140,9 @@ def _lattice_of(psi: np.ndarray) -> Lattice:
 def evolve(psi0: np.ndarray, theta: float, t: int) -> np.ndarray:
     """Apply ``t`` walk steps to a normalized joint state.
 
-    The unitary is applied step by step (:func:`walk_step`: coin rotation on
-    the (2, L) block, then two rolls); the dense 2L x 2L power is never formed.
+    The unitary is applied step by step (coin rotation on the (2, L) block,
+    then the upper component rolls one site left and the lower one right);
+    the dense 2L x 2L power is never formed.
     Requires the guard band ``L >= 2t + 3`` so no amplitude can wrap.
     """
     t = int(t)
@@ -156,20 +157,10 @@ def evolve(psi0: np.ndarray, theta: float, t: int) -> np.ndarray:
     psi = np.array(psi0, dtype=np.complex128).reshape(2, lattice.size)
     coin = build_coin(theta)
     for _ in range(t):
-        walk_step(psi, coin)
+        psi[:] = coin @ psi
+        psi[0] = np.roll(psi[0], -1)
+        psi[1] = np.roll(psi[1], +1)
     return psi.reshape(-1)
-
-
-def walk_step(amplitudes: np.ndarray, coin: np.ndarray) -> None:
-    """Advance one walker by one step, in place.
-
-    ``amplitudes`` has shape ``(2, L)``: coin component, site.  The coin
-    rotates every site, then the upper component moves one site left
-    (cyclically) and the lower one right.
-    """
-    amplitudes[:] = coin @ amplitudes
-    amplitudes[0] = np.roll(amplitudes[0], -1)
-    amplitudes[1] = np.roll(amplitudes[1], +1)
 
 
 def position_distribution(psi: np.ndarray) -> dict[int, float]:

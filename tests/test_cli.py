@@ -407,3 +407,59 @@ def test_kraus_json_keeps_signed_zeros():
     assert "-0.0" in text
     assert text == json.dumps(_per_value_dict(kset), indent=2)
     assert KrausSet.from_json(text).to_json(indent=2) == text
+
+
+_STATE = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["probability"], {"theta_grid": 5}, ["theta_grid"]),
+    (["probability"], {"theta_grid": [0, 1]}, ["theta_grid"]),
+    (["probability", "--steps", "2"], {"format": "xml"}, ["format"]),
+    (["kraus"], {"theta": 0.4, "t": 2.9}, ["t must be a whole number"]),
+    (["kraus"], {"theta": 0.4, "t": 2, "split": "no"}, ["split"]),
+    (["kraus", "--theta", "nan", "--t", "2"], None, ["theta must be finite"]),
+    (["probability", "--steps", "2"], {"theta": "abc"}, ["theta"]),
+    (["rtn-composite", "--steps", "2"], {"markovian_ratio": -1}, ["markovian_ratio"]),
+    (["holevo", "--theta", "0.4", "--steps", "1"], {"ensemble": {"rho2": _STATE}},
+     ["ensemble"]),
+    # a config sets both sides of a scalar/grid pair
+    (["probability", "--steps", "2"], {"theta": 0.3, "theta_grid": [0, 1, 3]},
+     ["both theta and theta_grid"]),
+    (["purity", "--theta", "0.4", "--steps", "2"], {"delta": 0.3, "delta_grid": [0, 1, 3]},
+     ["both delta and delta_grid"]),
+    # counts above MAX_COUNT, refused before any work
+    (["holevo", "--theta", "0.4", "--steps", "1"], {"grid_size": 100_001}, ["grid_size"]),
+    (["probability", "--theta", "0.4", "--steps", "1"], {"delta_grid": [0, 1, 100_001]},
+     ["delta_grid"]),
+    (["probability", "--theta", "0.4", "--steps", "1", "--delta-grid", "0:1:100001"], None,
+     ["delta_grid"]),
+    (["trace-distance", "--theta", "0.4", "--mode", "concat", "--steps", "100001"], None,
+     ["steps"]),
+    (["kraus", "--theta", "0.4", "--t", "100001"], None, ["t must be a whole number"]),
+])
+def test_every_option_is_checked_by_name_whatever_its_source(tmp_path, capsys, argv,
+                                                             config, named):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    for text in named:
+        assert text in captured.err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["rtn-composite", "--steps", "3"], {"rtn_gamma": None, "rtn_a": None}),
+    (["holevo", "--theta", "0.4", "--steps", "2"], {"grid_size": None, "ensemble": None}),
+    (["probability", "--steps", "2"], {"theta": None, "delta": None, "format": None}),
+])
+def test_config_null_is_the_same_as_leaving_the_key_out(tmp_path, capsys, argv, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out = run_cli(capsys, *argv, "--config", str(path))
+    assert code == 0
+    assert (0, out) == run_cli(capsys, *argv)
