@@ -4,7 +4,9 @@ The maps here act on 2x2 density matrices: the single n-step walk channel,
 the n-fold repetition of the one-step channel (not the same map once the
 walk remembers its position register), closed-form validators for the first
 three steps, and a random-telegraph-noise dephaser that can be chained after
-the walk channel.
+the walk channel.  A sweep gets the channels of all its angles and step
+counts from one batched walk as 4x4 arrays (:func:`superoperators`,
+:func:`channel_outputs`).
 
 Basis convention: ``|0>`` is the upper coin state ``(1, 0)^T`` and carries
 ``sigma_z = +1``.
@@ -13,11 +15,18 @@ Basis convention: ``|0>`` is the upper coin state ``(1, 0)^T`` and carries
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kraus import KrausSet, extract_kraus_direct, residual_of, superoperator_of
+from .kraus import (
+    KrausSet,
+    extract_kraus_direct,
+    iter_kraus_batches,
+    residual_of,
+    superoperator_of,
+)
 from .walk import canonical_angle
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(np.complex128)
@@ -48,12 +57,21 @@ def density_matrix(ket: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
+def _as_value(array):
+    """A Python float for the value of a single matrix; the array for a batch."""
+    return float(array) if np.ndim(array) == 0 else array
+
+
 def hermitian_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
-    """Closed-form eigenvalue pair (low, high) of a Hermitian 2x2 matrix."""
+    """Closed-form eigenvalue pair (low, high) of a Hermitian 2x2 matrix.
+
+    Leading axes are a batch of matrices and give a pair of arrays.
+    """
     m = np.asarray(matrix)
-    mean = 0.5 * float(m[0, 0].real + m[1, 1].real)
-    radius = math.hypot(0.5 * float(m[0, 0].real - m[1, 1].real), abs(m[0, 1]))
-    return mean - radius, mean + radius
+    diagonal = m[..., 0, 0].real, m[..., 1, 1].real
+    mean = 0.5 * (diagonal[0] + diagonal[1])
+    radius = np.hypot(0.5 * (diagonal[0] - diagonal[1]), np.abs(m[..., 0, 1]))
+    return _as_value(mean - radius), _as_value(mean + radius)
 
 
 def is_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> bool:
@@ -78,6 +96,60 @@ def assert_density_matrix(rho: np.ndarray, tol: float = 1e-12,
 
 # -- walk channels ------------------------------------------------------------
 
+def _check_complete(residual) -> None:
+    worst = float(np.max(residual))
+    if not worst <= COMPLETENESS_TOL:
+        raise ValueError(f"kraus set incomplete: residual {worst:.3e}")
+
+
+def checked_superoperator(operators) -> np.ndarray:
+    """:func:`~qwchannel.kraus.superoperator_of`, once every set is complete.
+
+    ``operators`` has shape ``(..., label, 2, 2)``; any set whose completeness
+    residual exceeds ``COMPLETENESS_TOL`` raises ``ValueError``.
+    """
+    _check_complete(residual_of(operators))
+    return superoperator_of(operators)
+
+
+def apply_superoperators(superops: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``vec(out) = S @ vec(rho)`` over the broadcast leading axes of both.
+
+    ``superops`` has shape ``(..., 4, 4)`` and ``states`` ``(..., 2, 2)``;
+    ``vec`` is row-major.  Each product sums in the order of a single
+    matrix-vector product, however the axes broadcast.
+    """
+    states = np.asarray(states, dtype=np.complex128)
+    out = np.einsum("...ij,...j->...i", superops, states.reshape(states.shape[:-2] + (4,)))
+    return out.reshape(out.shape[:-1] + (2, 2))
+
+
+def superoperators(thetas: Iterable[float], steps: Iterable[int]) -> np.ndarray:
+    """The channel of every coin angle and step count, shape ``(B, S, 4, 4)``.
+
+    The step axis runs over the distinct step counts in ascending order.
+    All angles are walked together (:func:`~qwchannel.kraus.iter_kraus_batches`)
+    and every set's completeness residual is checked.
+    """
+    thetas = list(thetas)
+    wanted = sorted({int(t) for t in steps})
+    column = {t: k for k, t in enumerate(wanted)}
+    out = np.empty((len(thetas), len(wanted), 4, 4), dtype=np.complex128)
+    for angles, t, operators in iter_kraus_batches(thetas, wanted):
+        out[angles, column[t]] = checked_superoperator(operators)
+    return out
+
+
+def channel_outputs(thetas: Iterable[float], steps: Iterable[int],
+                    states: np.ndarray) -> np.ndarray:
+    """Every state's image under every (angle, step count) channel.
+
+    ``states`` has shape ``(K, 2, 2)``; the result ``(B, S, K, 2, 2)``, with
+    the axes of :func:`superoperators`.
+    """
+    return apply_superoperators(superoperators(thetas, steps)[..., None, :, :], states)
+
+
 def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
     """Apply ``rho -> sum_mu K_mu rho K_mu^dag``.
 
@@ -87,16 +159,14 @@ def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
     superoperator once, on first use; a plain list is checked on every call.
     """
     if isinstance(kraus, KrausSet):
-        residual, superop = kraus.completeness_residual(), kraus.superoperator
+        _check_complete(kraus.completeness_residual())
+        superop = kraus.superoperator
     else:
         operators = [np.asarray(k, dtype=np.complex128) for k in kraus]
         if any(op.shape != (2, 2) for op in operators):
             raise ValueError("kraus operators must be 2x2 matrices")
-        residual, superop = residual_of(operators), superoperator_of(operators)
-    if residual > COMPLETENESS_TOL:
-        raise ValueError(f"kraus set incomplete: residual {residual:.3e}")
-    rho = np.asarray(rho, dtype=np.complex128)
-    return (superop @ rho.reshape(4)).reshape(2, 2)
+        superop = checked_superoperator(np.reshape(operators, (-1, 2, 2)))
+    return apply_superoperators(superop, rho)
 
 
 def n_step_map(theta: float, n: int, rho: np.ndarray) -> np.ndarray:

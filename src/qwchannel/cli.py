@@ -12,52 +12,61 @@ verify          run the named consistency checks and report pass/fail
 
 Options may also come from a JSON config file (``--config``): flags win, a
 config ``null`` is the same as leaving the key out, and a config may set only
-one side of ``theta``/``theta_grid`` and of ``delta``/``delta_grid``.  Each
-option has one check (``_CHECKS``), applied once to the merged value
+one side of ``theta``/``theta_grid`` and of ``delta``/``delta_grid``.  A
+config key that belongs to another subcommand is ignored, so one file can
+serve several commands; a key that no subcommand takes exits 2 naming it.
+Each option has one check (``_CHECKS``), applied once to the merged value
 whatever its source: numbers must be finite, counts (``t``, ``grid_size``,
 step and grid counts) whole numbers up to ``MAX_COUNT``.  A refused value
-exits 2 with a message naming the option.  Each sweep walks once per coin
-angle (:func:`~qwchannel.kraus.iter_kraus_steps`); rows come out sorted.
+exits 2 with a message naming the option.
+
+Each sweep is one batched walk of all its coin angles
+(:func:`~qwchannel.channels.channel_outputs`), in chunks of at most
+``(MAX_COUNT + 1) // (largest step + 1)`` angles, so a sweep never holds
+more operators than one angle walked ``MAX_COUNT`` steps.  The input states
+of a sweep are applied as one matrix; rows come out sorted.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from functools import partial
 
 import numpy as np
 
 from .channels import (
     RTNParams,
-    apply_kraus,
     assert_density_matrix,
+    channel_outputs,
     coin_state_from_angle,
     density_matrix,
 )
-from .kraus import (extract_kraus_direct, extract_kraus_split_step, iter_kraus_steps,
-                    matrix_from_pairs)
+from .kraus import (
+    MAX_COUNT,
+    extract_kraus_direct,
+    extract_kraus_split_step,
+    matrix_from_pairs,
+)
 from .verification import run_checks
 from .witnesses import (
     _RHO_DOWN,
     _RHO_UP,
-    MODE_COMPOSITE,
-    MODE_NSTEP,
-    holevo_max,
+    holevo_max_batch,
     purity,
-    td_series,
+    td_regimes,
+    td_values,
     trace_distance,
 )
 
 DEFAULT_THETA_GRID = [0.0, math.pi, 64]
 DEFAULT_TRACE_STEPS = 20
 DEFAULT_HOLEVO_STEPS = 8
-
-# largest count any option may ask for: 25x the largest in use (t = 4000),
-# refused before anything is allocated
-MAX_COUNT = 100_000
 
 
 # -- option checks --------------------------------------------------------------
@@ -179,6 +188,9 @@ def _effective(args: argparse.Namespace, parser: argparse.ArgumentParser,
     ``None`` (a config ``null``, a flag not given) leaves the value below it.
     """
     config = _load_config(args.config, parser) if getattr(args, "config", None) else {}
+    for key in config:
+        if key not in _CHECKS:
+            raise ValueError(f"config key {key!r} is not an option of any subcommand")
     given = {key: value for key, value in config.items()
              if key in defaults and value is not None}
     flags = {key: getattr(args, key) for key in defaults
@@ -212,22 +224,26 @@ def _format_value(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", newline="\n") as fh:
+# lines per write: few writes even to an unbuffered stdout, and only a piece
+# of a large sweep's text in memory at a time
+_LINES_PER_WRITE = 1024
+
+
+def _write(lines: Iterable[str], out: str | None) -> None:
+    """Write the lines (each with its newline) to the file ``out``, or to stdout."""
+    lines = iter(lines)
+    with open(out, "w", newline="\n") if out else contextlib.nullcontext(sys.stdout) as fh:
+        while text := "".join(itertools.islice(lines, _LINES_PER_WRITE)):
             fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
-def _emit(header: list[str], rows: list[tuple], options: dict) -> None:
+def _emit(header: list[str], rows: Iterable[tuple], options: dict) -> None:
     if options["format"] == "json":
-        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+        lines = [json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"]
     else:
-        lines = [",".join(header)]
-        lines.extend(",".join(_format_value(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    _write(text, options["out"])
+        lines = itertools.chain([",".join(header) + "\n"],
+                                (",".join(map(_format_value, row)) + "\n" for row in rows))
+    _write(lines, options["out"])
 
 
 def _default_ensemble_pair() -> tuple[np.ndarray, np.ndarray]:
@@ -250,7 +266,7 @@ def cmd_kraus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     extract = extract_kraus_split_step if options["split"] else extract_kraus_direct
     kset = extract(theta, t)
     if options["format"] == "json":
-        _write(kset.to_json(indent=2) + "\n", options["out"])
+        _write([kset.to_json(indent=2) + "\n"], options["out"])
     else:
         rows = [(mu, row, col, *matrix[row][col])
                 for mu, matrix in zip(kset.labels(), kset.pairs())
@@ -259,21 +275,27 @@ def cmd_kraus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _input_sweep(thetas: list[float], deltas: list[float], steps: list[int],
-                 measure) -> list[tuple]:
-    """Rows ``(theta, delta, step, *measure(output))`` sorted by that key.
+def _sorted_rows(columns: tuple, keys: tuple) -> Iterator[tuple]:
+    """Row tuples of equal-shape arrays, stably sorted by ``keys``, first key first.
 
-    ``measure`` maps the channel output for input angle ``delta`` to a
-    tuple of row values; every step count of one angle comes from one walk.
+    The rows are made one at a time, as they are emitted.
     """
-    inputs = [density_matrix(coin_state_from_angle(delta)) for delta in deltas]
-    rows = []
-    for theta in thetas:
-        for kset in iter_kraus_steps(theta, steps):
-            for delta, rho in zip(deltas, inputs):
-                rows.append((theta, delta, kset.t, *measure(apply_kraus(kset, rho))))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return rows
+    order = np.lexsort([np.ravel(key) for key in reversed(keys)])
+    return zip(*(np.ravel(column)[order].tolist() for column in columns))
+
+
+def _input_sweep(thetas: list[float], deltas: list[float], steps: list[int],
+                 measure) -> Iterator[tuple]:
+    """Rows ``(theta, delta, step, *measure(outputs))`` sorted by that key.
+
+    ``measure`` maps the channel outputs, shape ``(theta, step, delta, 2, 2)``,
+    to a tuple of arrays of row values; all angles come from one batched
+    walk and all input angles are applied as one matrix.
+    """
+    inputs = np.array([density_matrix(coin_state_from_angle(delta)) for delta in deltas])
+    outputs = channel_outputs(thetas, steps, inputs)
+    theta, step, delta = np.meshgrid(thetas, steps, deltas, indexing="ij")
+    return _sorted_rows((theta, delta, step, *measure(outputs)), keys=(theta, delta, step))
 
 
 def cmd_probability(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -283,7 +305,7 @@ def cmd_probability(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         "steps": DEFAULT_HOLEVO_STEPS, "format": "csv", "out": None,
     })
     rows = _input_sweep(_sweep_values(options, "theta"), _sweep_values(options, "delta"),
-                        options["steps"], lambda rho: (float(rho[0, 0].real),))
+                        options["steps"], lambda outputs: (outputs[..., 0, 0].real,))
     _emit(["theta", "delta", "step", "p_up"], rows, options)
     return 0
 
@@ -294,16 +316,14 @@ def cmd_trace_distance(args: argparse.Namespace, parser: argparse.ArgumentParser
         "steps": DEFAULT_TRACE_STEPS, "mode": "both",
         "format": "csv", "out": None,
     })
-    steps = options["steps"]
+    thetas, steps = _sweep_values(options, "theta"), options["steps"]
     modes = ["concat", "nstep"] if options["mode"] == "both" else [options["mode"]]
-
-    rows = []
-    for theta in _sweep_values(options, "theta"):
-        for mode in modes:
-            rows.append((theta, 0, mode, trace_distance(_RHO_UP, _RHO_DOWN)))
-            series = td_series(theta, steps[-1], mode=mode)
-            rows.extend((theta, n, mode, series.values[n - 1]) for n in steps)
-    rows.sort(key=lambda r: (r[0], r[2], r[1]))
+    start = trace_distance(_RHO_UP, _RHO_DOWN)
+    # axes (theta, mode, step), step 0 first
+    values = np.stack([np.insert(td_values(thetas, steps, mode=mode), 0, start, axis=1)
+                       for mode in modes], axis=1)
+    theta, mode, step = np.meshgrid(thetas, modes, [0, *steps], indexing="ij")
+    rows = _sorted_rows((theta, step, mode, values), keys=(theta, mode, step))
     _emit(["theta", "step", "mode", "d"], rows, options)
     return 0
 
@@ -327,18 +347,16 @@ def cmd_rtn_composite(args: argparse.Namespace, parser: argparse.ArgumentParser)
     if options["rtn_a"] is not None:
         regimes.append(("custom", RTNParams(a=options["rtn_a"], gamma=gamma, dt=dt)))
 
-    rows = []
-    for name, params in regimes:
-        series = td_series(options["theta"], steps[-1], rtn=params,
-                           mode=MODE_NSTEP if params is None else MODE_COMPOSITE)
-        rows.extend((n, name, series.values[n - 1]) for n in steps)
+    values = td_regimes([options["theta"]], steps, [params for _, params in regimes])
+    rows = [(n, name, d) for (name, _), series in zip(regimes, values[:, 0].tolist())
+            for n, d in zip(steps, series)]
     _emit(["step", "regime", "d"], rows, options)
     return 0
 
 
-def _purity_and_mixedness(rho: np.ndarray) -> tuple[float, float]:
+def _purity_and_mixedness(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the qubit case of witnesses.mixedness, from the one purity evaluation
-    p = purity(rho)
+    p = purity(outputs)
     return p, 2.0 * (1.0 - p)
 
 
@@ -360,15 +378,13 @@ def cmd_holevo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         "steps": DEFAULT_HOLEVO_STEPS, "grid_size": 33,
         "ensemble": None, "format": "csv", "out": None,
     })
-    rho1, rho2 = options["ensemble"] or _default_ensemble_pair()
-
-    rows = []
-    for theta in _sweep_values(options, "theta"):
-        for kset in iter_kraus_steps(theta, options["steps"]):
-            chi, p_star = holevo_max(rho1, rho2, partial(apply_kraus, kset),
-                                     grid_size=options["grid_size"])
-            rows.append((theta, kset.t, chi, p_star))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    thetas, steps = _sweep_values(options, "theta"), options["steps"]
+    ensemble = np.array(options["ensemble"] or _default_ensemble_pair())
+    outputs = channel_outputs(thetas, steps, ensemble)
+    chi, p_star = holevo_max_batch(outputs[..., 0, :, :], outputs[..., 1, :, :],
+                                   grid_size=options["grid_size"])
+    theta, step = np.meshgrid(thetas, steps, indexing="ij")
+    rows = _sorted_rows((theta, step, chi, p_star), keys=(theta, step))
     _emit(["theta", "step", "chi_max", "p1_star"], rows, options)
     return 0
 

@@ -5,11 +5,13 @@ a channel on the coin alone, ``rho -> sum_mu K_mu rho K_mu^dag`` with one
 2x2 operator per reachable site.  Two independent extraction routes are
 provided:
 
-* :func:`iter_kraus_steps` walks the operators themselves, in 128 (t + 1)
-  bytes and with no position lattice, by ``K_mu(n + 1) = C_up K_{mu-1}(n)
-  + C_down K_{mu+1}(n)`` from ``K_0(0) = I``, streaming one set per
-  requested step count from a single walk; :func:`extract_kraus_direct` is
-  its single-step case (ground truth),
+* :func:`iter_kraus_batches` walks the operators themselves, in 128 (t + 1)
+  bytes per angle and with no position lattice, by ``K_mu(n + 1) = C_up
+  K_{mu-1}(n) + C_down K_{mu+1}(n)`` from ``K_0(0) = I``, for a batch of
+  angles in lockstep, streaming the sets of every requested step count from
+  a single walk; :func:`iter_kraus_steps` is its one-angle case and
+  :func:`extract_kraus_direct` its one-angle, single-step case (ground
+  truth),
 * :func:`extract_kraus_binomial` rebuilds the t-step joint operator on a
   guarded lattice from the ordered binomial expansion of ``(P + Q)^t`` plus
   commutator correction terms, then gathers each site's block (validator).
@@ -43,6 +45,11 @@ from .walk import (
 
 # amplitude below which a wrong-parity site of a dense projection is empty
 ZERO_SITE_TOL = 1e-14
+
+# largest count any CLI option may ask for (25x the largest in use, t = 4000);
+# a batch of angles is walked in chunks holding no more labels than one angle
+# walked this many steps
+MAX_COUNT = 100_000
 
 STANDARD = "standard"
 SPLIT_STEP = "split_step"
@@ -104,7 +111,7 @@ class KrausSet:
 
     @cached_property
     def _residual(self) -> float:
-        return residual_of(self.operators())
+        return float(residual_of(self.operators()))
 
     @cached_property
     def superoperator(self) -> np.ndarray:
@@ -152,68 +159,109 @@ def matrix_from_pairs(rows) -> np.ndarray:
                     dtype=np.complex128)
 
 
-def residual_of(operators) -> float:
-    """Max-entry deviation of ``sum K^dag K`` from the identity."""
-    ops = np.asarray(operators, dtype=np.complex128).reshape(-1, 2, 2)
-    gram = np.einsum("mji,mjk->ik", ops.conj(), ops)
-    return float(np.abs(gram - np.eye(2)).max())
+def residual_of(operators):
+    """Max-entry deviation of ``sum K^dag K`` from the identity.
+
+    ``operators`` holds one set along its last three axes ``(label, 2, 2)``;
+    leading axes are a batch of sets and give an array of residuals.
+    """
+    ops = np.asarray(operators, dtype=np.complex128)
+    gram = np.einsum("...mji,...mjk->...ik", ops.conj(), ops)
+    return np.abs(gram - np.eye(2)).max(axis=(-2, -1))
 
 
 def superoperator_of(operators) -> np.ndarray:
-    """``sum_mu K_mu (x) conj(K_mu)``, so ``vec(out) = S @ vec(rho)`` row-major."""
-    ops = np.asarray(operators, dtype=np.complex128).reshape(-1, 2, 2)
-    return np.einsum("mij,mkl->ikjl", ops, ops.conj()).reshape(4, 4)
+    """``sum_mu K_mu (x) conj(K_mu)``, so ``vec(out) = S @ vec(rho)`` row-major.
+
+    Leading axes of ``operators`` (before ``(label, 2, 2)``) are a batch of
+    sets and give one 4x4 matrix each.
+    """
+    ops = np.asarray(operators, dtype=np.complex128)
+    superop = np.einsum("...mij,...mkl->...ikjl", ops, ops.conj())
+    return superop.reshape(ops.shape[:-3] + (4, 4))
 
 
 def minor_map(matrix: np.ndarray) -> np.ndarray:
     """Flip a 2x2 matrix across both axes: [[a,b],[c,d]] -> [[d,c],[b,a]].
 
     An involution relating the two extreme operators of every extracted set.
+    Leading axes are a batch of matrices.
     """
     m = np.asarray(matrix)
-    if m.shape != (2, 2):
-        raise ValueError(f"minor_map expects a 2x2 matrix, got shape {m.shape}")
-    return m[::-1, ::-1].copy()
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"minor_map expects 2x2 matrices, got shape {m.shape}")
+    return m[..., ::-1, ::-1].copy()
 
 
 def iter_kraus_steps(theta: float, steps: Iterable[int]) -> Iterator[KrausSet]:
     """Stream the operator sets of several step counts from one walk.
 
-    The operators themselves are walked, with no position lattice:
-    ``K_mu(n + 1) = C_up K_{mu-1}(n) + C_down K_{mu+1}(n)`` from
-    ``K_0(0) = I``, one 2x2 coin product per step on two ``(2, 2t + 2)``
-    buffers (128 (t + 1) bytes for the largest count t).  Each requested
-    count yields a copy as a :class:`KrausSet`, ascending, one per distinct
-    count, so a series of length n costs O(n^2) operator updates and the
-    memory of one set.  The step counts are checked when this is called,
-    not on first iteration.
+    Each requested count yields a :class:`KrausSet`, ascending, one per
+    distinct count, so a series of length n costs O(n^2) operator updates
+    and the memory of one set.  It is the one-angle case of
+    :func:`iter_kraus_batches`.  The step counts are checked when this is
+    called, not on first iteration.
     """
+    theta = canonical_angle(theta)
+    return (KrausSet(theta=theta, t=t, entries=tuple(zip(range(-t, t + 1, 2), ops[0])))
+            for _, t, ops in iter_kraus_batches([theta], steps))
+
+
+def iter_kraus_batches(thetas: Iterable[float], steps: Iterable[int]
+                       ) -> Iterator[tuple[slice, int, np.ndarray]]:
+    """Stream the operator sets of many angles and step counts as arrays.
+
+    Yields ``(angles, t, operators)``: ``operators[b, j]`` is the operator
+    at label ``-t + 2j`` for the angle ``thetas[angles][b]``, an array of
+    shape ``(B, t + 1, 2, 2)``.  The angles are walked in lockstep, in
+    chunks of at most ``(MAX_COUNT + 1) // (t_max + 1)`` angles, so a chunk
+    holds no more labels than one angle walked to ``t = MAX_COUNT``; each
+    chunk yields its step counts in ascending order.  Angles and step counts
+    are checked when this is called.
+    """
+    angles = [canonical_angle(theta) for theta in thetas]
     wanted = sorted({int(t) for t in steps})
     if not wanted:
         raise ValueError("at least one step count is required")
     if wanted[0] < 1:
         raise ValueError(f"step count must be >= 1, got {wanted[0]}")
-    return _walk_sets(canonical_angle(theta), wanted)
+    return _walk_chunks(angles, wanted)
 
 
-def _walk_sets(theta: float, wanted: list[int]) -> Iterator[KrausSet]:
-    coin = build_coin(theta)
-    # after n steps, ops[c, 2j + s] is entry (c, s) of the operator at label -n + 2j
-    ops = np.zeros((2, 2 * wanted[-1] + 2), dtype=np.complex128)
-    ops[:, :2] = np.eye(2)
-    rotated = np.empty_like(ops)
+def _walk_chunks(angles: list[float], wanted: list[int]
+                 ) -> Iterator[tuple[slice, int, np.ndarray]]:
+    size = max(1, (MAX_COUNT + 1) // (wanted[-1] + 1))
+    for start in range(0, len(angles), size):
+        chunk = slice(start, min(start + size, len(angles)))
+        for t, ops in _walk_sets(angles[chunk], wanted):
+            yield chunk, t, ops
+
+
+def _walk_sets(angles: list[float], wanted: list[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """Walk ``K_mu(n + 1) = C_up K_{mu-1}(n) + C_down K_{mu+1}(n)`` for B angles.
+
+    The sets live in two ``(B, 2, 2t + 2)`` buffers used in turn, 128 B (t + 1)
+    bytes in all.  Each step is one stacked ``(B, 2, 2)`` coin product that
+    writes the next set straight into the other buffer, already shifted.
+    """
+    coins = np.array([build_coin(theta) for theta in angles])
+    size = 2 * wanted[-1] + 2
+    buffers = np.zeros((2, len(angles), 2 * size), dtype=np.complex128)
+    # sets[b, :, c, 2j + s] is entry (c, s) of the operator at label -n + 2j
+    sets = buffers.reshape(2, len(angles), 2, size)
+    # the product's upper row lands two columns on (label mu + 1) and its
+    # lower row in place (label mu - 1): rows size - 2 apart, two columns in.
+    # The two columns skipped, and the lower row beyond each product, stay zero.
+    shifted = buffers[:, :, 2:2 * size - 2].reshape(2, len(angles), 2, size - 2)
+    ops = np.broadcast_to(np.eye(2, dtype=np.complex128), (len(angles), 2, 2))
     done = 0
     for t in wanted:
         for n in range(done, t):
             width = 2 * n + 2
-            np.matmul(coin, ops[:, :width], out=rotated[:, :width])
-            # the upper row moves to label mu + 1 (two columns on), the lower to mu - 1
-            ops[0, 2:width + 2] = rotated[0, :width]
-            ops[0, :2] = 0.0
-            ops[1, :width] = rotated[1, :width]
+            np.matmul(coins, ops[..., :width], out=shifted[n % 2, ..., :width])
+            ops = sets[n % 2]
         done = t
-        blocks = ops[:, :2 * t + 2].reshape(2, t + 1, 2).transpose(1, 0, 2).copy()
-        yield KrausSet(theta=theta, t=t, entries=tuple(zip(range(-t, t + 1, 2), blocks)))
+        yield t, ops[..., :2 * t + 2].reshape(-1, 2, t + 1, 2).transpose(0, 2, 1, 3).copy()
 
 
 def extract_kraus_direct(theta: float, t: int) -> KrausSet:

@@ -8,24 +8,31 @@ quantity characterize what the channel does to information carried by the
 coin.
 
 All 2x2 eigenvalue problems are solved in closed form (trace/determinant),
-never iteratively.
+never iteratively.  Every measure also takes a batch of matrices along
+leading axes; a sweep evaluates whole arrays (:func:`td_values`,
+:func:`td_regimes`, :func:`holevo_max_batch`), and each scalar call is the
+one-matrix case of the same code.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import (
     RTNParams,
-    apply_kraus,
+    _as_value,
+    apply_superoperators,
+    channel_outputs,
+    checked_superoperator,
     hermitian_eigenvalues,
     rtn_kraus,
     rtn_lambda,
+    superoperators,
 )
-from .kraus import extract_kraus_direct, iter_kraus_steps
 from .walk import canonical_angle
 
 MODE_NSTEP = "nstep"
@@ -34,12 +41,20 @@ MODE_COMPOSITE = "composite"
 
 _RHO_UP = np.diag([1.0, 0.0]).astype(np.complex128)
 _RHO_DOWN = np.diag([0.0, 1.0]).astype(np.complex128)
+_ORTHOGONAL_PAIR = np.stack((_RHO_UP, _RHO_DOWN))
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the absolute eigenvalue sum of rho - sigma; in [0, 1] for states."""
     low, high = hermitian_eigenvalues(np.asarray(rho) - np.asarray(sigma))
-    return 0.5 * (abs(low) + abs(high))
+    return _as_value(0.5 * (np.abs(low) + np.abs(high)))
+
+
+def _check_distances(values) -> None:
+    values = np.asarray(values, dtype=float)
+    outside = ~((values >= -1e-12) & (values <= 1 + 1e-12))
+    if outside.any():
+        raise ValueError(f"trace distance {float(values[outside][0])!r} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -54,9 +69,7 @@ class TDSeries:
     def __post_init__(self) -> None:
         if len(self.steps) != len(self.values):
             raise ValueError("steps and values must have equal length")
-        for d in self.values:
-            if not -1e-12 <= d <= 1 + 1e-12:
-                raise ValueError(f"trace distance {d!r} outside [0, 1]")
+        _check_distances(self.values)
 
 
 def td_series(theta: float, n_max: int, mode: str = MODE_NSTEP,
@@ -65,36 +78,70 @@ def td_series(theta: float, n_max: int, mode: str = MODE_NSTEP,
 
     mode "nstep" applies the single n-step channel, "concat" repeats the
     one-step channel n times, and "composite" chains telegraph dephasing
-    (with the given parameters) after the n-step channel.  The n-step sets
-    all come from one walk (:func:`iter_kraus_steps`).
+    (with the given parameters) after the n-step channel.  The one-angle
+    case of :func:`td_values`.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError(f"series length must be >= 1, got {n_max}")
     theta = canonical_angle(theta)
-    values = []
+    steps = tuple(range(1, n_max + 1))
+    values = td_values([theta], steps, mode=mode, rtn=rtn)[0]
+    return TDSeries(theta=theta, mode=mode, steps=steps, values=tuple(values.tolist()))
+
+
+def td_values(thetas: Iterable[float], steps: Iterable[int], mode: str = MODE_NSTEP,
+              rtn: RTNParams | None = None) -> np.ndarray:
+    """:func:`td_series` values at every angle and step count, shape ``(B, S)``.
+
+    The step axis runs over the distinct step counts in ascending order.
+    The n-step modes take every set from one batched walk; "concat" applies
+    each angle's one-step channel up to the largest step count.
+    """
+    steps = sorted({int(n) for n in steps})
+    if not steps or steps[0] < 1:
+        raise ValueError(f"step counts must be >= 1, got {steps}")
     if mode == MODE_CONCAT:
-        one_step = extract_kraus_direct(theta, 1)
-        top, bottom = _RHO_UP, _RHO_DOWN
-        for _ in range(n_max):
-            top = apply_kraus(one_step, top)
-            bottom = apply_kraus(one_step, bottom)
-            values.append(trace_distance(top, bottom))
-    elif mode in (MODE_NSTEP, MODE_COMPOSITE):
+        one_step = superoperators(thetas, [1])[:, None, 0]
+        pair, pairs = _ORTHOGONAL_PAIR, []
+        wanted = set(steps)
+        for n in range(1, steps[-1] + 1):
+            pair = apply_superoperators(one_step, pair)
+            if n in wanted:
+                pairs.append(pair)
+        pairs = np.stack(pairs, axis=1)
+        values = trace_distance(pairs[..., 0, :, :], pairs[..., 1, :, :])
+        _check_distances(values)
+        return values
+    if mode in (MODE_NSTEP, MODE_COMPOSITE):
         if mode == MODE_COMPOSITE and rtn is None:
             raise ValueError("composite mode needs telegraph-noise parameters")
-        for kset in iter_kraus_steps(theta, range(1, n_max + 1)):
-            top = apply_kraus(kset, _RHO_UP)
-            bottom = apply_kraus(kset, _RHO_DOWN)
-            if mode == MODE_COMPOSITE:
-                dephase = rtn_kraus(rtn_lambda(rtn, kset.t * rtn.dt))
-                top = apply_kraus(dephase, top)
-                bottom = apply_kraus(dephase, bottom)
-            values.append(trace_distance(top, bottom))
-    else:
-        raise ValueError(f"unknown series mode {mode!r}")
-    return TDSeries(theta=theta, mode=mode,
-                    steps=tuple(range(1, n_max + 1)), values=tuple(values))
+        return td_regimes(thetas, steps, [rtn if mode == MODE_COMPOSITE else None])[0]
+    raise ValueError(f"unknown series mode {mode!r}")
+
+
+def td_regimes(thetas: Iterable[float], steps: Iterable[int],
+               regimes) -> np.ndarray:
+    """n-step trace distances after each telegraph regime, shape ``(R, B, S)``.
+
+    ``regimes`` lists :class:`~qwchannel.channels.RTNParams` (dephasing at
+    time ``n * dt`` chained after the n-step channel) or ``None`` (the
+    n-step channel alone).  The images of |0><0| and |1><1| come from one
+    batched walk and are shared by every regime.
+    """
+    steps = sorted({int(n) for n in steps})
+    outputs = channel_outputs(thetas, steps, _ORTHOGONAL_PAIR)
+    values = []
+    for params in regimes:
+        pair = outputs
+        if params is not None:
+            dephasers = checked_superoperator(np.array(
+                [rtn_kraus(rtn_lambda(params, n * params.dt)) for n in steps]))
+            pair = apply_superoperators(dephasers[:, None], outputs)
+        values.append(trace_distance(pair[..., 0, :, :], pair[..., 1, :, :]))
+    values = np.array(values).reshape((len(values),) + outputs.shape[:2])
+    _check_distances(values)
+    return values
 
 
 def nonmonotonicity(series) -> float:
@@ -115,7 +162,7 @@ def nonmonotonicity(series) -> float:
 def purity(rho: np.ndarray) -> float:
     """Tr rho^2; 1 for pure states, 1/2 for the maximally mixed qubit."""
     m = np.asarray(rho)
-    return float(np.trace(m @ m).real)
+    return _as_value(np.trace(m @ m, axis1=-2, axis2=-1).real)
 
 
 def mixedness(rho: np.ndarray, d: int = 2) -> float:
@@ -127,10 +174,11 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -sum l log2 l over the eigenvalues, with 0 log 0 = 0."""
     entropy = 0.0
     for ev in hermitian_eigenvalues(rho):
-        ev = min(1.0, max(0.0, ev))
-        if ev > 0.0:
-            entropy -= ev * math.log2(ev)
-    return entropy
+        ev = np.clip(ev, 0.0, 1.0)
+        positive = ev > 0.0
+        terms = np.where(positive, ev * np.log2(np.where(positive, ev, 1.0)), 0.0)
+        entropy = entropy - terms
+    return _as_value(entropy)
 
 
 # -- Holevo quantity ----------------------------------------------------------
@@ -166,20 +214,27 @@ def holevo(ensemble, channel) -> float:
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_section_max(fn, lo: float, hi: float, xtol: float) -> float:
-    """Argmax of a unimodal function on [lo, hi] to within xtol."""
+def _golden_section_max(fn, lo: np.ndarray, hi: np.ndarray, xtol: float) -> np.ndarray:
+    """Argmax of unimodal functions on [lo, hi] to within xtol, one per element.
+
+    All searches step in lockstep; each keeps its own bracket and stops
+    narrowing once that bracket is within ``xtol``.
+    """
     x1 = hi - _INV_GOLDEN * (hi - lo)
     x2 = lo + _INV_GOLDEN * (hi - lo)
     f1, f2 = fn(x1), fn(x2)
-    while hi - lo > xtol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = fn(x1)
+    while (active := hi - lo > xtol).any():
+        # right: the maximum lies beyond x1 (lo moves up); left: below x2
+        right = active & (f1 < f2)
+        left = active & ~right
+        lo = np.where(right, x1, lo)
+        hi = np.where(left, x2, hi)
+        probe = np.where(right, lo + _INV_GOLDEN * (hi - lo), hi - _INV_GOLDEN * (hi - lo))
+        f_probe = fn(probe)
+        x1, x2 = (np.where(right, x2, np.where(left, probe, x1)),
+                  np.where(right, probe, np.where(left, x1, x2)))
+        f1, f2 = (np.where(right, f2, np.where(left, f_probe, f1)),
+                  np.where(right, f_probe, np.where(left, f1, f2)))
     return 0.5 * (lo + hi)
 
 
@@ -191,27 +246,47 @@ def holevo_max(rho1: np.ndarray, rho2: np.ndarray, channel,
     best grid point by golden-section search to 1e-6 in p1.  Returns the
     maximum and its argmax.  The objective is concave in p1 (entropy of the
     average is concave, the conditional term linear), so the refinement is
-    reliable.
+    reliable.  The one-channel case of :func:`holevo_max_batch`.
+    """
+    out1 = channel(np.asarray(rho1, dtype=np.complex128))
+    out2 = channel(np.asarray(rho2, dtype=np.complex128))
+    chi, p_star = holevo_max_batch(out1, out2, grid_size)
+    return float(chi), float(p_star)
+
+
+def holevo_max_batch(out1: np.ndarray, out2: np.ndarray,
+                     grid_size: int = 33) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`holevo_max` for many channels at once, from their two outputs.
+
+    ``out1`` and ``out2`` are the images of the two ensemble states, with
+    shape ``(..., 2, 2)``; the leading axes index the channels.  The coarse
+    grid and the golden-section refinement run for all of them in lockstep.
+    Returns the maxima and their argmaxes, each of the leading shape.
     """
     grid_size = int(grid_size)
     if grid_size < 3:
         raise ValueError(f"grid size must be >= 3, got {grid_size}")
-    out1 = channel(np.asarray(rho1, dtype=np.complex128))
-    out2 = channel(np.asarray(rho2, dtype=np.complex128))
+    out1, out2 = np.broadcast_arrays(np.asarray(out1, dtype=np.complex128),
+                                     np.asarray(out2, dtype=np.complex128))
+    shape = out1.shape[:-2]
+    # one channel per row, with an axis for the weights tried at once
+    out1, out2 = out1.reshape(-1, 1, 2, 2), out2.reshape(-1, 1, 2, 2)
     s1 = von_neumann_entropy(out1)
     s2 = von_neumann_entropy(out2)
 
-    def chi(p1: float) -> float:
-        mix = p1 * out1 + (1.0 - p1) * out2
+    def chi(p1: np.ndarray) -> np.ndarray:
+        # p1 has shape (channels, points); returns the objective at each point
+        weight = p1[..., None, None]
+        mix = weight * out1 + (1.0 - weight) * out2
         return von_neumann_entropy(mix) - p1 * s1 - (1.0 - p1) * s2
 
     spacing = 1.0 / (grid_size - 1)
-    grid = [k * spacing for k in range(grid_size - 1)]
-    best = max(range(len(grid)), key=lambda k: chi(grid[k]))
-    lo = max(0.0, grid[best] - spacing)
-    hi = min(1.0, grid[best] + spacing)
+    grid = np.arange(grid_size - 1) * spacing
+    best = grid[np.argmax(chi(np.broadcast_to(grid, (len(s1), grid.size))), axis=1)]
+    lo = np.maximum(0.0, best - spacing)[:, None]
+    hi = np.minimum(1.0, best + spacing)[:, None]
     p_star = _golden_section_max(chi, lo, hi, 1e-6)
-    return chi(p_star), p_star
+    return chi(p_star).reshape(shape), p_star.reshape(shape)
 
 
 __all__ = [
@@ -221,10 +296,13 @@ __all__ = [
     "TDSeries",
     "holevo",
     "holevo_max",
+    "holevo_max_batch",
     "mixedness",
     "nonmonotonicity",
     "purity",
+    "td_regimes",
     "td_series",
+    "td_values",
     "trace_distance",
     "validate_ensemble",
     "von_neumann_entropy",

@@ -12,7 +12,12 @@ from qwchannel.channels import (
     n_step_map,
 )
 from qwchannel.cli import main
-from qwchannel.kraus import KrausSet, extract_kraus_direct, extract_kraus_split_step
+from qwchannel.kraus import (
+    KrausSet,
+    extract_kraus_direct,
+    extract_kraus_split_step,
+    iter_kraus_steps,
+)
 from qwchannel.walk import coin_projections
 from qwchannel.witnesses import holevo_max, purity
 
@@ -463,3 +468,107 @@ def test_config_null_is_the_same_as_leaving_the_key_out(tmp_path, capsys, argv, 
     code, out = run_cli(capsys, *argv, "--config", str(path))
     assert code == 0
     assert (0, out) == run_cli(capsys, *argv)
+
+
+# -- batched sweeps against a per-row reference ---------------------------------
+
+DESCENDING = ["--theta-grid", "3:0:5"]
+
+
+def _reference_sets(thetas, steps):
+    return [(theta, kset) for theta in thetas for kset in iter_kraus_steps(theta, steps)]
+
+
+def _assert_rows_match(out, expected, keys):
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [row[:keys] for row in rows] == [[str(v) if not isinstance(v, float) else repr(v)
+                                             for v in row[:keys]] for row in expected]
+    for got, want in zip(rows, expected):
+        for value, reference in zip(got[keys:], want[keys:]):
+            assert abs(float(value) - reference) <= 1e-14
+
+
+def test_probability_and_purity_rows_equal_the_per_row_reference(capsys):
+    thetas = [float(v) for v in np.linspace(3, 0, 5)]
+    deltas = [float(v) for v in np.linspace(0, 3, 4)]
+    steps = [2, 5, 9]
+    flags = [*DESCENDING, "--delta-grid", "0:3:4", "--steps", "2,5,9"]
+    probability, purities = [], []
+    for theta, kset in _reference_sets(thetas, steps):
+        for delta in deltas:
+            out = apply_kraus(kset, density_matrix(coin_state_from_angle(delta)))
+            probability.append((theta, delta, kset.t, float(out[0, 0].real)))
+            purities.append((theta, delta, kset.t, purity(out), 2.0 * (1.0 - purity(out))))
+    code, out = run_cli(capsys, "probability", *flags)
+    assert code == 0
+    _assert_rows_match(out, sorted(probability, key=lambda r: r[:3]), keys=3)
+    code, out = run_cli(capsys, "purity", *flags)
+    assert code == 0
+    _assert_rows_match(out, sorted(purities, key=lambda r: r[:3]), keys=3)
+
+
+def test_holevo_rows_equal_the_per_row_reference(capsys):
+    from functools import partial
+
+    from qwchannel.cli import _default_ensemble_pair
+    rho1, rho2 = _default_ensemble_pair()
+    thetas = [float(v) for v in np.linspace(3, 0, 5)]
+    expected = sorted(
+        (theta, kset.t, *holevo_max(rho1, rho2, partial(apply_kraus, kset), grid_size=9))
+        for theta, kset in _reference_sets(thetas, [1, 4]))
+    code, out = run_cli(capsys, "holevo", *DESCENDING, "--steps", "1,4", "--grid-size", "9")
+    assert code == 0
+    _assert_rows_match(out, expected, keys=2)
+
+
+def test_trace_distance_rows_equal_the_per_row_reference(capsys):
+    from qwchannel.witnesses import trace_distance
+    up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    thetas = [float(v) for v in np.linspace(3, 0, 5)]
+    steps = [3, 7, 12]
+    expected = []
+    for theta in thetas:
+        one_step = extract_kraus_direct(theta, 1)
+        top, bottom = up, down
+        for n in range(1, steps[-1] + 1):
+            top, bottom = apply_kraus(one_step, top), apply_kraus(one_step, bottom)
+            if n in steps:
+                expected.append((theta, n, "concat", trace_distance(top, bottom)))
+        for kset in iter_kraus_steps(theta, steps):
+            expected.append((theta, kset.t, "nstep", trace_distance(
+                apply_kraus(kset, up), apply_kraus(kset, down))))
+        expected.extend((theta, 0, mode, 1.0) for mode in ("concat", "nstep"))
+    expected.sort(key=lambda r: (r[0], r[2], r[1]))
+    code, out = run_cli(capsys, "trace-distance", *DESCENDING, "--steps", "3,7,12")
+    assert code == 0
+    _assert_rows_match(out, expected, keys=3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["probability", "--theta-grid", "0:3:7", "--delta-grid", "0:3:3", "--steps", "9"],
+    ["purity", "--theta-grid", "3:0:7", "--steps", "2,9"],
+    ["holevo", "--theta-grid", "0:3:7", "--steps", "9", "--grid-size", "5"],
+    ["trace-distance", "--theta-grid", "0:3:7", "--steps", "9"],
+])
+def test_a_sweep_split_into_chunks_prints_the_same_rows(capsys, monkeypatch, argv):
+    import qwchannel.kraus as kraus
+    code, whole = run_cli(capsys, *argv)
+    assert code == 0
+    # (20 + 1) // (9 + 1) = 2 angles a chunk, so seven angles take four chunks
+    monkeypatch.setattr(kraus, "MAX_COUNT", 20)
+    assert run_cli(capsys, *argv) == (0, whole)
+
+
+def test_unknown_config_keys_exit_2_and_other_commands_keys_are_ignored(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"thetta": 0.4, "steps": 2}))
+    code = main(["probability", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "thetta" in captured.err
+    # rtn_a and grid_size belong to rtn-composite and holevo, not to probability
+    path.write_text(json.dumps({"theta": 0.4, "steps": 2, "rtn_a": 0.3, "grid_size": 9}))
+    code, out = run_cli(capsys, "probability", "--config", str(path))
+    assert code == 0
+    assert (0, out) == run_cli(capsys, "probability", "--theta", "0.4", "--steps", "2")

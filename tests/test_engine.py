@@ -6,8 +6,19 @@ import types
 import numpy as np
 import pytest
 
-from qwchannel.channels import apply_kraus, density_matrix
-from qwchannel.kraus import KrausSet, extract_kraus_direct, iter_kraus_steps
+import qwchannel.kraus as kraus
+from qwchannel.channels import (
+    apply_kraus,
+    checked_superoperator,
+    density_matrix,
+    superoperators,
+)
+from qwchannel.kraus import (
+    KrausSet,
+    extract_kraus_direct,
+    iter_kraus_batches,
+    iter_kraus_steps,
+)
 from qwchannel.walk import Lattice, coin_projections, evolve, joint_state
 
 THETAS = (0.5047, math.pi / 6, 1.3, math.pi / 2, 2.9)
@@ -147,3 +158,59 @@ def test_sparse_streamed_sets_equal_single_extractions(theta):
 def test_walk_agrees_with_the_momentum_space_oracle(theta, t):
     walked = np.array(extract_kraus_direct(theta, t).operators())
     assert np.abs(walked - momentum_oracle(theta, t)).max() <= 1e-15 * (t + 1)
+
+
+BATCH_THETAS = (0.0, 0.5047, math.pi / 2, 2.9, 4.4)
+
+
+def assert_batches_equal_single_extractions(thetas, steps):
+    seen = set()
+    for angles, t, operators in iter_kraus_batches(thetas, steps):
+        assert operators.shape == (len(thetas[angles]), t + 1, 2, 2)
+        for theta, ops in zip(thetas[angles], operators):
+            assert np.array_equal(ops, np.array(extract_kraus_direct(theta, t).operators()))
+            seen.add((theta, t))
+    assert seen == {(theta, t) for theta in thetas for t in steps}
+
+
+def test_every_batched_set_equals_its_single_extraction():
+    assert_batches_equal_single_extractions(BATCH_THETAS, range(1, 26))
+
+
+def test_chunked_batches_hold_at_most_one_longest_walk(monkeypatch):
+    monkeypatch.setattr(kraus, "MAX_COUNT", 60)
+    steps = [3, 11, 25]
+    sizes = [ops.shape[0] for _, _, ops in iter_kraus_batches(BATCH_THETAS, steps)]
+    # (60 + 1) // (25 + 1) = 2 angles a chunk: chunks of 2, 2 and 1, three counts each
+    assert sizes == [2, 2, 2, 2, 2, 2, 1, 1, 1]
+    assert all(size * (steps[-1] + 1) <= kraus.MAX_COUNT + 1 for size in sizes)
+    assert_batches_equal_single_extractions(BATCH_THETAS, steps)
+    # a walk longer than the budget still runs, one angle at a time
+    assert [len(ops) for _, _, ops in iter_kraus_batches((0.3, 0.4), [70])] == [1, 1]
+
+
+def test_batched_superoperators_equal_the_cached_set_values():
+    steps = [1, 4, 9]
+    superops = superoperators(BATCH_THETAS, steps)
+    assert superops.shape == (len(BATCH_THETAS), len(steps), 4, 4)
+    for b, theta in enumerate(BATCH_THETAS):
+        for k, t in enumerate(steps):
+            expected = extract_kraus_direct(theta, t).superoperator
+            assert np.array_equal(superops[b, k], expected)
+
+
+def test_batched_check_rejects_one_scaled_set_in_a_batch():
+    operators = np.stack([np.array(extract_kraus_direct(theta, 4).operators())
+                          for theta in BATCH_THETAS])
+    assert checked_superoperator(operators).shape == (len(BATCH_THETAS), 4, 4)
+    operators[3] *= 1.1
+    with pytest.raises(ValueError, match="incomplete"):
+        checked_superoperator(operators)
+
+
+@pytest.mark.parametrize("steps", [[], [0], [3, -1]])
+def test_batched_walk_rejects_bad_step_lists_when_called(steps):
+    with pytest.raises(ValueError):
+        iter_kraus_batches(BATCH_THETAS, steps)
+    with pytest.raises(ValueError):
+        iter_kraus_batches([0.4, float("nan")], [2])

@@ -1,4 +1,4 @@
-"""Property-based checks of the extraction engine over the whole angle range."""
+"""Property-based checks of the engine, channels and witnesses over their whole ranges."""
 
 import math
 
@@ -9,7 +9,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 from test_engine import traced_operators  # noqa: E402
 
+from qwchannel.channels import RTNParams, apply_kraus, rtn_lambda  # noqa: E402
 from qwchannel.kraus import extract_kraus_direct  # noqa: E402
+from qwchannel.witnesses import (  # noqa: E402
+    holevo_max,
+    holevo_max_batch,
+    td_series,
+    trace_distance,
+)
 
 
 @given(theta=st.floats(0.0, 2 * math.pi, exclude_max=True),
@@ -18,3 +25,53 @@ def test_engine_equals_the_position_traced_walk_and_is_complete(theta, t):
     kset = extract_kraus_direct(theta, t)
     assert np.array_equal(np.array(kset.operators()), traced_operators(theta, t))
     assert kset.completeness_residual() <= 2e-15 * (t + 1)
+
+
+finite_angles = st.floats(0.0, 2 * math.pi, exclude_max=True)
+
+
+def bloch_state(vector):
+    """A density matrix from a point of the closed Bloch ball."""
+    x, y, z = vector
+    scale = max(1.0, math.sqrt(x * x + y * y + z * z))
+    x, y, z = x / scale, y / scale, z / scale
+    return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
+
+
+bloch_points = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(bloch_state)
+
+
+@given(theta=finite_angles, n=st.integers(1, 40))
+def test_concatenated_decay_is_the_power_of_cos_two_theta(theta, n):
+    series = td_series(theta, n, mode="concat")
+    decay = abs(math.cos(2 * theta))
+    assert np.abs(np.array(series.values) - decay ** np.arange(1, n + 1)).max() <= 1e-12
+
+
+@given(a=st.floats(0.0, 50.0), gamma=st.floats(1e-3, 50.0), dt=st.floats(1e-3, 10.0),
+       n=st.integers(0, 500))
+def test_telegraph_kernel_is_finite_and_bounded(a, gamma, dt, n):
+    value = rtn_lambda(RTNParams(a=a, gamma=gamma, dt=dt), n * dt)
+    assert math.isfinite(value)
+    assert -1.0 <= value <= 1.0
+    if n == 0:
+        assert value == 1.0
+
+
+@given(theta=finite_angles, t=st.integers(1, 30), rho=bloch_points, sigma=bloch_points)
+def test_trace_distance_contracts_under_a_walk_channel(theta, t, rho, sigma):
+    kset = extract_kraus_direct(theta, t)
+    before = trace_distance(rho, sigma)
+    after = trace_distance(apply_kraus(kset, rho), apply_kraus(kset, sigma))
+    assert after <= before + 1e-14
+
+
+@given(pairs=st.lists(st.tuples(bloch_points, bloch_points), min_size=1, max_size=6),
+       grid_size=st.integers(3, 40))
+def test_batched_holevo_max_equals_the_scalar_search(pairs, grid_size):
+    out1 = np.array([rho1 for rho1, _ in pairs])
+    out2 = np.array([rho2 for _, rho2 in pairs])
+    chi, p_star = holevo_max_batch(out1, out2, grid_size)
+    for k, (rho1, rho2) in enumerate(pairs):
+        expected = holevo_max(rho1, rho2, lambda rho: rho, grid_size)
+        assert (chi[k], p_star[k]) == pytest.approx(expected, abs=1e-14)
