@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inputs import count, matrices, nonnegative, positive, real, step_list
+from .inputs import states as qubit_states
 from .kraus import (
     KrausSet,
     extract_kraus_direct,
@@ -47,7 +49,7 @@ def coin_state(a: complex, b: complex) -> np.ndarray:
 
 def coin_state_from_angle(delta: float) -> np.ndarray:
     """The one-parameter family cos(delta/2)|0> + sin(delta/2)|1>."""
-    d = float(delta)
+    d = real("delta", delta)
     return np.array([math.cos(d / 2), math.sin(d / 2)], dtype=np.complex128)
 
 
@@ -75,23 +77,11 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
 
 
 def is_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> bool:
-    """Hermitian within tol, unit trace within tol, eigenvalues >= -tol."""
-    m = np.asarray(rho)
-    if m.shape != (2, 2):
+    """One 2x2 matrix that :func:`qwchannel.inputs.states` accepts within tol."""
+    try:
+        return qubit_states("rho", rho, tol).shape == (2, 2)
+    except ValueError:
         return False
-    if np.abs(m - m.conj().T).max() > tol:
-        return False
-    if abs(m[0, 0] + m[1, 1] - 1.0) > tol:
-        return False
-    low, _ = hermitian_eigenvalues(m)
-    return low >= -tol
-
-
-def assert_density_matrix(rho: np.ndarray, tol: float = 1e-12,
-                          name: str = "matrix") -> None:
-    """Raise ``ValueError`` naming ``name`` unless rho is a qubit state within tol."""
-    if not is_density_matrix(rho, tol):
-        raise ValueError(f"{name} is not a valid qubit state within tolerance {tol:g}")
 
 
 # -- walk channels ------------------------------------------------------------
@@ -132,7 +122,7 @@ def superoperators(thetas: Iterable[float], steps: Iterable[int]) -> np.ndarray:
     and every set's completeness residual is checked.
     """
     thetas = list(thetas)
-    wanted = sorted({int(t) for t in steps})
+    wanted = step_list("steps", steps)
     column = {t: k for k, t in enumerate(wanted)}
     out = np.empty((len(thetas), len(wanted), 4, 4), dtype=np.complex128)
     for angles, t, operators in iter_kraus_batches(thetas, wanted):
@@ -147,6 +137,7 @@ def channel_outputs(thetas: Iterable[float], steps: Iterable[int],
     ``states`` has shape ``(K, 2, 2)``; the result ``(B, S, K, 2, 2)``, with
     the axes of :func:`superoperators`.
     """
+    states = qubit_states("states", states)
     return apply_superoperators(superoperators(thetas, steps)[..., None, :, :], states)
 
 
@@ -158,20 +149,19 @@ def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
     A :class:`KrausSet` checks completeness and builds its 4x4
     superoperator once, on first use; a plain list is checked on every call.
     """
+    rho = matrices("rho", rho)
     if isinstance(kraus, KrausSet):
         _check_complete(kraus.completeness_residual())
         superop = kraus.superoperator
     else:
-        operators = [np.asarray(k, dtype=np.complex128) for k in kraus]
-        if any(op.shape != (2, 2) for op in operators):
-            raise ValueError("kraus operators must be 2x2 matrices")
-        superop = checked_superoperator(np.reshape(operators, (-1, 2, 2)))
+        # an empty list stacks to shape (0,): refused as incomplete, not as a shape
+        superop = checked_superoperator(matrices("kraus", list(kraus) or np.zeros((0, 2, 2))))
     return apply_superoperators(superop, rho)
 
 
 def n_step_map(theta: float, n: int, rho: np.ndarray) -> np.ndarray:
     """Single n-step walk channel (equals the position trace of the joint walk)."""
-    return apply_kraus(extract_kraus_direct(theta, n), rho)
+    return apply_kraus(extract_kraus_direct(theta, count("n", n)), rho)
 
 
 def concatenated_map(theta: float, n: int, rho: np.ndarray) -> np.ndarray:
@@ -180,9 +170,7 @@ def concatenated_map(theta: float, n: int, rho: np.ndarray) -> np.ndarray:
     Distinct from :func:`n_step_map` for n >= 2: repetition discards the
     position correlations the walk builds up between steps.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"repetition count must be >= 1, got {n}")
+    n = count("n", n)
     one_step = extract_kraus_direct(theta, 1)
     out = np.asarray(rho, dtype=np.complex128)
     for _ in range(n):
@@ -254,16 +242,11 @@ class RTNParams:
     dt: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("a", "gamma", "dt"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.a >= 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.a}")
-        if not self.dt > 0:
-            raise ValueError(f"step duration must be positive, got {self.dt}")
+        for name, check in (("a", nonnegative), ("gamma", positive), ("dt", positive)):
+            object.__setattr__(self, name, check(name, getattr(self, name)))
+        # rtn_lambda squares the rate ratio r = 2a/gamma
+        r = 2.0 * self.a / self.gamma
+        real("(2a/gamma)^2 of a and gamma", r * r)
 
     @property
     def is_nonmarkovian(self) -> bool:
@@ -281,11 +264,10 @@ def rtn_lambda(params: RTNParams, elapsed: float) -> float:
     which also returns exactly 1.0 when a = 0.  At the regime boundary the
     common limit exp(-g t)(1 + g t) is used.
     """
-    elapsed = float(elapsed)
-    if elapsed < 0:
-        raise ValueError(f"elapsed time must be >= 0, got {elapsed}")
-    gt = params.gamma * elapsed
-    ratio = 4.0 * params.a ** 2 / params.gamma ** 2 - 1.0
+    gt = params.gamma * nonnegative("elapsed", elapsed)
+    # squared as r = 2a/gamma: a^2 and gamma^2 overflow or vanish where r is O(1)
+    r = 2.0 * params.a / params.gamma
+    ratio = r * r - 1.0
     if abs(ratio) < 1e-12:
         value = math.exp(-gt) * (1.0 + gt)
     elif ratio > 0:
@@ -304,7 +286,7 @@ def rtn_kraus(lambda_val: float) -> list[np.ndarray]:
     Completeness is exact for any |L| <= 1; the channel scales coherences
     by L and leaves populations untouched.
     """
-    lam = float(lambda_val)
+    lam = real("lambda_val", lambda_val)
     if abs(lam) > 1.0:
         raise ValueError(f"kernel value must satisfy |L| <= 1, got {lam}")
     r1 = math.sqrt(max(0.0, (1.0 + lam) / 2.0)) * np.eye(2, dtype=np.complex128)
@@ -316,5 +298,5 @@ def composite_map(params: RTNParams, theta: float, n: int,
                   rho: np.ndarray) -> np.ndarray:
     """n-step walk channel followed by telegraph dephasing at time n * dt."""
     out = n_step_map(theta, n, rho)
-    lam = rtn_lambda(params, int(n) * params.dt)
+    lam = rtn_lambda(params, count("n", n) * params.dt)
     return apply_kraus(rtn_kraus(lam), out)

@@ -15,10 +15,10 @@ config ``null`` is the same as leaving the key out, and a config may set only
 one side of ``theta``/``theta_grid`` and of ``delta``/``delta_grid``.  A
 config key that belongs to another subcommand is ignored, so one file can
 serve several commands; a key that no subcommand takes exits 2 naming it.
-Each option has one check (``_CHECKS``), applied once to the merged value
-whatever its source: numbers must be finite, counts (``t``, ``grid_size``,
-step and grid counts) whole numbers up to ``MAX_COUNT``.  A refused value
-exits 2 with a message naming the option.
+Each option has one check (``_CHECKS``, the rules of :mod:`qwchannel.inputs`),
+applied once to the merged value whatever its source: numbers must be finite,
+counts (``t``, ``grid_size``, step and grid counts) whole numbers up to
+``MAX_COUNT``.  A refused value exits 2 with a message naming the option.
 
 Each sweep is one batched walk of all its coin angles
 (:func:`~qwchannel.channels.channel_outputs`), in chunks of at most
@@ -42,13 +42,12 @@ import numpy as np
 
 from .channels import (
     RTNParams,
-    assert_density_matrix,
     channel_outputs,
     coin_state_from_angle,
     density_matrix,
 )
+from .inputs import count, nonnegative, positive, real, refuse, states, step_list
 from .kraus import (
-    MAX_COUNT,
     extract_kraus_direct,
     extract_kraus_split_step,
     matrix_from_pairs,
@@ -70,54 +69,24 @@ DEFAULT_HOLEVO_STEPS = 8
 
 
 # -- option checks --------------------------------------------------------------
-# A check returns the value in its working type, or raises ArgumentTypeError
-# with a message naming the option.  Anything else a check raises (a failed
-# conversion, index or lookup) is re-raised by _effective naming the option.
-
-def _refuse(name: str, expected: str, value) -> argparse.ArgumentTypeError:
-    return argparse.ArgumentTypeError(f"{name} must be {expected}, got {value!r}")
-
-
-def _real(name: str, value) -> float:
-    if isinstance(value, bool):
-        raise _refuse(name, "a number", value)
-    number = float(value)
-    if not math.isfinite(number):
-        raise _refuse(name, "finite", value)
-    return number
-
-
-def _positive(name: str, value) -> float:
-    if (number := _real(name, value)) <= 0:
-        raise _refuse(name, "positive", value)
-    return number
-
-
-def _nonnegative(name: str, value) -> float:
-    if (number := _real(name, value)) < 0:
-        raise _refuse(name, ">= 0", value)
-    return number
-
-
-def _count(name: str, value, low: int = 1) -> int:
-    number = _real(name, value)
-    if not (number.is_integer() and low <= number <= MAX_COUNT):
-        raise _refuse(name, f"a whole number in [{low}, {MAX_COUNT}]", value)
-    return int(number)
-
+# A check returns the value in its working type, or raises ValueError with a
+# message naming the option: the rules of qwchannel.inputs, plus the parsing
+# of this command line's own text.  Anything else a check raises (a failed
+# index or lookup) is re-raised by _effective naming the option.
 
 def _grid_parts(name: str, value) -> list:
     """``start:stop:count`` text or a list, as its three parts (the grid flags' type)."""
     parts = value.split(":") if isinstance(value, str) else value
     if len(parts) != 3:
-        raise _refuse(name, "start:stop:count", value)
+        # argparse prints an ArgumentTypeError's message as it is
+        raise argparse.ArgumentTypeError(str(refuse(name, "start:stop:count", value)))
     return parts
 
 
 def _grid(name: str, value) -> list[float]:
     parts = _grid_parts(name, value)
-    start, stop = _real(name, parts[0]), _real(name, parts[1])
-    return [float(v) for v in np.linspace(start, stop, _count(name, parts[2]))]
+    return np.linspace(real(name, parts[0]), real(name, parts[1]),
+                       count(name, parts[2])).tolist()
 
 
 def _steps(name: str, value) -> list[int]:
@@ -125,38 +94,37 @@ def _steps(name: str, value) -> list[int]:
     if isinstance(value, str) and "," in value:
         value = [part for part in value.split(",") if part.strip()]
     if not isinstance(value, list):
-        return list(range(1, _count(name, value) + 1))
-    if not value:
-        raise _refuse(name, "a non-empty list", value)
-    return sorted({_count(name, step) for step in value})
+        return list(range(1, count(name, value) + 1))
+    return step_list(name, value)
 
 
 def _typed(kind: type, expected: str, name: str, value):
     if not isinstance(value, kind):
-        raise _refuse(name, expected, value)
+        raise refuse(name, expected, value)
     return value
 
 
 def _choice(allowed: tuple, name: str, value) -> str:
     if value not in allowed:
-        raise _refuse(name, f"one of {', '.join(allowed)}", value)
+        raise refuse(name, f"one of {', '.join(allowed)}", value)
     return value
 
 
 def _ensemble(name: str, value) -> tuple[np.ndarray, np.ndarray]:
     """``{"rho1": ..., "rho2": ...}``, each a qubit state as 2x2 ``[re, im]`` pairs."""
-    rho1, rho2 = matrix_from_pairs(value["rho1"]), matrix_from_pairs(value["rho2"])
-    assert_density_matrix(rho1, name="rho1")
-    assert_density_matrix(rho2, name="rho2")
-    return rho1, rho2
+    try:
+        rho1, rho2 = matrix_from_pairs(value["rho1"]), matrix_from_pairs(value["rho2"])
+    except ValueError:  # a row that is not a list of [re, im] pairs
+        raise refuse(name, "rho1 and rho2 as [re, im] pairs", value) from None
+    return states("rho1", rho1), states("rho2", rho2)
 
 
 _CHECKS = {
-    "theta": _real, "delta": _real,
+    "theta": real, "delta": real,
     "theta_grid": _grid, "delta_grid": _grid,
-    "t": _count, "steps": _steps, "grid_size": partial(_count, low=3),
-    "rtn_gamma": _positive, "rtn_dt": _positive, "rtn_a": _nonnegative,
-    "markovian_ratio": _nonnegative, "nonmarkovian_ratio": _nonnegative,
+    "t": count, "steps": _steps, "grid_size": partial(count, low=3),
+    "rtn_gamma": positive, "rtn_dt": positive, "rtn_a": nonnegative,
+    "markovian_ratio": nonnegative, "nonmarkovian_ratio": nonnegative,
     "split": partial(_typed, bool, "true or false"), "ensemble": _ensemble,
     "mode": partial(_choice, ("nstep", "concat", "both")),
     "format": partial(_choice, ("csv", "json")), "out": partial(_typed, str, "a path"),
@@ -210,7 +178,7 @@ def _effective(args: argparse.Namespace, parser: argparse.ArgumentParser,
         if value is not None:
             try:
                 merged[key] = _CHECKS[key](key, value)
-            except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
+            except (TypeError, IndexError, KeyError) as exc:
                 raise ValueError(f"{key}: {exc}") from None
     return merged
 

@@ -35,6 +35,8 @@ from math import comb
 
 import numpy as np
 
+from . import inputs
+from .inputs import MAX_COUNT, count, real, step_list
 from .walk import (
     Lattice,
     build_coin,
@@ -45,11 +47,6 @@ from .walk import (
 
 # amplitude below which a wrong-parity site of a dense projection is empty
 ZERO_SITE_TOL = 1e-14
-
-# largest count any CLI option may ask for (25x the largest in use, t = 4000);
-# a batch of angles is walked in chunks holding no more labels than one angle
-# walked this many steps
-MAX_COUNT = 100_000
 
 STANDARD = "standard"
 SPLIT_STEP = "split_step"
@@ -73,8 +70,8 @@ class KrausSet:
     def __post_init__(self) -> None:
         if self.kind not in (STANDARD, SPLIT_STEP):
             raise ValueError(f"unknown kraus set kind {self.kind!r}")
-        if self.t < 1:
-            raise ValueError(f"step count must be >= 1, got {self.t}")
+        object.__setattr__(self, "theta", real("theta", self.theta))
+        object.__setattr__(self, "t", count("t", self.t))
         labels = [mu for mu, _ in self.entries]
         if labels != sorted(labels):
             raise ValueError("entries must be sorted by ascending label")
@@ -86,6 +83,8 @@ class KrausSet:
             raise ValueError(
                 f"{self.kind} set of {self.t} steps needs labels {expected}, got {labels}"
             )
+        # shapes one by one: stacking the operators to check them would double a
+        # large set's memory; a non-finite set fails completeness when applied
         for _, matrix in self.entries:
             if np.asarray(matrix).shape != (2, 2):
                 raise ValueError("kraus operators must be 2x2 matrices")
@@ -136,14 +135,10 @@ class KrausSet:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "KrausSet":
-        entries = tuple((int(entry["mu"]), matrix_from_pairs(entry["matrix"]))
+        entries = tuple((entry["mu"], matrix_from_pairs(entry["matrix"]))
                         for entry in payload["entries"])
-        return cls(
-            theta=float(payload["theta"]),
-            t=int(payload["t"]),
-            entries=entries,
-            kind=payload.get("kind", STANDARD),
-        )
+        return cls(theta=payload["theta"], t=payload["t"], entries=entries,
+                   kind=payload.get("kind", STANDARD))
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -220,16 +215,13 @@ def iter_kraus_batches(thetas: Iterable[float], steps: Iterable[int]
     are checked when this is called.
     """
     angles = [canonical_angle(theta) for theta in thetas]
-    wanted = sorted({int(t) for t in steps})
-    if not wanted:
-        raise ValueError("at least one step count is required")
-    if wanted[0] < 1:
-        raise ValueError(f"step count must be >= 1, got {wanted[0]}")
-    return _walk_chunks(angles, wanted)
+    return _walk_chunks(angles, step_list("steps", steps))
 
 
 def _walk_chunks(angles: list[float], wanted: list[int]
                  ) -> Iterator[tuple[slice, int, np.ndarray]]:
+    # the budget reads this module's MAX_COUNT, which a test may shrink to force
+    # chunks; the count checks keep the cap of qwchannel.inputs
     size = max(1, (MAX_COUNT + 1) // (wanted[-1] + 1))
     for start in range(0, len(angles), size):
         chunk = slice(start, min(start + size, len(angles)))
@@ -272,7 +264,7 @@ def extract_kraus_direct(theta: float, t: int) -> KrausSet:
     ground-truth route: completeness follows from unitarity plus the full
     position trace.  It is the single-step case of :func:`iter_kraus_steps`.
     """
-    return next(iter_kraus_steps(theta, (t,)))
+    return next(iter_kraus_steps(theta, (count("t", t),)))
 
 
 def commutator_corrections(p: np.ndarray, q: np.ndarray, t: int) -> list[np.ndarray]:
@@ -300,11 +292,7 @@ def extract_kraus_binomial(theta: float, t: int, t_max: int = 8) -> KrausSet:
     dense joint-space matrix and projects it exactly like the direct route.
     Dense operator products grow fast, hence the step cap.
     """
-    t = int(t)
-    if t < 1:
-        raise ValueError(f"step count must be >= 1, got {t}")
-    if t > t_max:
-        raise ValueError(f"binomial extraction capped at {t_max} steps, got {t}")
+    t = count("t", t, high=t_max)
     theta = canonical_angle(theta)
     lattice = Lattice.for_steps(t)
     up, down = coin_projections(theta)
@@ -352,12 +340,10 @@ def kraus_closed_form_first_term(theta: float, t: int, mu: int) -> np.ndarray:
     operator where no commutator correction can land: every label at t = 1,
     and the extreme labels ``mu = +-t`` for any t.
     """
-    t = int(t)
-    mu = int(mu)
-    if t < 1:
-        raise ValueError(f"step count must be >= 1, got {t}")
-    if abs(mu) > t or (mu - t) % 2 != 0:
-        raise ValueError(f"label {mu} invalid for {t} steps (parity/range)")
+    t = count("t", t)
+    mu = count("mu", mu, low=-t, high=t)
+    if (mu - t) % 2 != 0:
+        raise ValueError(f"label {mu} invalid for {t} steps (parity)")
     up, down = coin_projections(theta)
     k_up = (t + mu) // 2
     k_down = (t - mu) // 2
@@ -372,9 +358,6 @@ def extract_kraus_split_step(theta: float, n: int) -> KrausSet:
     labels are compressed onto ``{-n..n}`` in ascending order, one per site,
     covering both parities.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"split-step count must be >= 1, got {n}")
-    base = extract_kraus_direct(theta, 2 * n)
+    base = extract_kraus_direct(theta, 2 * count("n", n, high=inputs.MAX_COUNT // 2))
     entries = tuple((mu // 2, matrix) for mu, matrix in base.entries)
     return KrausSet(theta=base.theta, t=n, entries=entries, kind=SPLIT_STEP)

@@ -169,8 +169,8 @@ def check_rtn_kernel() -> CheckResult:
         worst = max(worst, abs(rtn_lambda(params, 0.0) - 1.0))
         values = [rtn_lambda(params, t) for t in np.linspace(0.0, 20.0, 2001)]
         worst = max(worst, max(0.0, max(abs(v) for v in values) - 1.0))
-    markovian = [rtn_lambda(RTNParams(a=0.4, gamma=1.0), t)
-                 for t in np.linspace(0.0, 10.0, 1001)]
+    overdamped = RTNParams(a=0.4, gamma=1.0)
+    markovian = [rtn_lambda(overdamped, t) for t in np.linspace(0.0, 10.0, 1001)]
     monotone = all(b <= a + 1e-15 for a, b in zip(markovian, markovian[1:]))
     positive = all(v > 0 for v in markovian)
     result = _result("rtn-kernel", worst, 1e-12)

@@ -20,15 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inputs import count, real
+
 TWO_PI = 2.0 * math.pi
 
 
 def canonical_angle(theta: float) -> float:
     """Map a finite angle into [0, 2*pi)."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"coin angle must be finite, got {theta!r}")
-    wrapped = theta % TWO_PI
+    wrapped = real("theta", theta) % TWO_PI
     # float modulo can round a tiny negative up to the modulus itself
     if wrapped >= TWO_PI:
         wrapped = 0.0
@@ -63,7 +62,7 @@ class Lattice:
     @classmethod
     def for_steps(cls, t: int) -> "Lattice":
         """Smallest lattice whose guard band covers a t-step walk."""
-        return cls(2 * max(int(t), 0) + 3)
+        return cls(2 * count("t", t, low=0) + 3)
 
     def index_of(self, x: int) -> int:
         j = self.origin_index + x
@@ -145,9 +144,7 @@ def evolve(psi0: np.ndarray, theta: float, t: int) -> np.ndarray:
     the dense 2L x 2L power is never formed.
     Requires the guard band ``L >= 2t + 3`` so no amplitude can wrap.
     """
-    t = int(t)
-    if t < 0:
-        raise ValueError(f"step count must be >= 0, got {t}")
+    t = count("t", t, low=0)
     lattice = _lattice_of(np.asarray(psi0))
     if t > lattice.max_steps:
         raise ValueError(

@@ -33,6 +33,7 @@ from .channels import (
     rtn_lambda,
     superoperators,
 )
+from .inputs import count, matrices, states, step_list, weights
 from .walk import canonical_angle
 
 MODE_NSTEP = "nstep"
@@ -81,11 +82,8 @@ def td_series(theta: float, n_max: int, mode: str = MODE_NSTEP,
     (with the given parameters) after the n-step channel.  The one-angle
     case of :func:`td_values`.
     """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ValueError(f"series length must be >= 1, got {n_max}")
     theta = canonical_angle(theta)
-    steps = tuple(range(1, n_max + 1))
+    steps = tuple(range(1, count("n_max", n_max) + 1))
     values = td_values([theta], steps, mode=mode, rtn=rtn)[0]
     return TDSeries(theta=theta, mode=mode, steps=steps, values=tuple(values.tolist()))
 
@@ -98,9 +96,7 @@ def td_values(thetas: Iterable[float], steps: Iterable[int], mode: str = MODE_NS
     The n-step modes take every set from one batched walk; "concat" applies
     each angle's one-step channel up to the largest step count.
     """
-    steps = sorted({int(n) for n in steps})
-    if not steps or steps[0] < 1:
-        raise ValueError(f"step counts must be >= 1, got {steps}")
+    steps = step_list("steps", steps)
     if mode == MODE_CONCAT:
         one_step = superoperators(thetas, [1])[:, None, 0]
         pair, pairs = _ORTHOGONAL_PAIR, []
@@ -129,7 +125,7 @@ def td_regimes(thetas: Iterable[float], steps: Iterable[int],
     n-step channel alone).  The images of |0><0| and |1><1| come from one
     batched walk and are shared by every regime.
     """
-    steps = sorted({int(n) for n in steps})
+    steps = step_list("steps", steps)
     outputs = channel_outputs(thetas, steps, _ORTHOGONAL_PAIR)
     values = []
     for params in regimes:
@@ -183,17 +179,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 # -- Holevo quantity ----------------------------------------------------------
 
-def validate_ensemble(ensemble) -> None:
-    """Check that weights are nonnegative and sum to one."""
-    total = 0.0
-    for weight, _ in ensemble:
-        if weight < 0:
-            raise ValueError(f"ensemble weight {weight!r} is negative")
-        total += weight
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"ensemble weights sum to {total!r}, expected 1")
-
-
 def holevo(ensemble, channel) -> float:
     """Holevo quantity of a channel output ensemble.
 
@@ -201,11 +186,12 @@ def holevo(ensemble, channel) -> float:
     of (weight, state) pairs; bounds the information recoverable about j
     from the channel output.
     """
-    validate_ensemble(ensemble)
+    probabilities = weights("ensemble weights", [weight for weight, _ in ensemble])
+    rhos = states("ensemble states", [state for _, state in ensemble])
     average = np.zeros((2, 2), dtype=np.complex128)
     conditional = 0.0
-    for weight, state in ensemble:
-        out = channel(np.asarray(state, dtype=np.complex128))
+    for weight, rho in zip(probabilities, rhos):
+        out = channel(rho)
         average += weight * out
         conditional += weight * von_neumann_entropy(out)
     return von_neumann_entropy(average) - conditional
@@ -248,8 +234,7 @@ def holevo_max(rho1: np.ndarray, rho2: np.ndarray, channel,
     average is concave, the conditional term linear), so the refinement is
     reliable.  The one-channel case of :func:`holevo_max_batch`.
     """
-    out1 = channel(np.asarray(rho1, dtype=np.complex128))
-    out2 = channel(np.asarray(rho2, dtype=np.complex128))
+    out1, out2 = channel(states("rho1", rho1)), channel(states("rho2", rho2))
     chi, p_star = holevo_max_batch(out1, out2, grid_size)
     return float(chi), float(p_star)
 
@@ -263,11 +248,8 @@ def holevo_max_batch(out1: np.ndarray, out2: np.ndarray,
     grid and the golden-section refinement run for all of them in lockstep.
     Returns the maxima and their argmaxes, each of the leading shape.
     """
-    grid_size = int(grid_size)
-    if grid_size < 3:
-        raise ValueError(f"grid size must be >= 3, got {grid_size}")
-    out1, out2 = np.broadcast_arrays(np.asarray(out1, dtype=np.complex128),
-                                     np.asarray(out2, dtype=np.complex128))
+    grid_size = count("grid_size", grid_size, low=3)
+    out1, out2 = np.broadcast_arrays(matrices("out1", out1), matrices("out2", out2))
     shape = out1.shape[:-2]
     # one channel per row, with an axis for the weights tried at once
     out1, out2 = out1.reshape(-1, 1, 2, 2), out2.reshape(-1, 1, 2, 2)
@@ -304,6 +286,5 @@ __all__ = [
     "td_series",
     "td_values",
     "trace_distance",
-    "validate_ensemble",
     "von_neumann_entropy",
 ]

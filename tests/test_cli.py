@@ -6,10 +6,13 @@ import pytest
 
 import qwchannel.verification as verification
 from qwchannel.channels import (
+    RTNParams,
     apply_kraus,
+    channel_outputs,
     coin_state_from_angle,
     density_matrix,
     n_step_map,
+    superoperators,
 )
 from qwchannel.cli import main
 from qwchannel.kraus import (
@@ -19,7 +22,7 @@ from qwchannel.kraus import (
     iter_kraus_steps,
 )
 from qwchannel.walk import coin_projections
-from qwchannel.witnesses import holevo_max, purity
+from qwchannel.witnesses import holevo_max, holevo_max_batch, purity, td_series
 
 PI = math.pi
 
@@ -572,3 +575,84 @@ def test_unknown_config_keys_exit_2_and_other_commands_keys_are_ignored(tmp_path
     code, out = run_cli(capsys, "probability", "--config", str(path))
     assert code == 0
     assert (0, out) == run_cli(capsys, "probability", "--theta", "0.4", "--steps", "2")
+
+
+# -- one refusal, two surfaces: the CLI and the library call it maps to ----------
+
+def _pairs(matrix):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(matrix)]
+
+
+_HALF = np.eye(2) / 2
+_NAN = np.full((2, 2), np.nan)
+_WHOLE = "must be a whole number in [1, 100000]"
+_RTN = "(2a/gamma)^2 of a and gamma"
+
+# id: (argv, config, name in the CLI's message, library call, name in its message, stem)
+_REFUSALS = {
+    "t 2.9": (["kraus", "--theta", "0.4"], {"t": 2.9}, "t",
+              lambda: extract_kraus_direct(0.4, 2.9), "t", _WHOLE),
+    "n_max 3.7": (["trace-distance", "--theta", "0.4", "--steps", "3.7"], None, "steps",
+                  lambda: td_series(0.4, 3.7), "n_max", _WHOLE),
+    "steps [2.5]": (["probability", "--theta", "0.4"], {"steps": [2.5]}, "steps",
+                    lambda: superoperators([0.4], [2.5]), "steps", _WHOLE),
+    "t 100001": (["kraus", "--theta", "0.4", "--t", "100001"], None, "t",
+                 lambda: extract_kraus_direct(0.4, 100_001), "t", _WHOLE),
+    "nan theta": (["probability", "--theta", "nan", "--steps", "2"], None, "theta",
+                  lambda: extract_kraus_direct(float("nan"), 2), "theta", "must be finite"),
+    "nan delta": (["purity", "--theta", "0.4", "--delta", "nan", "--steps", "2"], None,
+                  "delta", lambda: coin_state_from_angle(float("nan")), "delta",
+                  "must be finite"),
+    "5 I state": (["holevo", "--theta", "0.4", "--steps", "3"],
+                  {"ensemble": {"rho1": _pairs(5 * np.eye(2)), "rho2": _pairs(_HALF)}},
+                  "rho1", lambda: channel_outputs([0.4], [3], 5 * np.eye(2)), "states",
+                  "must be qubit states within 1e-12"),
+    "nan rho": (["holevo", "--theta", "0.4", "--steps", "3"],
+                {"ensemble": {"rho1": _pairs(_NAN), "rho2": _pairs(_HALF)}},
+                "rho1", lambda: apply_kraus([np.eye(2)], _NAN), "rho",
+                "must be finite 2x2 matrices"),
+    "grid_size 3.9": (["holevo", "--theta", "0.4", "--steps", "2"], {"grid_size": 3.9},
+                      "grid_size", lambda: holevo_max_batch(_HALF, _HALF, grid_size=3.9),
+                      "grid_size", "must be a whole number in [3, 100000]"),
+    "rtn a 1e200": (["rtn-composite", "--steps", "3", "--rtn-a", "1e200"], None, _RTN,
+                    lambda: RTNParams(a=1e200, gamma=1.0), _RTN, "must be finite"),
+    "rtn gamma 1e-300": (["rtn-composite", "--steps", "3", "--rtn-gamma", "1e-300",
+                          "--rtn-a", "1"], None, _RTN,
+                         lambda: RTNParams(a=1.0, gamma=1e-300), _RTN,
+                         "must be finite"),
+}
+
+
+@pytest.mark.parametrize("argv, config, cli_name, call, library_name, stem",
+                         _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_the_cli_and_the_library_refuse_the_same_value_before_walking(
+        tmp_path, capsys, monkeypatch, argv, config, cli_name, call, library_name, stem):
+    import qwchannel.kraus as kraus
+
+    def no_walk(*args):
+        raise AssertionError("a refused value started a walk")
+
+    monkeypatch.setattr(kraus, "_walk_sets", no_walk)
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"{cli_name} {stem}" in captured.err
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value).startswith(f"{library_name} {stem}")
+
+
+def test_a_vanishing_telegraph_rate_leaves_the_walk_series(capsys):
+    # gamma t -> 0 takes the kernel to 1 in every regime, whatever a/gamma is
+    code, out = run_cli(capsys, "rtn-composite", "--rtn-gamma", "1e-170")
+    assert code == 0
+    series = {}
+    for row in parse_csv(out):
+        series.setdefault(row["regime"], []).append(float(row["d"]))
+    assert set(series) == {"none", "markovian", "nonmarkovian"}
+    for regime in ("markovian", "nonmarkovian"):
+        assert np.abs(np.array(series[regime]) - series["none"]).max() <= 1e-14

@@ -7,9 +7,14 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
-from test_engine import traced_operators  # noqa: E402
+from test_engine import momentum_oracle, traced_operators  # noqa: E402
 
-from qwchannel.channels import RTNParams, apply_kraus, rtn_lambda  # noqa: E402
+from qwchannel.channels import (  # noqa: E402
+    RTNParams,
+    apply_kraus,
+    rtn_lambda,
+    superoperators,
+)
 from qwchannel.kraus import extract_kraus_direct  # noqa: E402
 from qwchannel.witnesses import (  # noqa: E402
     holevo_max,
@@ -25,6 +30,8 @@ def test_engine_equals_the_position_traced_walk_and_is_complete(theta, t):
     kset = extract_kraus_direct(theta, t)
     assert np.array_equal(np.array(kset.operators()), traced_operators(theta, t))
     assert kset.completeness_residual() <= 2e-15 * (t + 1)
+    assert (np.abs(np.array(kset.operators()) - momentum_oracle(theta, t)).max()
+            <= 1e-15 * (t + 1))
 
 
 finite_angles = st.floats(0.0, 2 * math.pi, exclude_max=True)
@@ -75,3 +82,15 @@ def test_batched_holevo_max_equals_the_scalar_search(pairs, grid_size):
     for k, (rho1, rho2) in enumerate(pairs):
         expected = holevo_max(rho1, rho2, lambda rho: rho, grid_size)
         assert (chi[k], p_star[k]) == pytest.approx(expected, abs=1e-14)
+
+
+@given(thetas=st.lists(finite_angles, min_size=1, max_size=4),
+       steps=st.lists(st.integers(1, 40), min_size=1, max_size=4))
+def test_every_superoperator_has_a_positive_choi_matrix_of_trace_two(thetas, steps):
+    superops = superoperators(thetas, steps)
+    # S[(i, k), (j, l)] = Phi(|j><l|)[i, k]; Choi[(j, i), (l, k)] is the same entry
+    choi = superops.reshape(superops.shape[:2] + (2,) * 4).transpose(0, 1, 4, 2, 5, 3)
+    choi = choi.reshape(superops.shape)
+    assert np.abs(choi - choi.conj().swapaxes(-1, -2)).max() <= 1e-12
+    assert np.abs(np.trace(choi, axis1=-2, axis2=-1) - 2.0).max() <= 1e-12
+    assert np.linalg.eigvalsh(choi).min() >= -1e-12
