@@ -1,12 +1,12 @@
 """Qubit channels built from the walk operator sets, plus telegraph dephasing.
 
-The maps here act on 2x2 density matrices: the single n-step walk channel,
-the n-fold repetition of the one-step channel (not the same map once the
-walk remembers its position register), closed-form validators for the first
-three steps, and a random-telegraph-noise dephaser that can be chained after
-the walk channel.  A sweep gets the channels of all its angles and step
-counts from one batched walk as 4x4 arrays (:func:`superoperators`,
-:func:`channel_outputs`).
+The one place each channel family on 2x2 density matrices is built, for
+whole angle/step batches from one walk as 4x4 arrays: the single n-step walk
+channel (:func:`superoperators`), the n-fold repetition of the one-step
+channel (:func:`repeated`; not the same map once the walk remembers its
+position register), and telegraph dephasing at time ``n * dt``
+(:func:`dephasers`) to chain after the walk.  The scalar maps are the
+one-matrix case.  Closed forms validate the first three steps.
 
 Basis convention: ``|0>`` is the upper coin state ``(1, 0)^T`` and carries
 ``sigma_z = +1``.
@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inputs import count, matrices, nonnegative, positive, real, step_list
+from .inputs import count, matrices, nonnegative, number, positive, real, step_list
 from .inputs import states as qubit_states
 from .kraus import (
     KrausSet,
-    extract_kraus_direct,
     iter_kraus_batches,
     residual_of,
     superoperator_of,
@@ -40,7 +39,7 @@ COMPLETENESS_TOL = 1e-8
 
 def coin_state(a: complex, b: complex) -> np.ndarray:
     """Normalized coin ket a|0> + b|1>."""
-    vec = np.array([a, b], dtype=np.complex128)
+    vec = np.array([number("a", a), number("b", b)])
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"coin amplitudes must be normalized, |.|^2 = {norm**2!r}")
@@ -159,9 +158,24 @@ def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
     return apply_superoperators(superop, rho)
 
 
+def repeated(superops: np.ndarray, states: np.ndarray, steps: Iterable[int]) -> np.ndarray:
+    """``states`` under ``superops`` applied n times, for each distinct step count n.
+
+    Only those images are kept, stacked in ascending n on an axis before the matrix axes.
+    """
+    wanted = step_list("steps", steps)
+    images, kept = states, []
+    for n in range(1, wanted[-1] + 1):
+        images = apply_superoperators(superops, images)
+        if n == wanted[len(kept)]:
+            kept.append(images)
+    return np.stack(kept, axis=-3)
+
+
 def n_step_map(theta: float, n: int, rho: np.ndarray) -> np.ndarray:
     """Single n-step walk channel (equals the position trace of the joint walk)."""
-    return apply_kraus(extract_kraus_direct(theta, count("n", n)), rho)
+    superop = superoperators([theta], [count("n", n)])[0, 0]
+    return apply_superoperators(superop, matrices("rho", rho))
 
 
 def concatenated_map(theta: float, n: int, rho: np.ndarray) -> np.ndarray:
@@ -170,12 +184,8 @@ def concatenated_map(theta: float, n: int, rho: np.ndarray) -> np.ndarray:
     Distinct from :func:`n_step_map` for n >= 2: repetition discards the
     position correlations the walk builds up between steps.
     """
-    n = count("n", n)
-    one_step = extract_kraus_direct(theta, 1)
-    out = np.asarray(rho, dtype=np.complex128)
-    for _ in range(n):
-        out = apply_kraus(one_step, out)
-    return out
+    n, rho = count("n", n), matrices("rho", rho)
+    return repeated(superoperators([theta], [1])[0, 0], rho, [n])[..., 0, :, :]
 
 
 # -- closed forms for the first steps ----------------------------------------
@@ -183,6 +193,7 @@ def concatenated_map(theta: float, n: int, rho: np.ndarray) -> np.ndarray:
 def closed_form_p(theta: float, t: int, a: complex, b: complex) -> float:
     """Upper-left entry p_t of the t-step output for input a|0> + b|1> (t <= 3)."""
     th = canonical_angle(theta)
+    a, b = number("a", a), number("b", b)
     pa = abs(a) ** 2
     diff = pa - abs(b) ** 2
     kappa = a * np.conj(b) - np.conj(a) * b  # purely imaginary
@@ -208,6 +219,7 @@ def closed_form_q(theta: float, t: int, a: complex, b: complex) -> complex:
     """Upper-right coherence q_t of the t-step output (t <= 3); q_1 is 0."""
     th = canonical_angle(theta)
     c, s = math.cos(th), math.sin(th)
+    a, b = number("a", a), number("b", b)
     diff = abs(a) ** 2 - abs(b) ** 2
     if t == 1:
         return 0.0 + 0.0j
@@ -294,9 +306,20 @@ def rtn_kraus(lambda_val: float) -> list[np.ndarray]:
     return [r1, r2]
 
 
+def dephasers(params: RTNParams, steps: Iterable[int]) -> np.ndarray:
+    """Telegraph dephasing at time ``n * dt`` per step count, ``(S, 4, 4)``, ascending in n.
+
+    The kernel's arguments, at most ``max(gamma, 2a) * n * dt``, must be finite.
+    """
+    wanted = step_list("steps", steps)
+    longest = max(params.gamma, 2.0 * params.a) * (wanted[-1] * params.dt)
+    real("max(gamma, 2a) * n * dt of a, gamma, dt and steps", longest)
+    return checked_superoperator(np.array(
+        [rtn_kraus(rtn_lambda(params, n * params.dt)) for n in wanted]))
+
+
 def composite_map(params: RTNParams, theta: float, n: int,
                   rho: np.ndarray) -> np.ndarray:
     """n-step walk channel followed by telegraph dephasing at time n * dt."""
-    out = n_step_map(theta, n, rho)
-    lam = rtn_lambda(params, count("n", n) * params.dt)
-    return apply_kraus(rtn_kraus(lam), out)
+    dephaser = dephasers(params, [count("n", n)])[0]
+    return apply_superoperators(dephaser, n_step_map(theta, n, rho))

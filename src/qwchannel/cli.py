@@ -188,10 +188,6 @@ def _sweep_values(options: dict, name: str) -> list[float]:
     return options[name + "_grid"] if options[name] is None else [options[name]]
 
 
-def _format_value(value) -> str:
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
 # lines per write: few writes even to an unbuffered stdout, and only a piece
 # of a large sweep's text in memory at a time
 _LINES_PER_WRITE = 1024
@@ -210,7 +206,7 @@ def _emit(header: list[str], rows: Iterable[tuple], options: dict) -> None:
         lines = [json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"]
     else:
         lines = itertools.chain([",".join(header) + "\n"],
-                                (",".join(map(_format_value, row)) + "\n" for row in rows))
+                                (",".join(map(str, row)) + "\n" for row in rows))
     _write(lines, options["out"])
 
 
@@ -391,14 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def pair_flags(p: argparse.ArgumentParser, name: str, what: str) -> None:
         group = p.add_mutually_exclusive_group()
-        group.add_argument(f"--{name}", type=float, help=f"single {what} (radians)")
+        group.add_argument(f"--{name}", help=f"single {what} (radians)")
         group.add_argument(f"--{name}-grid", dest=f"{name}_grid",
                            type=partial(_grid_parts, f"{name}_grid"),
                            help=f"{what} grid start:stop:count")
 
     p = command("kraus", cmd_kraus, "dump an extracted operator set", steps=False)
-    p.add_argument("--theta", type=float, help="coin angle in radians")
-    p.add_argument("--t", type=int, help="number of walk steps")
+    p.add_argument("--theta", help="coin angle in radians")
+    p.add_argument("--t", help="number of walk steps")
     p.add_argument("--split", action="store_true", default=None,
                    help="extract the split-step set (one split step = two steps)")
 
@@ -412,13 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("rtn-composite", cmd_rtn_composite,
                 "trace distance under walk + telegraph noise")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--rtn-a", type=float, dest="rtn_a",
-                   help="extra custom-amplitude series")
-    p.add_argument("--rtn-gamma", type=float, dest="rtn_gamma")
-    p.add_argument("--rtn-dt", type=float, dest="rtn_dt")
-    p.add_argument("--markovian-ratio", type=float, dest="markovian_ratio")
-    p.add_argument("--nonmarkovian-ratio", type=float, dest="nonmarkovian_ratio")
+    p.add_argument("--theta")
+    p.add_argument("--rtn-a", dest="rtn_a", help="extra custom-amplitude series")
+    p.add_argument("--rtn-gamma", dest="rtn_gamma")
+    p.add_argument("--rtn-dt", dest="rtn_dt")
+    p.add_argument("--markovian-ratio", dest="markovian_ratio")
+    p.add_argument("--nonmarkovian-ratio", dest="nonmarkovian_ratio")
 
     p = command("purity", cmd_purity, "output purity/mixedness sweep")
     pair_flags(p, "theta", "coin angle")
@@ -426,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("holevo", cmd_holevo, "maximized Holevo quantity sweep")
     pair_flags(p, "theta", "coin angle")
-    p.add_argument("--grid-size", type=int, dest="grid_size",
+    p.add_argument("--grid-size", dest="grid_size",
                    help="coarse grid points for the weight search")
 
     p = sub.add_parser("verify", help="run the consistency check suite")

@@ -71,15 +71,26 @@ def weights(name: str, value) -> list[float]:
     return probabilities
 
 
-def matrices(name: str, value) -> np.ndarray:
-    """A complex array of finite 2x2 matrices; leading axes are a batch of them."""
+def finite(name: str, value, expected: str = "finite numbers",
+           fits=lambda shape: True) -> np.ndarray:
+    """A complex array of finite numbers whose shape ``fits``."""
     try:
         array = np.asarray(value, dtype=np.complex128)
-    except (TypeError, ValueError):
-        array = np.empty(0)
-    if array.shape[-2:] != (2, 2) or not np.isfinite(array).all():
-        raise refuse(name, "finite 2x2 matrices", value)
+    except (TypeError, ValueError, OverflowError):
+        raise refuse(name, expected, value) from None
+    if not (fits(array.shape) and np.isfinite(array).all()):
+        raise refuse(name, expected, value)
     return array
+
+
+def number(name: str, value) -> complex:
+    """A finite complex number."""
+    return complex(finite(name, value, "a finite number", lambda shape: shape == ()))
+
+
+def matrices(name: str, value) -> np.ndarray:
+    """A complex array of finite 2x2 matrices; leading axes are a batch of them."""
+    return finite(name, value, "finite 2x2 matrices", lambda shape: shape[-2:] == (2, 2))
 
 
 def states(name: str, value, tol: float = 1e-12) -> np.ndarray:

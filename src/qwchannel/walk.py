@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inputs import count, real
+from .inputs import count, finite, real
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,7 +123,7 @@ def build_split_step_unitary(theta: float, lattice: Lattice) -> np.ndarray:
 
 def joint_state(lattice: Lattice, coin_amplitudes, x: int = 0) -> np.ndarray:
     """Product state (coin amplitudes) x |x> as a coin-major 2L vector."""
-    amps = np.asarray(coin_amplitudes, dtype=np.complex128).reshape(2)
+    amps = finite("coin_amplitudes", coin_amplitudes).reshape(2)
     psi = np.zeros((2, lattice.size), dtype=np.complex128)
     psi[:, lattice.index_of(x)] = amps
     return psi.reshape(-1)
@@ -145,7 +145,8 @@ def evolve(psi0: np.ndarray, theta: float, t: int) -> np.ndarray:
     Requires the guard band ``L >= 2t + 3`` so no amplitude can wrap.
     """
     t = count("t", t, low=0)
-    lattice = _lattice_of(np.asarray(psi0))
+    psi0 = finite("psi0", psi0)
+    lattice = _lattice_of(psi0)
     if t > lattice.max_steps:
         raise ValueError(
             f"lattice of size {lattice.size} supports at most "

@@ -7,11 +7,12 @@ of the reduced coin dynamics: the single n-step channels produce revivals
 quantity characterize what the channel does to information carried by the
 coin.
 
-All 2x2 eigenvalue problems are solved in closed form (trace/determinant),
-never iteratively.  Every measure also takes a batch of matrices along
-leading axes; a sweep evaluates whole arrays (:func:`td_values`,
-:func:`td_regimes`, :func:`holevo_max_batch`), and each scalar call is the
-one-matrix case of the same code.
+The channels come from :mod:`qwchannel.channels`; this module only measures
+their outputs.  All 2x2 eigenvalue problems are solved in closed form
+(trace/determinant), never iteratively.  Every measure also takes a batch of
+matrices along leading axes; a sweep evaluates whole arrays
+(:func:`td_values`, :func:`td_regimes`, :func:`holevo_max_batch`), and each
+scalar call is the one-matrix case of the same code.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from .channels import (
     _as_value,
     apply_superoperators,
     channel_outputs,
-    checked_superoperator,
+    dephasers,
     hermitian_eigenvalues,
-    rtn_kraus,
-    rtn_lambda,
+    repeated,
     superoperators,
 )
 from .inputs import count, matrices, states, step_list, weights
@@ -51,11 +51,12 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return _as_value(0.5 * (np.abs(low) + np.abs(high)))
 
 
-def _check_distances(values) -> None:
+def _check_distances(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     outside = ~((values >= -1e-12) & (values <= 1 + 1e-12))
     if outside.any():
         raise ValueError(f"trace distance {float(values[outside][0])!r} outside [0, 1]")
+    return values
 
 
 @dataclass(frozen=True)
@@ -93,22 +94,14 @@ def td_values(thetas: Iterable[float], steps: Iterable[int], mode: str = MODE_NS
     """:func:`td_series` values at every angle and step count, shape ``(B, S)``.
 
     The step axis runs over the distinct step counts in ascending order.
-    The n-step modes take every set from one batched walk; "concat" applies
-    each angle's one-step channel up to the largest step count.
+    The n-step modes take every set from one batched walk; "concat" repeats
+    each angle's one-step channel (:func:`~qwchannel.channels.repeated`).
     """
     steps = step_list("steps", steps)
     if mode == MODE_CONCAT:
-        one_step = superoperators(thetas, [1])[:, None, 0]
-        pair, pairs = _ORTHOGONAL_PAIR, []
-        wanted = set(steps)
-        for n in range(1, steps[-1] + 1):
-            pair = apply_superoperators(one_step, pair)
-            if n in wanted:
-                pairs.append(pair)
-        pairs = np.stack(pairs, axis=1)
-        values = trace_distance(pairs[..., 0, :, :], pairs[..., 1, :, :])
-        _check_distances(values)
-        return values
+        # the one-step axis broadcasts over the input pair: (angle, input, step, 2, 2)
+        pairs = repeated(superoperators(thetas, [1]), _ORTHOGONAL_PAIR, steps)
+        return _check_distances(trace_distance(pairs[:, 0], pairs[:, 1]))
     if mode in (MODE_NSTEP, MODE_COMPOSITE):
         if mode == MODE_COMPOSITE and rtn is None:
             raise ValueError("composite mode needs telegraph-noise parameters")
@@ -126,18 +119,15 @@ def td_regimes(thetas: Iterable[float], steps: Iterable[int],
     batched walk and are shared by every regime.
     """
     steps = step_list("steps", steps)
+    # every regime's dephasers are checked before the walk starts
+    chained = [None if params is None else dephasers(params, steps)[:, None]
+               for params in regimes]
     outputs = channel_outputs(thetas, steps, _ORTHOGONAL_PAIR)
     values = []
-    for params in regimes:
-        pair = outputs
-        if params is not None:
-            dephasers = checked_superoperator(np.array(
-                [rtn_kraus(rtn_lambda(params, n * params.dt)) for n in steps]))
-            pair = apply_superoperators(dephasers[:, None], outputs)
+    for superops in chained:
+        pair = outputs if superops is None else apply_superoperators(superops, outputs)
         values.append(trace_distance(pair[..., 0, :, :], pair[..., 1, :, :]))
-    values = np.array(values).reshape((len(values),) + outputs.shape[:2])
-    _check_distances(values)
-    return values
+    return _check_distances(np.array(values).reshape((len(values),) + outputs.shape[:2]))
 
 
 def nonmonotonicity(series) -> float:
@@ -163,6 +153,7 @@ def purity(rho: np.ndarray) -> float:
 
 def mixedness(rho: np.ndarray, d: int = 2) -> float:
     """Complement of purity, scaled to [0, 1]: (d/(d-1)) (1 - Tr rho^2)."""
+    d = count("d", d, low=2)
     return (d / (d - 1)) * (1.0 - purity(rho))
 
 

@@ -13,6 +13,7 @@ from qwchannel.channels import (
     composite_map,
     concatenated_map,
     density_matrix,
+    dephasers,
     hermitian_eigenvalues,
     is_density_matrix,
     n_step_map,
@@ -21,6 +22,7 @@ from qwchannel.channels import (
 )
 from qwchannel.kraus import extract_kraus_direct
 from qwchannel.walk import Lattice, evolve, joint_state
+from qwchannel.witnesses import mixedness
 
 RHO_UP = np.diag([1.0, 0.0]).astype(complex)
 RHO_DOWN = np.diag([0.0, 1.0]).astype(complex)
@@ -311,3 +313,31 @@ def test_rtn_params_reject_non_finite_values(field, bad):
     values = {"a": 0.4, "gamma": 1.0, "dt": 1.0, field: bad}
     with pytest.raises(ValueError, match=field):
         RTNParams(**values)
+
+
+_NAN = float("nan")
+_KERNEL = "max(gamma, 2a) * n * dt of a, gamma, dt and steps"
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: coin_state(_NAN, 0.0), "a"),
+    (lambda: coin_state(1.0, complex(0.0, math.inf)), "b"),
+    (lambda: coin_state("up", 0.0), "a"),
+    (lambda: closed_form_p(0.3, 2, _NAN, 0.0), "a"),
+    (lambda: closed_form_p(0.3, 1, 1.0, math.inf), "b"),
+    (lambda: closed_form_q(0.3, 3, _NAN, 0.0), "a"),
+    (lambda: closed_form_q(0.3, 2, 1.0, _NAN), "b"),
+    (lambda: mixedness(np.eye(2) / 2, d=1), "d"),
+    (lambda: mixedness(np.eye(2) / 2, d=2.5), "d"),
+    (lambda: joint_state(Lattice(5), [_NAN, 1.0]), "coin_amplitudes"),
+    (lambda: evolve(np.array([_NAN] + [0.0] * 9), 0.3, 1), "psi0"),
+    # the kernel's arguments overflow: gamma t, and the oscillation 2a t
+    (lambda: dephasers(RTNParams(a=0.4, gamma=1e200, dt=1e200), [1, 3]), _KERNEL),
+    (lambda: dephasers(RTNParams(a=0.4, gamma=1.0, dt=1e308), [3]), _KERNEL),
+    (lambda: composite_map(RTNParams(a=1e150, gamma=1.0, dt=1e160), 0.4, 3, RHO_UP),
+     _KERNEL),
+])
+def test_library_arguments_are_refused_by_name(call, name):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value).startswith(f"{name} must be")

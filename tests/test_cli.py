@@ -10,6 +10,7 @@ from qwchannel.channels import (
     apply_kraus,
     channel_outputs,
     coin_state_from_angle,
+    composite_map,
     density_matrix,
     n_step_map,
     superoperators,
@@ -587,6 +588,7 @@ _HALF = np.eye(2) / 2
 _NAN = np.full((2, 2), np.nan)
 _WHOLE = "must be a whole number in [1, 100000]"
 _RTN = "(2a/gamma)^2 of a and gamma"
+_KERNEL = "max(gamma, 2a) * n * dt of a, gamma, dt and steps"
 
 # id: (argv, config, name in the CLI's message, library call, name in its message, stem)
 _REFUSALS = {
@@ -620,6 +622,24 @@ _REFUSALS = {
                           "--rtn-a", "1"], None, _RTN,
                          lambda: RTNParams(a=1.0, gamma=1e-300), _RTN,
                          "must be finite"),
+    "rtn gamma dt 1e200": (["rtn-composite", "--rtn-gamma", "1e200", "--rtn-dt", "1e200",
+                            "--steps", "3"], None, _KERNEL,
+                           lambda: td_series(0.4, 3, "composite",
+                                             RTNParams(a=0.4, gamma=1e200, dt=1e200)),
+                           _KERNEL, "must be finite"),
+    "rtn dt 1e308": (["rtn-composite", "--rtn-dt", "1e308", "--steps", "3"], None, _KERNEL,
+                     lambda: composite_map(RTNParams(a=0.4, gamma=1.0, dt=1e308), 0.4, 3,
+                                           _HALF), _KERNEL, "must be finite"),
+    # a flag's text reaches only its option's check, as a config value does
+    "theta abc": (["probability", "--theta", "abc", "--steps", "2"], None, "theta",
+                  lambda: extract_kraus_direct("abc", 2), "theta", "must be a number"),
+    "t three": (["kraus", "--theta", "0.4", "--t", "three"], None, "t",
+                lambda: extract_kraus_direct(0.4, "three"), "t", "must be a number"),
+    "rtn_gamma fast": (["rtn-composite", "--rtn-gamma", "fast"], None, "rtn_gamma",
+                       lambda: RTNParams(a=0.4, gamma="fast"), "gamma", "must be a number"),
+    "grid_size 2.5 flag": (["holevo", "--theta", "0.4", "--grid-size", "2.5"], None,
+                           "grid_size", lambda: holevo_max_batch(_HALF, _HALF, grid_size="2.5"),
+                           "grid_size", "must be a whole number in [3, 100000]"),
 }
 
 
@@ -656,3 +676,17 @@ def test_a_vanishing_telegraph_rate_leaves_the_walk_series(capsys):
     assert set(series) == {"none", "markovian", "nonmarkovian"}
     for regime in ("markovian", "nonmarkovian"):
         assert np.abs(np.array(series[regime]) - series["none"]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["kraus", "--theta", "0.4", "--t", "3.0"], {"theta": 0.4, "t": 3.0}),
+    (["holevo", "--theta", "0.4", "--steps", "2", "--grid-size", "9.0"],
+     {"theta": 0.4, "steps": 2, "grid_size": 9.0}),
+    (["rtn-composite", "--steps", "3", "--rtn-a", "1e0"], {"steps": 3, "rtn_a": 1}),
+])
+def test_a_flag_and_its_config_key_pass_the_same_check(tmp_path, capsys, argv, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert (0, out) == run_cli(capsys, argv[0], "--config", str(path))

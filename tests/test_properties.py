@@ -12,6 +12,9 @@ from test_engine import momentum_oracle, traced_operators  # noqa: E402
 from qwchannel.channels import (  # noqa: E402
     RTNParams,
     apply_kraus,
+    composite_map,
+    concatenated_map,
+    n_step_map,
     rtn_lambda,
     superoperators,
 )
@@ -94,3 +97,17 @@ def test_every_superoperator_has_a_positive_choi_matrix_of_trace_two(thetas, ste
     assert np.abs(choi - choi.conj().swapaxes(-1, -2)).max() <= 1e-12
     assert np.abs(np.trace(choi, axis1=-2, axis2=-1) - 2.0).max() <= 1e-12
     assert np.linalg.eigvalsh(choi).min() >= -1e-12
+
+
+_UP, _DOWN = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+rtn_params = st.builds(RTNParams, a=st.floats(0.0, 5.0), gamma=st.floats(1e-2, 5.0),
+                       dt=st.floats(1e-2, 3.0))
+
+
+@given(theta=finite_angles, n=st.integers(1, 40), rtn=rtn_params)
+def test_the_scalar_maps_and_the_batched_series_are_one_definition(theta, n, rtn):
+    for mode, channel in (("nstep", lambda rho: n_step_map(theta, n, rho)),
+                          ("concat", lambda rho: concatenated_map(theta, n, rho)),
+                          ("composite", lambda rho: composite_map(rtn, theta, n, rho))):
+        series = td_series(theta, n, mode=mode, rtn=rtn)
+        assert trace_distance(channel(_UP), channel(_DOWN)) == series.values[-1]
