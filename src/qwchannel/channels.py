@@ -265,6 +265,14 @@ class RTNParams:
         return (self.a / self.gamma) ** 2 > 0.25
 
 
+def _check_kernel_span(params: RTNParams, elapsed: float, name: str) -> None:
+    """Refuse, as ``name``, a time whose kernel arguments overflow.
+
+    The kernel's arguments at ``elapsed`` are at most ``max(gamma, 2a) * elapsed``.
+    """
+    real(name, max(params.gamma, 2.0 * params.a) * elapsed)
+
+
 def rtn_lambda(params: RTNParams, elapsed: float) -> float:
     """Dephasing kernel value Lambda(elapsed), always in [-1, 1] with Lambda(0)=1.
 
@@ -274,9 +282,12 @@ def rtn_lambda(params: RTNParams, elapsed: float) -> float:
     counterparts; that branch is evaluated in the overflow-safe form
         [(1 + 1/w) exp(-(1-w) g t) + (1 - 1/w) exp(-(1+w) g t)] / 2,
     which also returns exactly 1.0 when a = 0.  At the regime boundary the
-    common limit exp(-g t)(1 + g t) is used.
+    common limit exp(-g t)(1 + g t) is used.  ``max(gamma, 2a) * elapsed``
+    must be finite.
     """
-    gt = params.gamma * nonnegative("elapsed", elapsed)
+    elapsed = nonnegative("elapsed", elapsed)
+    _check_kernel_span(params, elapsed, "max(gamma, 2a) * elapsed of a, gamma and elapsed")
+    gt = params.gamma * elapsed
     # squared as r = 2a/gamma: a^2 and gamma^2 overflow or vanish where r is O(1)
     r = 2.0 * params.a / params.gamma
     ratio = r * r - 1.0
@@ -312,8 +323,8 @@ def dephasers(params: RTNParams, steps: Iterable[int]) -> np.ndarray:
     The kernel's arguments, at most ``max(gamma, 2a) * n * dt``, must be finite.
     """
     wanted = step_list("steps", steps)
-    longest = max(params.gamma, 2.0 * params.a) * (wanted[-1] * params.dt)
-    real("max(gamma, 2a) * n * dt of a, gamma, dt and steps", longest)
+    _check_kernel_span(params, wanted[-1] * params.dt,
+                       "max(gamma, 2a) * n * dt of a, gamma, dt and steps")
     return checked_superoperator(np.array(
         [rtn_kraus(rtn_lambda(params, n * params.dt)) for n in wanted]))
 

@@ -10,15 +10,21 @@ purity          purity/mixedness of the channel output per (theta, delta, step)
 holevo          maximized Holevo quantity per (theta, step)
 verify          run the named consistency checks and report pass/fail
 
-Options may also come from a JSON config file (``--config``): flags win, a
-config ``null`` is the same as leaving the key out, and a config may set only
-one side of ``theta``/``theta_grid`` and of ``delta``/``delta_grid``.  A
-config key that belongs to another subcommand is ignored, so one file can
+Each subcommand's options are declared once, in ``COMMANDS``: its handler,
+its help line and its option defaults, from which the parser, the merged
+options and the help text are all made (``_HELP`` holds each option's help
+text).  Every flag is plain text, and argparse checks no value.  Options may
+also come from a JSON config file (``--config``): flags win, and a config
+``null`` is the same as leaving the key out.  Only one side of
+``theta``/``theta_grid`` and of ``delta``/``delta_grid`` may be set, by the
+flags or by the config; a flag on one side silences the config's other side.
+A config key that belongs to another subcommand is ignored, so one file can
 serve several commands; a key that no subcommand takes exits 2 naming it.
 Each option has one check (``_CHECKS``, the rules of :mod:`qwchannel.inputs`),
 applied once to the merged value whatever its source: numbers must be finite,
 counts (``t``, ``grid_size``, step and grid counts) whole numbers up to
-``MAX_COUNT``.  A refused value exits 2 with a message naming the option.
+``MAX_COUNT``, ``format`` and ``mode`` one of their choices.  A refused value
+exits 2 with a message naming the option.
 
 Each sweep is one batched walk of all its coin angles
 (:func:`~qwchannel.channels.channel_outputs`), in chunks of at most
@@ -63,28 +69,17 @@ from .witnesses import (
     trace_distance,
 )
 
-DEFAULT_THETA_GRID = [0.0, math.pi, 64]
-DEFAULT_TRACE_STEPS = 20
-DEFAULT_HOLEVO_STEPS = 8
-
-
 # -- option checks --------------------------------------------------------------
 # A check returns the value in its working type, or raises ValueError with a
 # message naming the option: the rules of qwchannel.inputs, plus the parsing
 # of this command line's own text.  Anything else a check raises (a failed
 # index or lookup) is re-raised by _effective naming the option.
 
-def _grid_parts(name: str, value) -> list:
-    """``start:stop:count`` text or a list, as its three parts (the grid flags' type)."""
-    parts = value.split(":") if isinstance(value, str) else value
-    if len(parts) != 3:
-        # argparse prints an ArgumentTypeError's message as it is
-        raise argparse.ArgumentTypeError(str(refuse(name, "start:stop:count", value)))
-    return parts
-
-
 def _grid(name: str, value) -> list[float]:
-    parts = _grid_parts(name, value)
+    """``start:stop:count`` text or a ``[start, stop, count]`` list, as its points."""
+    parts = value.split(":") if isinstance(value, str) else value
+    if not (isinstance(parts, list) and len(parts) == 3):
+        raise refuse(name, "start:stop:count", value)
     return np.linspace(real(name, parts[0]), real(name, parts[1]),
                        count(name, parts[2])).tolist()
 
@@ -145,17 +140,17 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
 
 
 # scalar/grid pairs: one side is in effect; a flag on one side silences the
-# config's other side, and a config may set only one side
+# config's other side, and the flags, like a config, may set only one side
 _EXCLUSIVE_PAIRS = (("theta", "theta_grid"), ("delta", "delta_grid"))
 
 
-def _effective(args: argparse.Namespace, parser: argparse.ArgumentParser,
-               defaults: dict) -> dict:
-    """Merge defaults <- config file <- explicit flags, then check each value.
+def _effective(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """Merge the command's defaults <- config file <- explicit flags, then check each value.
 
     ``None`` (a config ``null``, a flag not given) leaves the value below it.
     """
-    config = _load_config(args.config, parser) if getattr(args, "config", None) else {}
+    defaults = COMMANDS[args.command][2]
+    config = _load_config(args.config, parser) if args.config else {}
     for key in config:
         if key not in _CHECKS:
             raise ValueError(f"config key {key!r} is not an option of any subcommand")
@@ -167,9 +162,9 @@ def _effective(args: argparse.Namespace, parser: argparse.ArgumentParser,
     for pair in _EXCLUSIVE_PAIRS:
         if any(key in flags for key in pair):
             given = {key: value for key, value in given.items() if key not in pair}
-        elif all(key in given for key in pair):
-            raise argparse.ArgumentTypeError(
-                f"config sets both {pair[0]} and {pair[1]}; give one")
+        for source, values in (("flags set", flags), ("config sets", given)):
+            if all(key in values for key in pair):
+                raise ValueError(f"{source} both {pair[0]} and {pair[1]}; give one")
         if any(key in given or key in flags for key in pair):
             merged.update((key, None) for key in pair if key in merged)
     merged.update(given)
@@ -221,9 +216,7 @@ def _default_ensemble_pair() -> tuple[np.ndarray, np.ndarray]:
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_kraus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    options = _effective(args, parser, {
-        "theta": None, "t": None, "split": False, "format": "json", "out": None,
-    })
+    options = _effective(args, parser)
     theta, t = options["theta"], options["t"]
     if theta is None or t is None:
         parser.error("kraus requires --theta and --t")
@@ -263,11 +256,7 @@ def _input_sweep(thetas: list[float], deltas: list[float], steps: list[int],
 
 
 def cmd_probability(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    options = _effective(args, parser, {
-        "theta": None, "theta_grid": DEFAULT_THETA_GRID,
-        "delta": 0.0, "delta_grid": None,
-        "steps": DEFAULT_HOLEVO_STEPS, "format": "csv", "out": None,
-    })
+    options = _effective(args, parser)
     rows = _input_sweep(_sweep_values(options, "theta"), _sweep_values(options, "delta"),
                         options["steps"], lambda outputs: (outputs[..., 0, 0].real,))
     _emit(["theta", "delta", "step", "p_up"], rows, options)
@@ -275,11 +264,7 @@ def cmd_probability(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def cmd_trace_distance(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    options = _effective(args, parser, {
-        "theta": None, "theta_grid": DEFAULT_THETA_GRID,
-        "steps": DEFAULT_TRACE_STEPS, "mode": "both",
-        "format": "csv", "out": None,
-    })
+    options = _effective(args, parser)
     thetas, steps = _sweep_values(options, "theta"), options["steps"]
     modes = ["concat", "nstep"] if options["mode"] == "both" else [options["mode"]]
     start = trace_distance(_RHO_UP, _RHO_DOWN)
@@ -293,21 +278,14 @@ def cmd_trace_distance(args: argparse.Namespace, parser: argparse.ArgumentParser
 
 
 def cmd_rtn_composite(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    options = _effective(args, parser, {
-        "theta": math.pi / 6, "steps": DEFAULT_TRACE_STEPS,
-        "rtn_gamma": 1.0, "rtn_dt": 1.0, "rtn_a": None,
-        "markovian_ratio": 0.4, "nonmarkovian_ratio": 2.0,
-        "format": "csv", "out": None,
-    })
+    options = _effective(args, parser)
     steps = options["steps"]
     gamma, dt = options["rtn_gamma"], options["rtn_dt"]
-    regimes = [
-        ("none", None),
-        ("markovian", RTNParams(a=options["markovian_ratio"] * gamma,
-                                gamma=gamma, dt=dt)),
-        ("nonmarkovian", RTNParams(a=options["nonmarkovian_ratio"] * gamma,
-                                   gamma=gamma, dt=dt)),
-    ]
+    # the regime amplitudes, checked under the names of the options they come from
+    regimes = [("none", None)] + [
+        (name, RTNParams(a=real(f"{name}_ratio * rtn_gamma", options[f"{name}_ratio"] * gamma),
+                         gamma=gamma, dt=dt))
+        for name in ("markovian", "nonmarkovian")]
     if options["rtn_a"] is not None:
         regimes.append(("custom", RTNParams(a=options["rtn_a"], gamma=gamma, dt=dt)))
 
@@ -325,11 +303,7 @@ def _purity_and_mixedness(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_purity(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    options = _effective(args, parser, {
-        "theta": None, "theta_grid": DEFAULT_THETA_GRID,
-        "delta": None, "delta_grid": [0.0, math.pi, 33],
-        "steps": DEFAULT_HOLEVO_STEPS, "format": "csv", "out": None,
-    })
+    options = _effective(args, parser)
     rows = _input_sweep(_sweep_values(options, "theta"), _sweep_values(options, "delta"),
                         options["steps"], _purity_and_mixedness)
     _emit(["theta", "delta", "step", "purity", "mixedness"], rows, options)
@@ -337,11 +311,7 @@ def cmd_purity(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_holevo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    options = _effective(args, parser, {
-        "theta": None, "theta_grid": DEFAULT_THETA_GRID,
-        "steps": DEFAULT_HOLEVO_STEPS, "grid_size": 33,
-        "ensemble": None, "format": "csv", "out": None,
-    })
+    options = _effective(args, parser)
     thetas, steps = _sweep_values(options, "theta"), options["steps"]
     ensemble = np.array(options["ensemble"] or _default_ensemble_pair())
     outputs = channel_outputs(thetas, steps, ensemble)
@@ -363,7 +333,53 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 1 if failed else 0
 
 
-# -- parser ---------------------------------------------------------------------
+# -- the options of each subcommand --------------------------------------------
+
+_THETAS = {"theta": None, "theta_grid": [0.0, math.pi, 64]}
+_OUTPUT = {"format": "csv", "out": None}
+
+# subcommand -> (handler, help line, option defaults); a None default leaves
+# the option unset, and the order is the order of the flags and the checks
+COMMANDS = {
+    "kraus": (cmd_kraus, "dump an extracted operator set",
+              {"theta": None, "t": None, "split": False, "format": "json", "out": None}),
+    "probability": (cmd_probability, "upper-coin probability sweep",
+                    {**_THETAS, "delta": 0.0, "delta_grid": None, "steps": 8, **_OUTPUT}),
+    "trace-distance": (cmd_trace_distance, "distinguishability series",
+                       {**_THETAS, "steps": 20, "mode": "both", **_OUTPUT}),
+    "rtn-composite": (cmd_rtn_composite, "trace distance under walk + telegraph noise",
+                      {"theta": math.pi / 6, "steps": 20, "rtn_gamma": 1.0, "rtn_dt": 1.0,
+                       "rtn_a": None, "markovian_ratio": 0.4, "nonmarkovian_ratio": 2.0,
+                       **_OUTPUT}),
+    "purity": (cmd_purity, "output purity/mixedness sweep",
+               {**_THETAS, "delta": None, "delta_grid": [0.0, math.pi, 33], "steps": 8,
+                **_OUTPUT}),
+    "holevo": (cmd_holevo, "maximized Holevo quantity sweep",
+               {**_THETAS, "steps": 8, "grid_size": 33, "ensemble": None, **_OUTPUT}),
+}
+
+# each option's flag help; None: a config key with no flag
+_HELP = {
+    "theta": "coin angle in radians", "theta_grid": "coin angle grid start:stop:count",
+    "delta": "input-state angle in radians",
+    "delta_grid": "input-state angle grid start:stop:count",
+    "t": "number of walk steps", "steps": "max step count N (runs 1..N) or comma list",
+    "split": "extract the split-step set (one split step = two steps)",
+    "mode": "series: nstep, concat or both",
+    "grid_size": "coarse grid points for the weight search",
+    "rtn_gamma": "telegraph fluctuation rate", "rtn_dt": "time per walk step",
+    "rtn_a": "amplitude of an extra custom series",
+    "markovian_ratio": "a / rtn_gamma of the markovian series",
+    "nonmarkovian_ratio": "a / rtn_gamma of the nonmarkovian series",
+    "ensemble": None, "format": "output format: csv or json",
+    "out": "output path (stdout if not given)",
+}
+
+
+def _shown(default) -> str:
+    """A default as flag text."""
+    return ":".join(map(str, default)) if isinstance(default, list) else str(default)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -372,61 +388,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "as an explicit quantum channel.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, fn, help: str, steps: bool = True) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
+    for name, (fn, summary, defaults) in COMMANDS.items():
+        # no abbreviations: a flag has one spelling
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="JSON config file (flags win on conflict)")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="output format (default: csv)")
-        if steps:
-            p.add_argument("--steps", "--t", dest="steps",
-                           help="max step count N (runs 1..N) or comma list")
-        return p
-
-    def pair_flags(p: argparse.ArgumentParser, name: str, what: str) -> None:
-        group = p.add_mutually_exclusive_group()
-        group.add_argument(f"--{name}", help=f"single {what} (radians)")
-        group.add_argument(f"--{name}-grid", dest=f"{name}_grid",
-                           type=partial(_grid_parts, f"{name}_grid"),
-                           help=f"{what} grid start:stop:count")
-
-    p = command("kraus", cmd_kraus, "dump an extracted operator set", steps=False)
-    p.add_argument("--theta", help="coin angle in radians")
-    p.add_argument("--t", help="number of walk steps")
-    p.add_argument("--split", action="store_true", default=None,
-                   help="extract the split-step set (one split step = two steps)")
-
-    p = command("probability", cmd_probability, "upper-coin probability sweep")
-    pair_flags(p, "theta", "coin angle")
-    pair_flags(p, "delta", "input-state angle")
-
-    p = command("trace-distance", cmd_trace_distance, "distinguishability series")
-    pair_flags(p, "theta", "coin angle")
-    p.add_argument("--mode", choices=("nstep", "concat", "both"))
-
-    p = command("rtn-composite", cmd_rtn_composite,
-                "trace distance under walk + telegraph noise")
-    p.add_argument("--theta")
-    p.add_argument("--rtn-a", dest="rtn_a", help="extra custom-amplitude series")
-    p.add_argument("--rtn-gamma", dest="rtn_gamma")
-    p.add_argument("--rtn-dt", dest="rtn_dt")
-    p.add_argument("--markovian-ratio", dest="markovian_ratio")
-    p.add_argument("--nonmarkovian-ratio", dest="nonmarkovian_ratio")
-
-    p = command("purity", cmd_purity, "output purity/mixedness sweep")
-    pair_flags(p, "theta", "coin angle")
-    pair_flags(p, "delta", "input-state angle")
-
-    p = command("holevo", cmd_holevo, "maximized Holevo quantity sweep")
-    pair_flags(p, "theta", "coin angle")
-    p.add_argument("--grid-size", dest="grid_size",
-                   help="coarse grid points for the weight search")
-
-    p = sub.add_parser("verify", help="run the consistency check suite")
-    p.set_defaults(fn=cmd_verify)
-
+        for key, default in defaults.items():
+            if _HELP[key] is None:
+                continue
+            text = _HELP[key] if default is None else f"{_HELP[key]} (default: {_shown(default)})"
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, bool):
+                p.add_argument(flag, action="store_true", default=None, help=text)
+            else:
+                p.add_argument(flag, help=text)
+    sub.add_parser("verify", help="run the consistency check suite").set_defaults(fn=cmd_verify)
     return parser
 
 
@@ -435,7 +411,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, parser)
-    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

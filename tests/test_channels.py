@@ -317,6 +317,7 @@ def test_rtn_params_reject_non_finite_values(field, bad):
 
 _NAN = float("nan")
 _KERNEL = "max(gamma, 2a) * n * dt of a, gamma, dt and steps"
+_ELAPSED = "max(gamma, 2a) * elapsed of a, gamma and elapsed"
 
 
 @pytest.mark.parametrize("call, name", [
@@ -336,6 +337,9 @@ _KERNEL = "max(gamma, 2a) * n * dt of a, gamma, dt and steps"
     (lambda: dephasers(RTNParams(a=0.4, gamma=1.0, dt=1e308), [3]), _KERNEL),
     (lambda: composite_map(RTNParams(a=1e150, gamma=1.0, dt=1e160), 0.4, 3, RHO_UP),
      _KERNEL),
+    # the same two overflows at one elapsed time: cos(inf), and 0 * inf clamped to -1
+    (lambda: rtn_lambda(RTNParams(1e150, 1.0, 1.0), 1e160), _ELAPSED),
+    (lambda: rtn_lambda(RTNParams(0.4, 1e200), 1e200), _ELAPSED),
 ])
 def test_library_arguments_are_refused_by_name(call, name):
     with pytest.raises(ValueError) as info:

@@ -1,5 +1,8 @@
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from qwchannel.channels import (
     n_step_map,
     superoperators,
 )
-from qwchannel.cli import main
+from qwchannel.cli import _HELP, COMMANDS, _effective, _shown, build_parser, main
 from qwchannel.kraus import (
     KrausSet,
     extract_kraus_direct,
@@ -241,8 +244,7 @@ def test_verify_names_completeness_when_kraus_corrupted(capsys, monkeypatch):
     assert "[FAIL] completeness" in out
 
 
-def test_csv_output_is_deterministic(tmp_path, monkeypatch):
-    monkeypatch.setenv("QWCHANNEL_WORKERS", "4")
+def test_csv_output_is_deterministic(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     args = ["probability", "--theta-grid", "0:3.14159:9", "--steps", "5"]
@@ -292,13 +294,11 @@ def test_explicit_grid_flag_beats_config_scalar(tmp_path, capsys):
     assert {float(r["theta"]) for r in parse_csv(out)} == {0.0, 0.5, 1.0}
 
 
-def test_scalar_and_grid_flags_are_mutually_exclusive():
-    with pytest.raises(SystemExit) as info:
-        main(["probability", "--theta", "0.4", "--theta-grid", "0:1:3"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["purity", "--delta", "0.4", "--delta-grid", "0:1:3"])
-    assert info.value.code == 2
+def test_scalar_and_grid_flags_are_mutually_exclusive(capsys):
+    assert main(["probability", "--theta", "0.4", "--theta-grid", "0:1:3"]) == 2
+    assert "both theta and theta_grid" in capsys.readouterr().err
+    assert main(["purity", "--delta", "0.4", "--delta-grid", "0:1:3"]) == 2
+    assert "both delta and delta_grid" in capsys.readouterr().err
 
 
 def test_output_file_writing(tmp_path):
@@ -309,16 +309,14 @@ def test_output_file_writing(tmp_path):
     assert target.read_text().startswith("theta,step,mode,d\n")
 
 
-def test_invalid_arguments_exit_code_two(tmp_path):
+def test_invalid_arguments_exit_code_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["kraus"])  # missing required flags
     assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["probability", "--theta-grid", "bad"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["trace-distance", "--mode", "sideways"])
-    assert info.value.code == 2
+    assert main(["probability", "--theta-grid", "bad"]) == 2
+    assert "theta_grid" in capsys.readouterr().err
+    assert main(["trace-distance", "--mode", "sideways"]) == 2
+    assert "mode" in capsys.readouterr().err
     assert main(["probability", "--steps", "-3"]) == 2
     assert main(["kraus", "--theta", "0.5", "--t", "0"]) == 2
     missing = tmp_path / "nope.json"
@@ -446,6 +444,19 @@ _STATE = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
     (["trace-distance", "--theta", "0.4", "--mode", "concat", "--steps", "100001"], None,
      ["steps"]),
     (["kraus", "--theta", "0.4", "--t", "100001"], None, ["t must be a whole number"]),
+    # argparse checks no values: each flag's text reaches only its option's check
+    (["probability", "--steps", "2", "--format", "xml"], None,
+     ["format must be one of csv, json"]),
+    (["trace-distance", "--theta", "0.4", "--mode", "sideways"], None,
+     ["mode must be one of nstep, concat, both"]),
+    (["probability", "--theta-grid", "bad"], None, ["theta_grid must be start:stop:count"]),
+    (["probability"], {"theta_grid": {"a": 0, "b": 1, "c": 3}},
+     ["theta_grid must be start:stop:count"]),
+    (["probability", "--theta", "0.4", "--theta-grid", "0:1:3"], None,
+     ["both theta and theta_grid"]),
+    # a regime amplitude that overflows names the options it is made of
+    (["rtn-composite", "--markovian-ratio", "1e200", "--rtn-gamma", "1e200"], None,
+     ["markovian_ratio * rtn_gamma must be finite"]),
 ])
 def test_every_option_is_checked_by_name_whatever_its_source(tmp_path, capsys, argv,
                                                              config, named):
@@ -690,3 +701,66 @@ def test_a_flag_and_its_config_key_pass_the_same_check(tmp_path, capsys, argv, c
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert (0, out) == run_cli(capsys, argv[0], "--config", str(path))
+
+
+# -- the option table: parser, help and the README from one declaration ---------
+
+def _help_entries(text):
+    """``{flag: its help entry, whitespace collapsed}`` of an argparse help text."""
+    entries, flag = {}, None
+    for line in text.splitlines():
+        if line.startswith("  -"):
+            flag = line.split()[0].rstrip(",")
+            entries[flag] = line
+        elif flag is not None and line.startswith("   "):
+            entries[flag] += line
+        else:
+            flag = None
+    return {flag: " ".join(entry.split()) for flag, entry in entries.items()}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_lists_the_table_flags_with_the_defaults_in_use(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    entries = _help_entries(capsys.readouterr().out)
+    defaults = COMMANDS[command][2]
+    flags = {"--" + key.replace("_", "-"): default for key, default in defaults.items()
+             if _HELP[key] is not None}
+    assert set(entries) == {"-h", "--config", *flags}
+    for flag, default in flags.items():
+        if default is None:
+            assert "(default:" not in entries[flag]
+        else:
+            assert entries[flag].endswith(f"(default: {_shown(default)})")
+    if command == "kraus":
+        assert entries["--format"].endswith("(default: json)")
+
+
+@pytest.mark.parametrize("command", [name for name in COMMANDS if name != "kraus"])
+def test_a_sweep_takes_its_step_count_only_as_steps(capsys, command):
+    # no --t alias, and no abbreviation (rtn-composite --t would be --theta)
+    with pytest.raises(SystemExit) as info:
+        main([command, "--t", "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --t 5" in capsys.readouterr().err
+
+
+def _readme_cli_lines():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+    return [line.split("#")[0].strip() for block in blocks for line in block.splitlines()
+            if line.startswith("qwchannel ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_commands_parse_and_pass_the_option_checks(line):
+    parser = build_parser()
+    args = parser.parse_args(shlex.split(line)[1:])
+    if args.command != "verify":
+        _effective(args, parser)
+
+
+def test_the_readme_shows_every_subcommand():
+    assert {line.split()[1] for line in _readme_cli_lines()} == {*COMMANDS, "verify"}
