@@ -30,7 +30,10 @@ Each sweep is one batched walk of all its coin angles
 (:func:`~qwchannel.channels.channel_outputs`), in chunks of at most
 ``(MAX_COUNT + 1) // (largest step + 1)`` angles, so a sweep never holds
 more operators than one angle walked ``MAX_COUNT`` steps.  The input states
-of a sweep are applied as one matrix; rows come out sorted.
+of a sweep are applied as one matrix; rows come out sorted.  Output is
+written by column (``_emit``): one encoder call per column, a fixed template
+per row, and rows streamed in pieces, with the bytes of formatting each value
+on its own.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import itertools
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from functools import partial
 
 import numpy as np
@@ -52,7 +55,7 @@ from .channels import (
     coin_state_from_angle,
     density_matrix,
 )
-from .inputs import count, nonnegative, positive, real, refuse, states, step_list
+from .inputs import MAX_COUNT, count, nonnegative, positive, real, refuse, states, step_list
 from .kraus import (
     extract_kraus_direct,
     extract_kraus_split_step,
@@ -183,25 +186,51 @@ def _sweep_values(options: dict, name: str) -> list[float]:
     return options[name + "_grid"] if options[name] is None else [options[name]]
 
 
-# lines per write: few writes even to an unbuffered stdout, and only a piece
+# rows per write: few writes even to an unbuffered stdout, and only a piece
 # of a large sweep's text in memory at a time
 _LINES_PER_WRITE = 1024
 
 
 def _write(lines: Iterable[str], out: str | None) -> None:
-    """Write the lines (each with its newline) to the file ``out``, or to stdout."""
+    """Write the pieces of text (rows, each with its line ends) to ``out``, or to stdout."""
     lines = iter(lines)
     with open(out, "w", newline="\n") if out else contextlib.nullcontext(sys.stdout) as fh:
         while text := "".join(itertools.islice(lines, _LINES_PER_WRITE)):
             fh.write(text)
 
 
-def _emit(header: list[str], rows: Iterable[tuple], options: dict) -> None:
-    if options["format"] == "json":
-        lines = [json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"]
+def _cells(column: list, as_json: bool) -> list[str]:
+    """A column's cell texts, from one encoder call if it holds numbers.
+
+    Strings are written raw in CSV and quoted in JSON.  JSON spells a
+    non-finite number ``NaN``/``Infinity``, as ``json.dumps`` does; CSV keeps
+    ``repr``'s ``nan``/``inf``, as ``str`` does.
+    """
+    if isinstance(column[0], str):
+        return list(map(json.dumps, column)) if as_json else column
+    return (json.dumps(column) if as_json else repr(column))[1:-1].split(", ")
+
+
+def _emit(header: list[str], columns: list[np.ndarray], options: dict) -> None:
+    """Write equal-length 1-D arrays as CSV rows or as a JSON list of row objects.
+
+    The text is that of ``str`` per CSV value, or of ``json.dumps(rows,
+    indent=2)``.  Each row fills a fixed template from its columns' cells,
+    which are made a block of rows at a time, as the rows are written.
+    """
+    as_json = options["format"] == "json"
+    cells = itertools.chain.from_iterable(
+        zip(*(_cells(column[start:start + _LINES_PER_WRITE].tolist(), as_json)
+              for column in columns))
+        for start in range(0, len(columns[0]), _LINES_PER_WRITE))
+    if as_json:
+        row = "  {\n" + ",\n".join(f"    {json.dumps(key)}: %s" for key in header) + "\n  }"
+        # a comma goes before every row but the first
+        lines = itertools.chain(["[\n"], map(row.__mod__, itertools.islice(cells, 1)),
+                                map((",\n" + row).__mod__, cells), ["\n]\n"])
     else:
-        lines = itertools.chain([",".join(header) + "\n"],
-                                (",".join(map(str, row)) + "\n" for row in rows))
+        row = ",".join(["%s"] * len(header)) + "\n"
+        lines = itertools.chain([",".join(header) + "\n"], map(row.__mod__, cells))
     _write(lines, options["out"])
 
 
@@ -220,30 +249,32 @@ def cmd_kraus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     theta, t = options["theta"], options["t"]
     if theta is None or t is None:
         parser.error("kraus requires --theta and --t")
-    extract = extract_kraus_split_step if options["split"] else extract_kraus_direct
-    kset = extract(theta, t)
+    if options["split"]:
+        # a split step is two walk steps, so t is capped at half, under its own name
+        kset = extract_kraus_split_step(theta, count("t", t, high=MAX_COUNT // 2))
+    else:
+        kset = extract_kraus_direct(theta, t)
     if options["format"] == "json":
         _write([kset.to_json(indent=2) + "\n"], options["out"])
     else:
-        rows = [(mu, row, col, *matrix[row][col])
-                for mu, matrix in zip(kset.labels(), kset.pairs())
-                for row in range(2) for col in range(2)]
-        _emit(["mu", "row", "col", "re", "im"], rows, options)
+        # one CSV row per matrix entry: (label, row, col) by (re, im)
+        values = kset.pair_array().reshape(-1, 2)
+        size = len(kset.entries)
+        _emit(["mu", "row", "col", "re", "im"],
+              [np.repeat(kset.labels(), 4), np.tile([0, 0, 1, 1], size),
+               np.tile([0, 1, 0, 1], size), values[:, 0], values[:, 1]], options)
     return 0
 
 
-def _sorted_rows(columns: tuple, keys: tuple) -> Iterator[tuple]:
-    """Row tuples of equal-shape arrays, stably sorted by ``keys``, first key first.
-
-    The rows are made one at a time, as they are emitted.
-    """
+def _sorted_columns(columns: tuple, keys: tuple) -> list[np.ndarray]:
+    """Equal-shape arrays, flattened and stably sorted by ``keys``, first key first."""
     order = np.lexsort([np.ravel(key) for key in reversed(keys)])
-    return zip(*(np.ravel(column)[order].tolist() for column in columns))
+    return [np.ravel(column)[order] for column in columns]
 
 
 def _input_sweep(thetas: list[float], deltas: list[float], steps: list[int],
-                 measure) -> Iterator[tuple]:
-    """Rows ``(theta, delta, step, *measure(outputs))`` sorted by that key.
+                 measure) -> list[np.ndarray]:
+    """Columns ``theta, delta, step, *measure(outputs)``, rows sorted by that key.
 
     ``measure`` maps the channel outputs, shape ``(theta, step, delta, 2, 2)``,
     to a tuple of arrays of row values; all angles come from one batched
@@ -252,14 +283,15 @@ def _input_sweep(thetas: list[float], deltas: list[float], steps: list[int],
     inputs = np.array([density_matrix(coin_state_from_angle(delta)) for delta in deltas])
     outputs = channel_outputs(thetas, steps, inputs)
     theta, step, delta = np.meshgrid(thetas, steps, deltas, indexing="ij")
-    return _sorted_rows((theta, delta, step, *measure(outputs)), keys=(theta, delta, step))
+    return _sorted_columns((theta, delta, step, *measure(outputs)),
+                           keys=(theta, delta, step))
 
 
 def cmd_probability(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     options = _effective(args, parser)
-    rows = _input_sweep(_sweep_values(options, "theta"), _sweep_values(options, "delta"),
-                        options["steps"], lambda outputs: (outputs[..., 0, 0].real,))
-    _emit(["theta", "delta", "step", "p_up"], rows, options)
+    columns = _input_sweep(_sweep_values(options, "theta"), _sweep_values(options, "delta"),
+                           options["steps"], lambda outputs: (outputs[..., 0, 0].real,))
+    _emit(["theta", "delta", "step", "p_up"], columns, options)
     return 0
 
 
@@ -272,8 +304,8 @@ def cmd_trace_distance(args: argparse.Namespace, parser: argparse.ArgumentParser
     values = np.stack([np.insert(td_values(thetas, steps, mode=mode), 0, start, axis=1)
                        for mode in modes], axis=1)
     theta, mode, step = np.meshgrid(thetas, modes, [0, *steps], indexing="ij")
-    rows = _sorted_rows((theta, step, mode, values), keys=(theta, mode, step))
-    _emit(["theta", "step", "mode", "d"], rows, options)
+    columns = _sorted_columns((theta, step, mode, values), keys=(theta, mode, step))
+    _emit(["theta", "step", "mode", "d"], columns, options)
     return 0
 
 
@@ -290,9 +322,10 @@ def cmd_rtn_composite(args: argparse.Namespace, parser: argparse.ArgumentParser)
         regimes.append(("custom", RTNParams(a=options["rtn_a"], gamma=gamma, dt=dt)))
 
     values = td_regimes([options["theta"]], steps, [params for _, params in regimes])
-    rows = [(n, name, d) for (name, _), series in zip(regimes, values[:, 0].tolist())
-            for n, d in zip(steps, series)]
-    _emit(["step", "regime", "d"], rows, options)
+    # rows by regime, then step
+    _emit(["step", "regime", "d"],
+          [np.tile(steps, len(regimes)), np.repeat([name for name, _ in regimes], len(steps)),
+           values[:, 0].ravel()], options)
     return 0
 
 
@@ -304,9 +337,9 @@ def _purity_and_mixedness(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_purity(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     options = _effective(args, parser)
-    rows = _input_sweep(_sweep_values(options, "theta"), _sweep_values(options, "delta"),
-                        options["steps"], _purity_and_mixedness)
-    _emit(["theta", "delta", "step", "purity", "mixedness"], rows, options)
+    columns = _input_sweep(_sweep_values(options, "theta"), _sweep_values(options, "delta"),
+                           options["steps"], _purity_and_mixedness)
+    _emit(["theta", "delta", "step", "purity", "mixedness"], columns, options)
     return 0
 
 
@@ -318,8 +351,8 @@ def cmd_holevo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     chi, p_star = holevo_max_batch(outputs[..., 0, :, :], outputs[..., 1, :, :],
                                    grid_size=options["grid_size"])
     theta, step = np.meshgrid(thetas, steps, indexing="ij")
-    rows = _sorted_rows((theta, step, chi, p_star), keys=(theta, step))
-    _emit(["theta", "step", "chi_max", "p1_star"], rows, options)
+    columns = _sorted_columns((theta, step, chi, p_star), keys=(theta, step))
+    _emit(["theta", "step", "chi_max", "p1_star"], columns, options)
     return 0
 
 

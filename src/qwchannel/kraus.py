@@ -51,6 +51,12 @@ ZERO_SITE_TOL = 1e-14
 STANDARD = "standard"
 SPLIT_STEP = "split_step"
 
+# one entry of the indent=2 dump, laid out by the indenting encoder itself, with
+# a %s slot for its label and for each number of its matrix's [re, im] pairs
+_ENTRY_JSON = "    " + json.dumps(
+    {"mu": "%s", "matrix": [[["%s"] * 2] * 2] * 2}, indent=2,
+).replace('"%s"', "%s").replace("\n", "\n    ")
+
 
 @dataclass(frozen=True)
 class KrausSet:
@@ -119,10 +125,14 @@ class KrausSet:
 
     # -- serialization (complex entries as [re, im] pairs) -----------------
 
+    def pair_array(self) -> np.ndarray:
+        """Every operator as ``[re, im]`` pairs, shape ``(labels, 2, 2, 2)``."""
+        ops = np.asarray(self.operators(), dtype=np.complex128)
+        return np.stack((ops.real, ops.imag), -1)
+
     def pairs(self) -> list:
         """Every operator as nested ``[re, im]`` lists, in label order."""
-        ops = np.asarray(self.operators(), dtype=np.complex128)
-        return np.stack((ops.real, ops.imag), -1).tolist()
+        return self.pair_array().tolist()
 
     def to_dict(self) -> dict:
         return {
@@ -141,7 +151,19 @@ class KrausSet:
                    kind=payload.get("kind", STANDARD))
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        """``json.dumps(self.to_dict(), indent=indent)``, the same text.
+
+        ``indent=2`` fills a fixed per-entry template instead of running the
+        pure-Python indenting encoder: one C-encoder call spells all the
+        labels, and one all the numbers, exactly as the encoder would.
+        """
+        if indent != 2:
+            return json.dumps(self.to_dict(), indent=indent)
+        labels = json.dumps(self.labels())[1:-1].split(", ")
+        numbers = json.dumps(self.pair_array().ravel().tolist())[1:-1].split(", ")
+        entries = map(_ENTRY_JSON.__mod__, zip(labels, *(numbers[k::8] for k in range(8))))
+        head = json.dumps({"kind": self.kind, "theta": self.theta, "t": self.t}, indent=2)
+        return head[:-2] + ',\n  "entries": [\n' + ",\n".join(entries) + "\n  ]\n}"
 
     @classmethod
     def from_json(cls, text: str) -> "KrausSet":

@@ -33,7 +33,7 @@ from .channels import (
     repeated,
     superoperators,
 )
-from .inputs import count, matrices, states, step_list, weights
+from .inputs import MAX_COUNT, count, matrices, states, step_list, weights
 from .walk import canonical_angle
 
 MODE_NSTEP = "nstep"
@@ -255,7 +255,18 @@ def holevo_max_batch(out1: np.ndarray, out2: np.ndarray,
 
     spacing = 1.0 / (grid_size - 1)
     grid = np.arange(grid_size - 1) * spacing
-    best = grid[np.argmax(chi(np.broadcast_to(grid, (len(s1), grid.size))), axis=1)]
+    # the coarse scan, in chunks of at most (MAX_COUNT + 1) // channels points so
+    # that a chunk holds no more mixes than MAX_COUNT + 1 whatever the grid size;
+    # a later chunk wins only with a larger value, so ties keep the first point
+    size = max(1, (MAX_COUNT + 1) // max(1, len(s1)))
+    best, top = np.zeros(len(s1)), np.full(len(s1), -np.inf)
+    for start in range(0, grid.size, size):
+        points = grid[start:start + size]
+        values = chi(np.broadcast_to(points, (len(s1), points.size)))
+        peak = values.max(axis=1)
+        better = peak > top
+        best = np.where(better, points[values.argmax(axis=1)], best)
+        top = np.where(better, peak, top)
     lo = np.maximum(0.0, best - spacing)[:, None]
     hi = np.minimum(1.0, best + spacing)[:, None]
     p_star = _golden_section_max(chi, lo, hi, 1e-6)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import pathlib
@@ -18,7 +19,7 @@ from qwchannel.channels import (
     n_step_map,
     superoperators,
 )
-from qwchannel.cli import _HELP, COMMANDS, _effective, _shown, build_parser, main
+from qwchannel.cli import _HELP, COMMANDS, _effective, _emit, _shown, build_parser, main
 from qwchannel.kraus import (
     KrausSet,
     extract_kraus_direct,
@@ -26,7 +27,13 @@ from qwchannel.kraus import (
     iter_kraus_steps,
 )
 from qwchannel.walk import coin_projections
-from qwchannel.witnesses import holevo_max, holevo_max_batch, purity, td_series
+from qwchannel.witnesses import (
+    holevo_max,
+    holevo_max_batch,
+    purity,
+    td_series,
+    trace_distance,
+)
 
 PI = math.pi
 
@@ -416,6 +423,27 @@ def test_kraus_json_keeps_signed_zeros():
     assert KrausSet.from_json(text).to_json(indent=2) == text
 
 
+def test_kraus_json_spells_non_finite_values_as_json_does():
+    nan, inf = np.full((2, 2), np.nan), np.full((2, 2), complex(-math.inf, math.inf))
+    kset = KrausSet(theta=0.0, t=1, entries=((-1, nan), (1, inf)))
+    text = kset.to_json(indent=2)
+    assert "NaN" in text and "-Infinity" in text
+    assert text == json.dumps(kset.to_dict(), indent=2)
+
+
+def test_the_writer_spells_each_value_as_str_in_csv_and_json_dumps_in_json(capsys):
+    header = ["step", "regime", "d"]
+    rows = [(1, "none", math.nan), (2, "nonmarkovian", math.inf), (3, "x", -math.inf),
+            (4, "custom", -0.0), (5, "q\"uote", 1e-300)]
+    columns = [np.array(column) for column in zip(*rows)]
+    _emit(header, columns, {"format": "json", "out": None})
+    assert capsys.readouterr().out == json.dumps(
+        [dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    _emit(header, columns, {"format": "csv", "out": None})
+    assert capsys.readouterr().out == "".join(
+        ",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
 _STATE = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 
 
@@ -503,6 +531,28 @@ def _assert_rows_match(out, expected, keys):
             assert abs(float(value) - reference) <= 1e-14
 
 
+def _cell_value(text):
+    """A CSV cell as the number it was printed from, or as its text."""
+    for kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(text)
+    return text
+
+
+def _assert_json_dumps_the_rows(capsys, argv, csv_out):
+    """``--format json`` prints ``json.dumps`` (indent 2) of the rows the CSV holds.
+
+    The CSV's floats round-trip, so these are the command's own values, which
+    the caller has checked against a per-row reference.
+    """
+    header, *lines = csv_out.rstrip("\n").split("\n")
+    rows = [[_cell_value(cell) for cell in line.split(",")] for line in lines]
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps([dict(zip(header.split(","), row)) for row in rows],
+                             indent=2) + "\n"
+
+
 def test_probability_and_purity_rows_equal_the_per_row_reference(capsys):
     thetas = [float(v) for v in np.linspace(3, 0, 5)]
     deltas = [float(v) for v in np.linspace(0, 3, 4)]
@@ -517,9 +567,11 @@ def test_probability_and_purity_rows_equal_the_per_row_reference(capsys):
     code, out = run_cli(capsys, "probability", *flags)
     assert code == 0
     _assert_rows_match(out, sorted(probability, key=lambda r: r[:3]), keys=3)
+    _assert_json_dumps_the_rows(capsys, ["probability", *flags], out)
     code, out = run_cli(capsys, "purity", *flags)
     assert code == 0
     _assert_rows_match(out, sorted(purities, key=lambda r: r[:3]), keys=3)
+    _assert_json_dumps_the_rows(capsys, ["purity", *flags], out)
 
 
 def test_holevo_rows_equal_the_per_row_reference(capsys):
@@ -531,13 +583,14 @@ def test_holevo_rows_equal_the_per_row_reference(capsys):
     expected = sorted(
         (theta, kset.t, *holevo_max(rho1, rho2, partial(apply_kraus, kset), grid_size=9))
         for theta, kset in _reference_sets(thetas, [1, 4]))
-    code, out = run_cli(capsys, "holevo", *DESCENDING, "--steps", "1,4", "--grid-size", "9")
+    argv = ["holevo", *DESCENDING, "--steps", "1,4", "--grid-size", "9"]
+    code, out = run_cli(capsys, *argv)
     assert code == 0
     _assert_rows_match(out, expected, keys=2)
+    _assert_json_dumps_the_rows(capsys, argv, out)
 
 
 def test_trace_distance_rows_equal_the_per_row_reference(capsys):
-    from qwchannel.witnesses import trace_distance
     up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     thetas = [float(v) for v in np.linspace(3, 0, 5)]
     steps = [3, 7, 12]
@@ -554,9 +607,31 @@ def test_trace_distance_rows_equal_the_per_row_reference(capsys):
                 apply_kraus(kset, up), apply_kraus(kset, down))))
         expected.extend((theta, 0, mode, 1.0) for mode in ("concat", "nstep"))
     expected.sort(key=lambda r: (r[0], r[2], r[1]))
-    code, out = run_cli(capsys, "trace-distance", *DESCENDING, "--steps", "3,7,12")
+    argv = ["trace-distance", *DESCENDING, "--steps", "3,7,12"]
+    code, out = run_cli(capsys, *argv)
     assert code == 0
     _assert_rows_match(out, expected, keys=3)
+    _assert_json_dumps_the_rows(capsys, argv, out)
+
+
+def test_rtn_composite_rows_equal_the_per_row_reference(capsys):
+    theta, steps = 2.9, [5, 17, 60]
+    up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    regimes = [("none", None), ("markovian", 0.4), ("nonmarkovian", 2.0), ("custom", 0.3)]
+    expected = []
+    for name, a in regimes:
+        for n in steps:
+            if a is None:
+                images = [n_step_map(theta, n, rho) for rho in (up, down)]
+            else:
+                images = [composite_map(RTNParams(a=a, gamma=1.0, dt=1.0), theta, n, rho)
+                          for rho in (up, down)]
+            expected.append((n, name, trace_distance(*images)))
+    argv = ["rtn-composite", "--rtn-a", "0.3", "--steps", "5,17,60", "--theta", "2.9"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    _assert_rows_match(out, expected, keys=2)
+    _assert_json_dumps_the_rows(capsys, argv, out)
 
 
 @pytest.mark.parametrize("argv", [
@@ -611,6 +686,10 @@ _REFUSALS = {
                     lambda: superoperators([0.4], [2.5]), "steps", _WHOLE),
     "t 100001": (["kraus", "--theta", "0.4", "--t", "100001"], None, "t",
                  lambda: extract_kraus_direct(0.4, 100_001), "t", _WHOLE),
+    # a split step is two steps; the message names the flag, not the library's n
+    "split t 50001": (["kraus", "--theta", "0.4", "--t", "50001", "--split"], None, "t",
+                      lambda: extract_kraus_split_step(0.4, 50_001), "n",
+                      "must be a whole number in [1, 50000]"),
     "nan theta": (["probability", "--theta", "nan", "--steps", "2"], None, "theta",
                   lambda: extract_kraus_direct(float("nan"), 2), "theta", "must be finite"),
     "nan delta": (["purity", "--theta", "0.4", "--delta", "nan", "--steps", "2"], None,

@@ -1,5 +1,8 @@
 """Property-based checks of the engine, channels and witnesses over their whole ranges."""
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -18,7 +21,12 @@ from qwchannel.channels import (  # noqa: E402
     rtn_lambda,
     superoperators,
 )
-from qwchannel.kraus import extract_kraus_direct  # noqa: E402
+from qwchannel.cli import main  # noqa: E402
+from qwchannel.kraus import (  # noqa: E402
+    KrausSet,
+    extract_kraus_direct,
+    extract_kraus_split_step,
+)
 from qwchannel.witnesses import (  # noqa: E402
     holevo_max,
     holevo_max_batch,
@@ -111,3 +119,28 @@ def test_the_scalar_maps_and_the_batched_series_are_one_definition(theta, n, rtn
                           ("composite", lambda rho: composite_map(rtn, theta, n, rho))):
         series = td_series(theta, n, mode=mode, rtn=rtn)
         assert trace_distance(channel(_UP), channel(_DOWN)) == series.values[-1]
+
+
+# the pinned angles leave signed zeros in their sets
+dump_angles = st.one_of(finite_angles, st.sampled_from([0.0, math.pi / 2, 2.9, 4.4]))
+
+
+@given(theta=dump_angles, t=st.integers(1, 60), split=st.booleans())
+def test_the_kraus_dumps_are_the_per_value_texts_and_round_trip_every_bit(theta, t, split):
+    kset = extract_kraus_split_step(theta, t) if split else extract_kraus_direct(theta, t)
+    text = kset.to_json(indent=2)
+    assert text == json.dumps(kset.to_dict(), indent=2)
+    clone = KrausSet.from_json(text)
+    assert (clone.kind, clone.theta, clone.t, clone.labels()) == (
+        kset.kind, kset.theta, kset.t, kset.labels())
+    assert clone.pair_array().tobytes() == kset.pair_array().tobytes()
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["kraus", "--theta", repr(theta), "--t", str(t), "--format", "csv",
+                     *(["--split"] if split else [])])
+    assert code == 0
+    lines = ["mu,row,col,re,im"] + [
+        f"{mu},{r},{c},{float(m[r, c].real)!r},{float(m[r, c].imag)!r}"
+        for mu, m in kset.entries for r in range(2) for c in range(2)]
+    assert out.getvalue() == "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ from qwchannel.witnesses import (
     TDSeries,
     holevo,
     holevo_max,
+    holevo_max_batch,
     mixedness,
     nonmonotonicity,
     purity,
@@ -221,3 +222,25 @@ def test_trace_distance_contracts_under_fixed_maps():
         n = int(rng.integers(1, 8))
         after = trace_distance(n_step_map(theta, n, rho), n_step_map(theta, n, sigma))
         assert after <= before + 1e-12
+
+
+def test_holevo_scan_in_chunks_holds_few_mixes_and_keeps_the_first_maximum(monkeypatch):
+    import qwchannel.witnesses as witnesses
+    rng = np.random.default_rng(7)
+    # a zero "channel output" ties every grid point, so the first point must win
+    out1 = np.array([random_state(rng) for _ in range(5)] + [np.zeros((2, 2))])
+    out2 = np.array([random_state(rng) for _ in range(5)] + [np.zeros((2, 2))])
+    whole = holevo_max_batch(out1, out2, grid_size=40)
+    mixes = []
+
+    def counted(rho):
+        mixes.append(math.prod(np.shape(rho)[:-2]))
+        return von_neumann_entropy(rho)
+
+    # (13 + 1) // 6 = 2 grid points a chunk, so the 39 points take 20 chunks
+    monkeypatch.setattr(witnesses, "MAX_COUNT", 13)
+    monkeypatch.setattr(witnesses, "von_neumann_entropy", counted)
+    chunked = holevo_max_batch(out1, out2, grid_size=40)
+    assert np.array_equal(chunked[0], whole[0]) and np.array_equal(chunked[1], whole[1])
+    assert max(mixes) <= 14
+    assert whole[1][-1] == pytest.approx(0.0, abs=1e-6)
