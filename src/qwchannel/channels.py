@@ -85,10 +85,12 @@ def is_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> bool:
 
 # -- walk channels ------------------------------------------------------------
 
-def _check_complete(residual) -> None:
-    worst = float(np.max(residual))
+def _complete(superops: np.ndarray) -> np.ndarray:
+    """``superops``, once every residual is within ``COMPLETENESS_TOL``: the one gate."""
+    worst = float(np.max(residual_of(superops)))
     if not worst <= COMPLETENESS_TOL:
         raise ValueError(f"kraus set incomplete: residual {worst:.3e}")
+    return superops
 
 
 def checked_superoperator(operators) -> np.ndarray:
@@ -97,8 +99,7 @@ def checked_superoperator(operators) -> np.ndarray:
     ``operators`` has shape ``(..., label, 2, 2)``; any set whose completeness
     residual exceeds ``COMPLETENESS_TOL`` raises ``ValueError``.
     """
-    _check_complete(residual_of(operators))
-    return superoperator_of(operators)
+    return _complete(superoperator_of(operators))
 
 
 def apply_superoperators(superops: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -145,13 +146,12 @@ def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
 
     ``kraus`` may be a :class:`KrausSet` or any iterable of 2x2 operators.
     The set must satisfy completeness, which makes the map trace preserving.
-    A :class:`KrausSet` checks completeness and builds its 4x4
-    superoperator once, on first use; a plain list is checked on every call.
+    A :class:`KrausSet` builds its 4x4 superoperator once, a plain list on
+    every call; completeness is read off that 4x4 matrix on every call.
     """
     rho = matrices("rho", rho)
     if isinstance(kraus, KrausSet):
-        _check_complete(kraus.completeness_residual())
-        superop = kraus.superoperator
+        superop = _complete(kraus.superoperator)
     else:
         # an empty list stacks to shape (0,): refused as incomplete, not as a shape
         superop = checked_superoperator(matrices("kraus", list(kraus) or np.zeros((0, 2, 2))))

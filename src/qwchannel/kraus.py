@@ -48,6 +48,9 @@ from .walk import (
 # amplitude below which a wrong-parity site of a dense projection is empty
 ZERO_SITE_TOL = 1e-14
 
+# the identity as a row-major vec
+_VEC_EYE = np.eye(2).reshape(4)
+
 STANDARD = "standard"
 SPLIT_STEP = "split_step"
 
@@ -58,6 +61,17 @@ _ENTRY_JSON = "    " + json.dumps(
 ).replace('"%s"', "%s").replace("\n", "\n    ")
 
 
+class _ReadOnly(tuple):
+    """``(mu, matrix)`` pairs whose matrices are rows of one read-only array
+    made in this module, which a set keeps without copying."""
+
+
+def _entries(labels, operators: np.ndarray) -> _ReadOnly:
+    """Pair ``labels`` with the rows of ``operators``, freezing that array."""
+    operators.flags.writeable = False
+    return _ReadOnly(zip(labels, operators))
+
+
 @dataclass(frozen=True)
 class KrausSet:
     """Ordered reduced-coin operator set for a fixed angle and step count.
@@ -66,6 +80,7 @@ class KrausSet:
     label.  A standard set of ``t`` steps has ``t + 1`` labels in
     ``{-t..t}`` sharing the parity of ``t``; a split-step set of ``t``
     split steps has ``2t + 1`` labels covering every integer in ``{-t..t}``.
+    The operators are a read-only copy of the ones given.
     """
 
     theta: float
@@ -79,8 +94,6 @@ class KrausSet:
         object.__setattr__(self, "theta", real("theta", self.theta))
         object.__setattr__(self, "t", count("t", self.t))
         labels = [mu for mu, _ in self.entries]
-        if labels != sorted(labels):
-            raise ValueError("entries must be sorted by ascending label")
         if self.kind == STANDARD:
             expected = list(range(-self.t, self.t + 1, 2))
         else:
@@ -89,11 +102,18 @@ class KrausSet:
             raise ValueError(
                 f"{self.kind} set of {self.t} steps needs labels {expected}, got {labels}"
             )
-        # shapes one by one: stacking the operators to check them would double a
-        # large set's memory; a non-finite set fails completeness when applied
-        for _, matrix in self.entries:
-            if np.asarray(matrix).shape != (2, 2):
-                raise ValueError("kraus operators must be 2x2 matrices")
+        if isinstance(self.entries, _ReadOnly):
+            return
+        # a read-only copy of its own: no write through an operator or through
+        # the caller's arrays can leave the cached channel stale.  A non-finite
+        # set is kept as given and fails completeness when applied
+        try:
+            operators = np.array([matrix for _, matrix in self.entries], dtype=np.complex128)
+        except ValueError:  # operators that do not stack
+            operators = None
+        if operators is None or operators.shape[1:] != (2, 2):
+            raise ValueError("kraus operators must be 2x2 matrices")
+        object.__setattr__(self, "entries", _entries(labels, operators))
 
     def labels(self) -> list[int]:
         return [mu for mu, _ in self.entries]
@@ -107,21 +127,17 @@ class KrausSet:
                 return matrix
         raise KeyError(f"no operator with label {mu}")
 
-    # The two derived values below are computed on first use and then kept:
-    # sets that are only built and serialized never pay for them.
-
     def completeness_residual(self) -> float:
-        """Max-entry deviation of sum K^dag K from the identity."""
-        return self._residual
-
-    @cached_property
-    def _residual(self) -> float:
-        return float(residual_of(self.operators()))
+        """Max-entry deviation of sum K^dag K from I, read off :attr:`superoperator`."""
+        return float(residual_of(self.superoperator))
 
     @cached_property
     def superoperator(self) -> np.ndarray:
-        """The channel as a 4x4 matrix acting on row-major ``vec(rho)``."""
-        return superoperator_of(self.operators())
+        """The channel as a read-only 4x4 matrix acting on row-major ``vec(rho)``,
+        built on first use: sets only built and serialized never pay for it."""
+        superop = superoperator_of(self.operators())
+        superop.flags.writeable = False
+        return superop
 
     # -- serialization (complex entries as [re, im] pairs) -----------------
 
@@ -176,15 +192,15 @@ def matrix_from_pairs(rows) -> np.ndarray:
                     dtype=np.complex128)
 
 
-def residual_of(operators):
-    """Max-entry deviation of ``sum K^dag K`` from the identity.
+def residual_of(superops):
+    """Max-entry deviation from I of the partial trace ``sum_i S[(i, i), (j, l)]``.
 
-    ``operators`` holds one set along its last three axes ``(label, 2, 2)``;
-    leading axes are a batch of sets and give an array of residuals.
+    For ``S = superoperator_of(K)`` that trace is ``(sum K^dag K)[l, j]``, read in
+    O(1) per set.  Leading axes before ``(4, 4)`` are a batch of channels.
     """
-    ops = np.asarray(operators, dtype=np.complex128)
-    gram = np.einsum("...mji,...mjk->...ik", ops.conj(), ops)
-    return np.abs(gram - np.eye(2)).max(axis=(-2, -1))
+    superops = np.asarray(superops)
+    # rows (i, i) of S are rows 0 and 3; their sum is the trace, row-major in (j, l)
+    return np.abs(superops[..., 0, :] + superops[..., 3, :] - _VEC_EYE).max(axis=-1)
 
 
 def superoperator_of(operators) -> np.ndarray:
@@ -220,7 +236,7 @@ def iter_kraus_steps(theta: float, steps: Iterable[int]) -> Iterator[KrausSet]:
     called, not on first iteration.
     """
     theta = canonical_angle(theta)
-    return (KrausSet(theta=theta, t=t, entries=tuple(zip(range(-t, t + 1, 2), ops[0])))
+    return (KrausSet(theta=theta, t=t, entries=_entries(range(-t, t + 1, 2), ops[0]))
             for _, t, ops in iter_kraus_batches([theta], steps))
 
 
@@ -352,7 +368,7 @@ def extract_kraus_binomial(theta: float, t: int, t_max: int = 8) -> KrausSet:
             )
     labels = np.arange(-t, t + 1, 2)
     blocks = outputs[:, origin - labels].transpose(1, 0, 2).copy()
-    return KrausSet(theta=theta, t=t, entries=tuple(zip(labels.tolist(), blocks)))
+    return KrausSet(theta=theta, t=t, entries=_entries(labels.tolist(), blocks))
 
 
 def kraus_closed_form_first_term(theta: float, t: int, mu: int) -> np.ndarray:
@@ -381,5 +397,5 @@ def extract_kraus_split_step(theta: float, n: int) -> KrausSet:
     covering both parities.
     """
     base = extract_kraus_direct(theta, 2 * count("n", n, high=inputs.MAX_COUNT // 2))
-    entries = tuple((mu // 2, matrix) for mu, matrix in base.entries)
+    entries = _ReadOnly((mu // 2, matrix) for mu, matrix in base.entries)
     return KrausSet(theta=base.theta, t=n, entries=entries, kind=SPLIT_STEP)

@@ -28,7 +28,6 @@ from .kraus import (
     extract_kraus_split_step,
     iter_kraus_batches,
     minor_map,
-    residual_of,
 )
 from .walk import Lattice, build_shifts, evolve, joint_state
 from .witnesses import td_series
@@ -47,14 +46,16 @@ def _result(name: str, worst: float, tol: float) -> CheckResult:
 
 
 def check_completeness() -> CheckResult:
-    # every (angle, step) set from one batched walk, and the single-set route
-    # (the one ``kraus`` dumps) at the longest walk of each angle
+    # every (angle, step) set from one batched walk, summing K^dag K label by
+    # label, and the library's own gate (the partial trace of the superoperator)
+    # on the single-set route (the one ``kraus`` dumps) at the longest walk
     thetas = np.linspace(0.05, 2 * math.pi - 0.05, 16)
     steps = range(1, 26)
     worst = max(extract_kraus_direct(theta, steps[-1]).completeness_residual()
                 for theta in thetas)
     for _, _, operators in iter_kraus_batches(thetas, steps):
-        worst = max(worst, float(residual_of(operators).max()))
+        gram = np.einsum("...mji,...mjk->...ik", operators.conj(), operators)
+        worst = max(worst, float(np.abs(gram - np.eye(2)).max()))
     return _result("completeness", worst, 1e-10)
 
 

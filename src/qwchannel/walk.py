@@ -168,7 +168,7 @@ def position_distribution(psi: np.ndarray) -> dict[int, float]:
     a t-step walk from the origin is contained in {-t..t} with the parity
     of t.
     """
-    psi = np.asarray(psi)
+    psi = finite("psi", psi)
     lattice = _lattice_of(psi)
     block = psi.reshape(2, lattice.size)
     probs = np.abs(block[0]) ** 2 + np.abs(block[1]) ** 2

@@ -33,7 +33,7 @@ from .channels import (
     repeated,
     superoperators,
 )
-from .inputs import MAX_COUNT, count, matrices, states, step_list, weights
+from .inputs import MAX_COUNT, count, matrices, real, states, step_list, weights
 from .walk import canonical_angle
 
 MODE_NSTEP = "nstep"
@@ -47,7 +47,7 @@ _ORTHOGONAL_PAIR = np.stack((_RHO_UP, _RHO_DOWN))
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the absolute eigenvalue sum of rho - sigma; in [0, 1] for states."""
-    low, high = hermitian_eigenvalues(np.asarray(rho) - np.asarray(sigma))
+    low, high = hermitian_eigenvalues(matrices("rho", rho) - matrices("sigma", sigma))
     return _as_value(0.5 * (np.abs(low) + np.abs(high)))
 
 
@@ -137,7 +137,7 @@ def nonmonotonicity(series) -> float:
     value certifies distinguishability revivals across the step family.
     Accepts a :class:`TDSeries` or a bare value sequence.
     """
-    values = np.asarray(getattr(series, "values", series), dtype=float)
+    values = np.array([real("series", value) for value in getattr(series, "values", series)])
     if values.size == 0:
         raise ValueError("series must be non-empty")
     return float(np.maximum(0.0, np.diff(values)).sum())
@@ -147,7 +147,7 @@ def nonmonotonicity(series) -> float:
 
 def purity(rho: np.ndarray) -> float:
     """Tr rho^2; 1 for pure states, 1/2 for the maximally mixed qubit."""
-    m = np.asarray(rho)
+    m = matrices("rho", rho)
     return _as_value(np.trace(m @ m, axis1=-2, axis2=-1).real)
 
 
@@ -160,7 +160,7 @@ def mixedness(rho: np.ndarray, d: int = 2) -> float:
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -sum l log2 l over the eigenvalues, with 0 log 0 = 0."""
     entropy = 0.0
-    for ev in hermitian_eigenvalues(rho):
+    for ev in hermitian_eigenvalues(matrices("rho", rho)):
         ev = np.clip(ev, 0.0, 1.0)
         positive = ev > 0.0
         terms = np.where(positive, ev * np.log2(np.where(positive, ev, 1.0)), 0.0)
@@ -182,7 +182,7 @@ def holevo(ensemble, channel) -> float:
     average = np.zeros((2, 2), dtype=np.complex128)
     conditional = 0.0
     for weight, rho in zip(probabilities, rhos):
-        out = channel(rho)
+        out = matrices("channel output", channel(rho))
         average += weight * out
         conditional += weight * von_neumann_entropy(out)
     return von_neumann_entropy(average) - conditional

@@ -21,8 +21,15 @@ from qwchannel.channels import (
     rtn_lambda,
 )
 from qwchannel.kraus import extract_kraus_direct
-from qwchannel.walk import Lattice, evolve, joint_state
-from qwchannel.witnesses import mixedness
+from qwchannel.walk import Lattice, evolve, joint_state, position_distribution
+from qwchannel.witnesses import (
+    holevo,
+    mixedness,
+    nonmonotonicity,
+    purity,
+    trace_distance,
+    von_neumann_entropy,
+)
 
 RHO_UP = np.diag([1.0, 0.0]).astype(complex)
 RHO_DOWN = np.diag([0.0, 1.0]).astype(complex)
@@ -340,6 +347,16 @@ _ELAPSED = "max(gamma, 2a) * elapsed of a, gamma and elapsed"
     # the same two overflows at one elapsed time: cos(inf), and 0 * inf clamped to -1
     (lambda: rtn_lambda(RTNParams(1e150, 1.0, 1.0), 1e160), _ELAPSED),
     (lambda: rtn_lambda(RTNParams(0.4, 1e200), 1e200), _ELAPSED),
+    # the measures turn no NaN or infinity into a plausible number
+    (lambda: von_neumann_entropy(np.full((2, 2), _NAN)), "rho"),
+    (lambda: von_neumann_entropy(np.diag([math.inf, 0.0])), "rho"),
+    (lambda: holevo([(0.5, RHO_UP), (0.5, RHO_DOWN)], lambda rho: np.full((2, 2), _NAN)),
+     "channel output"),
+    (lambda: purity(np.full((2, 2), _NAN)), "rho"),
+    (lambda: mixedness(np.full((2, 2), _NAN)), "rho"),
+    (lambda: trace_distance(RHO_UP, np.full((2, 2), _NAN)), "sigma"),
+    (lambda: nonmonotonicity([0.5, _NAN, 0.3]), "series"),
+    (lambda: position_distribution(np.full(10, _NAN)), "psi"),
 ])
 def test_library_arguments_are_refused_by_name(call, name):
     with pytest.raises(ValueError) as info:

@@ -85,6 +85,27 @@ def test_channel_values_are_computed_on_first_use_only():
     assert vars(kset)["superoperator"] is superop
 
 
+def test_a_set_refuses_writes_and_keeps_its_channel():
+    kset = extract_kraus_direct(0.5, 3)
+    rho = density_matrix(random_ket(np.random.default_rng(6)))
+    first = apply_kraus(kset, rho)
+    for array in (kset.entries[0][1], kset.operators()[1], kset.operator(1),
+                  kset.superoperator):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] = 0
+    assert np.array_equal(apply_kraus(kset, rho), first)
+    assert kset.completeness_residual() <= 1e-14
+
+
+def test_a_set_neither_freezes_nor_follows_the_arrays_it_is_given():
+    given = [np.eye(2, dtype=complex) / math.sqrt(2) for _ in range(2)]
+    kset = KrausSet(theta=0.0, t=1, entries=tuple(zip([-1, 1], given)))
+    assert all(matrix.flags.writeable for matrix in given)
+    given[0][:] = 0
+    assert np.array_equal(kset.operator(-1), np.eye(2) / math.sqrt(2))
+    assert kset.completeness_residual() <= 1e-15
+
+
 def test_superoperator_matches_operator_sum():
     rng = np.random.default_rng(8)
     kset = extract_kraus_direct(1.1, 7)
@@ -100,7 +121,7 @@ def test_cached_check_still_rejects_scaled_operators():
     apply_kraus(kset, rho)
     scaled = KrausSet(theta=kset.theta, t=kset.t,
                       entries=tuple((mu, 1.1 * m) for mu, m in kset.entries))
-    for _ in range(2):  # the second call goes through the cached residual
+    for _ in range(2):  # the second call goes through the cached superoperator
         with pytest.raises(ValueError, match="incomplete"):
             apply_kraus(scaled, rho)
     assert scaled.completeness_residual() > 0.2

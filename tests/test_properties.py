@@ -15,6 +15,7 @@ from test_engine import momentum_oracle, traced_operators  # noqa: E402
 from qwchannel.channels import (  # noqa: E402
     RTNParams,
     apply_kraus,
+    checked_superoperator,
     composite_map,
     concatenated_map,
     n_step_map,
@@ -144,3 +145,18 @@ def test_the_kraus_dumps_are_the_per_value_texts_and_round_trip_every_bit(theta,
         f"{mu},{r},{c},{float(m[r, c].real)!r},{float(m[r, c].imag)!r}"
         for mu, m in kset.entries for r in range(2) for c in range(2)]
     assert out.getvalue() == "\n".join(lines) + "\n"
+
+
+@given(theta=dump_angles, t=st.integers(1, 60))
+def test_the_completeness_gate_reads_sum_k_dag_k_and_refuses_a_scaled_operator(theta, t):
+    kset = extract_kraus_direct(theta, t)
+    ops = np.array(kset.operators())
+    gram = np.einsum("mji,mjk->ik", ops.conj(), ops)
+    assert abs(kset.completeness_residual() - np.abs(gram - np.eye(2)).max()) <= 2e-16 * (t + 1)
+
+    ops[np.argmax(np.linalg.norm(ops, axis=(1, 2)))] *= 1 + 1e-3
+    scaled = KrausSet(theta=kset.theta, t=t, entries=tuple(zip(kset.labels(), ops)))
+    with pytest.raises(ValueError, match="kraus set incomplete"):
+        apply_kraus(scaled, np.eye(2) / 2)
+    with pytest.raises(ValueError, match="kraus set incomplete"):
+        checked_superoperator(np.stack((np.array(kset.operators()), ops)))
