@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inputs import count, matrices, nonnegative, number, positive, real, step_list
+from .inputs import count, finite, matrices, nonnegative, number, positive, real, step_list
 from .inputs import states as qubit_states
 from .kraus import (
     KrausSet,
@@ -54,7 +54,7 @@ def coin_state_from_angle(delta: float) -> np.ndarray:
 
 def density_matrix(ket: np.ndarray) -> np.ndarray:
     """Rank-one density matrix |ket><ket|."""
-    vec = np.asarray(ket, dtype=np.complex128).reshape(-1)
+    vec = finite("ket", ket).reshape(-1)
     return np.outer(vec, vec.conj())
 
 
@@ -68,7 +68,7 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
 
     Leading axes are a batch of matrices and give a pair of arrays.
     """
-    m = np.asarray(matrix)
+    m = matrices("matrix", matrix)
     diagonal = m[..., 0, 0].real, m[..., 1, 1].real
     mean = 0.5 * (diagonal[0] + diagonal[1])
     radius = np.hypot(0.5 * (diagonal[0] - diagonal[1]), np.abs(m[..., 0, 1]))
@@ -102,16 +102,24 @@ def checked_superoperator(operators) -> np.ndarray:
     return _complete(superoperator_of(operators))
 
 
+def _apply(superops: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``vec(out) = S @ vec(rho)`` over the broadcast leading axes of both, unchecked.
+
+    Each product sums in the order of a single matrix-vector product,
+    however the axes broadcast.
+    """
+    out = np.einsum("...ij,...j->...i", superops, states.reshape(states.shape[:-2] + (4,)))
+    return out.reshape(out.shape[:-1] + (2, 2))
+
+
 def apply_superoperators(superops: np.ndarray, states: np.ndarray) -> np.ndarray:
     """``vec(out) = S @ vec(rho)`` over the broadcast leading axes of both.
 
     ``superops`` has shape ``(..., 4, 4)`` and ``states`` ``(..., 2, 2)``;
-    ``vec`` is row-major.  Each product sums in the order of a single
-    matrix-vector product, however the axes broadcast.
+    ``vec`` is row-major.  Both must be finite and every superoperator
+    complete (:func:`checked_superoperator`'s gate).
     """
-    states = np.asarray(states, dtype=np.complex128)
-    out = np.einsum("...ij,...j->...i", superops, states.reshape(states.shape[:-2] + (4,)))
-    return out.reshape(out.shape[:-1] + (2, 2))
+    return _apply(_complete(matrices("superops", superops, 4)), matrices("states", states))
 
 
 def superoperators(thetas: Iterable[float], steps: Iterable[int]) -> np.ndarray:
@@ -138,7 +146,7 @@ def channel_outputs(thetas: Iterable[float], steps: Iterable[int],
     the axes of :func:`superoperators`.
     """
     states = qubit_states("states", states)
-    return apply_superoperators(superoperators(thetas, steps)[..., None, :, :], states)
+    return _apply(superoperators(thetas, steps)[..., None, :, :], states)
 
 
 def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
@@ -155,18 +163,20 @@ def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
     else:
         # an empty list stacks to shape (0,): refused as incomplete, not as a shape
         superop = checked_superoperator(matrices("kraus", list(kraus) or np.zeros((0, 2, 2))))
-    return apply_superoperators(superop, rho)
+    return _apply(superop, rho)
 
 
 def repeated(superops: np.ndarray, states: np.ndarray, steps: Iterable[int]) -> np.ndarray:
     """``states`` under ``superops`` applied n times, for each distinct step count n.
 
     Only those images are kept, stacked in ascending n on an axis before the matrix axes.
+    Both arrays must be finite and every superoperator complete, checked once.
     """
     wanted = step_list("steps", steps)
-    images, kept = states, []
+    superops = _complete(matrices("superops", superops, 4))
+    images, kept = matrices("states", states), []
     for n in range(1, wanted[-1] + 1):
-        images = apply_superoperators(superops, images)
+        images = _apply(superops, images)
         if n == wanted[len(kept)]:
             kept.append(images)
     return np.stack(kept, axis=-3)
@@ -175,7 +185,7 @@ def repeated(superops: np.ndarray, states: np.ndarray, steps: Iterable[int]) -> 
 def n_step_map(theta: float, n: int, rho: np.ndarray) -> np.ndarray:
     """Single n-step walk channel (equals the position trace of the joint walk)."""
     superop = superoperators([theta], [count("n", n)])[0, 0]
-    return apply_superoperators(superop, matrices("rho", rho))
+    return _apply(superop, matrices("rho", rho))
 
 
 def concatenated_map(theta: float, n: int, rho: np.ndarray) -> np.ndarray:
@@ -333,4 +343,4 @@ def composite_map(params: RTNParams, theta: float, n: int,
                   rho: np.ndarray) -> np.ndarray:
     """n-step walk channel followed by telegraph dephasing at time n * dt."""
     dephaser = dephasers(params, [count("n", n)])[0]
-    return apply_superoperators(dephaser, n_step_map(theta, n, rho))
+    return _apply(dephaser, n_step_map(theta, n, rho))

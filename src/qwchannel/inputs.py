@@ -88,9 +88,10 @@ def number(name: str, value) -> complex:
     return complex(finite(name, value, "a finite number", lambda shape: shape == ()))
 
 
-def matrices(name: str, value) -> np.ndarray:
-    """A complex array of finite 2x2 matrices; leading axes are a batch of them."""
-    return finite(name, value, "finite 2x2 matrices", lambda shape: shape[-2:] == (2, 2))
+def matrices(name: str, value, size: int = 2) -> np.ndarray:
+    """A complex array of finite ``size`` x ``size`` matrices; leading axes are a batch of them."""
+    return finite(name, value, f"finite {size}x{size} matrices",
+                  lambda shape: shape[-2:] == (size, size))
 
 
 def states(name: str, value, tol: float = 1e-12) -> np.ndarray:

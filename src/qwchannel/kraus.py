@@ -5,13 +5,15 @@ a channel on the coin alone, ``rho -> sum_mu K_mu rho K_mu^dag`` with one
 2x2 operator per reachable site.  Two independent extraction routes are
 provided:
 
-* :func:`iter_kraus_batches` walks the operators themselves, in 128 (t + 1)
-  bytes per angle and with no position lattice, by ``K_mu(n + 1) = C_up
-  K_{mu-1}(n) + C_down K_{mu+1}(n)`` from ``K_0(0) = I``, for a batch of
-  angles in lockstep, streaming the sets of every requested step count from
-  a single walk; :func:`iter_kraus_steps` is its one-angle case and
-  :func:`extract_kraus_direct` its one-angle, single-step case (ground
-  truth),
+* :func:`iter_kraus_batches` walks the operators themselves, with no
+  position lattice, by ``K_mu(n + 1) = C_up K_{mu-1}(n) + C_down
+  K_{mu+1}(n)`` from ``K_0(0) = I``, for a batch of angles in lockstep,
+  streaming the sets of every requested step count from a single walk.  It
+  walks only the labels ``mu >= 0``, in 128 (t // 2 + 2) bytes per angle
+  (half the 128 (t + 1) of walking every label), and flips out the rest by
+  the mirror below when a set is yielded; :func:`iter_kraus_steps` is its
+  one-angle case and :func:`extract_kraus_direct` its one-angle, single-step
+  case (ground truth),
 * :func:`extract_kraus_binomial` rebuilds the t-step joint operator on a
   guarded lattice from the ordered binomial expansion of ``(P + Q)^t`` plus
   commutator correction terms, then gathers each site's block (validator).
@@ -21,8 +23,11 @@ acts at every step, so ``K_{+t} = C_up^t`` and ``K_{-t} = C_down^t``.
 Because the walk shifts the upper component to the *left*, ``mu`` is the
 negated lattice coordinate of the walker's site.  This keeps the sets
 aligned with the closed-form first term
-(:func:`kraus_closed_form_first_term`) and gives the mirror symmetry
-``K_{-mu} = minor_map(K_{+mu})``.
+(:func:`kraus_closed_form_first_term`).  The coin satisfies ``J C J = C`` and
+``J C_up J = C_down`` for ``J`` the Pauli X, so conjugating the recursion by
+``J`` and inducting from ``K_0 = I`` gives the exact mirror
+``K_{-mu} = J K_mu J = minor_map(K_mu)`` for every label, step and angle:
+the parity symmetry of the symmetric coined walk.
 """
 
 from __future__ import annotations
@@ -50,6 +55,14 @@ ZERO_SITE_TOL = 1e-14
 
 # the identity as a row-major vec
 _VEC_EYE = np.eye(2).reshape(4)
+
+# K_0 before the first step, broadcast over the angles by the first product
+_EYE = np.eye(2, dtype=np.complex128)
+_EYE.flags.writeable = False
+
+# column tile of one step's product: OpenBLAS runs a complex product of more
+# than 16 384 columns on several threads, which costs more CPU time than it saves
+_TILE = 8192
 
 STANDARD = "standard"
 SPLIT_STEP = "split_step"
@@ -217,8 +230,11 @@ def superoperator_of(operators) -> np.ndarray:
 def minor_map(matrix: np.ndarray) -> np.ndarray:
     """Flip a 2x2 matrix across both axes: [[a,b],[c,d]] -> [[d,c],[b,a]].
 
-    An involution relating the two extreme operators of every extracted set.
-    Leading axes are a batch of matrices.
+    The involution ``M -> J M J`` with ``J`` the Pauli X.  It maps every
+    operator of a standard set to the one at the opposite label,
+    ``K_{-mu} = minor_map(K_mu)``: the extraction engine walks only
+    ``mu >= 0`` and builds the negative labels by this flip.  Leading axes
+    are a batch of matrices.
     """
     m = np.asarray(matrix)
     if m.shape[-2:] != (2, 2):
@@ -270,28 +286,61 @@ def _walk_chunks(angles: list[float], wanted: list[int]
 def _walk_sets(angles: list[float], wanted: list[int]) -> Iterator[tuple[int, np.ndarray]]:
     """Walk ``K_mu(n + 1) = C_up K_{mu-1}(n) + C_down K_{mu+1}(n)`` for B angles.
 
-    The sets live in two ``(B, 2, 2t + 2)`` buffers used in turn, 128 B (t + 1)
-    bytes in all.  Each step is one stacked ``(B, 2, 2)`` coin product that
-    writes the next set straight into the other buffer, already shifted.
+    Only the labels ``mu >= 0`` are walked: the rest follow from the exact
+    mirror ``K_{-mu} = J K_mu J`` (:func:`minor_map`).  The half sets live in
+    two ``(B, 2, 2 (t // 2 + 2))`` buffers used in turn, 128 B (t // 2 + 2)
+    bytes in all, half of what walking every label takes.  Each step is one
+    stacked ``(B, 2, 2)`` coin product over the live labels, in column tiles
+    of at most ``_TILE``, that writes the next half set straight into the
+    other buffer, already shifted; label 0's upper row, which comes from
+    ``K_{-1}``, is rebuilt from its own lower row.  A yielded set is one
+    C-contiguous ``(B, t + 1, 2, 2)`` array with the negative labels flipped
+    out.
     """
     coins = np.array([build_coin(theta) for theta in angles])
-    size = 2 * wanted[-1] + 2
+    # room for the t // 2 + 1 half labels of the longest walk plus one spare label
+    size = 2 * (wanted[-1] // 2 + 2)
     buffers = np.zeros((2, len(angles), 2 * size), dtype=np.complex128)
-    # sets[b, :, c, 2j + s] is entry (c, s) of the operator at label -n + 2j
+    # sets[b, :, c, 2j + s] is entry (c, s) of the operator at label n % 2 + 2j
     sets = buffers.reshape(2, len(angles), 2, size)
-    # the product's upper row lands two columns on (label mu + 1) and its
-    # lower row in place (label mu - 1): rows size - 2 apart, two columns in.
-    # The two columns skipped, and the lower row beyond each product, stay zero.
-    shifted = buffers[:, :, 2:2 * size - 2].reshape(2, len(angles), 2, size - 2)
-    ops = np.broadcast_to(np.eye(2, dtype=np.complex128), (len(angles), 2, 2))
+    # the product's rows land size - 2 apart.  From step n even (buffer 0) the
+    # upper row goes in place (label mu + 1) and the lower row one label down
+    # (mu - 1), the lower row of label -1 into the upper row's spare label;
+    # from n odd (buffer 1) the upper row goes one label up, the lower in
+    # place.  Cells beyond the live labels, the structural zeros of K_{+t},
+    # are never written and stay +0.0
+    shifted = [buffers[0, :, :2 * size - 4].reshape(len(angles), 2, size - 2),
+               buffers[1, :, 2:2 * size - 2].reshape(len(angles), 2, size - 2)]
+    # K_0 = J K_0 J: its upper row is its lower row reversed, the same
+    # products summed in the other order, so the same bits
+    zero_upper, zero_lower = sets[1, :, 0, :2], sets[1, :, 1, 1::-1]
+    ops = _EYE
     done = 0
     for t in wanted:
         for n in range(done, t):
-            width = 2 * n + 2
-            np.matmul(coins, ops[..., :width], out=shifted[n % 2, ..., :width])
+            width = 2 * (n // 2) + 2
+            if width <= _TILE:
+                np.matmul(coins, ops[..., :width], out=shifted[n % 2][..., :width])
+            else:
+                for start in range(0, width, _TILE):
+                    stop = min(start + _TILE, width)
+                    np.matmul(coins, ops[..., start:stop], out=shifted[n % 2][..., start:stop])
             ops = sets[n % 2]
+            if n % 2:
+                zero_upper[...] = zero_lower
         done = t
-        yield t, ops[..., :2 * t + 2].reshape(-1, 2, t + 1, 2).transpose(0, 2, 1, 3).copy()
+        yield t, _unfold(ops, t)
+
+
+def _unfold(half: np.ndarray, t: int) -> np.ndarray:
+    """The full ``(B, t + 1, 2, 2)`` sets of the half sets ``half[b, c, 2j + s]``."""
+    labels = t // 2 + 1
+    positive = half[..., :2 * labels].reshape(-1, 2, labels, 2).transpose(0, 2, 1, 3)
+    out = np.empty((len(positive), t + 1, 2, 2), dtype=np.complex128)
+    out[:, t + 1 - labels:] = positive
+    # K_{-mu} = K_mu[::-1, ::-1], for the labels -t..-1 in ascending order
+    out[:, :t + 1 - labels] = positive[:, ::-1, ::-1, ::-1][:, :t + 1 - labels]
+    return out
 
 
 def extract_kraus_direct(theta: float, t: int) -> KrausSet:

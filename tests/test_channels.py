@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import qwchannel.channels as channels
 from qwchannel.channels import (
     RTNParams,
     apply_kraus,
+    apply_superoperators,
     closed_form_p,
     closed_form_q,
     coin_state,
@@ -17,8 +19,10 @@ from qwchannel.channels import (
     hermitian_eigenvalues,
     is_density_matrix,
     n_step_map,
+    repeated,
     rtn_kraus,
     rtn_lambda,
+    superoperators,
 )
 from qwchannel.kraus import extract_kraus_direct
 from qwchannel.walk import Lattice, evolve, joint_state, position_distribution
@@ -357,8 +361,34 @@ _ELAPSED = "max(gamma, 2a) * elapsed of a, gamma and elapsed"
     (lambda: trace_distance(RHO_UP, np.full((2, 2), _NAN)), "sigma"),
     (lambda: nonmonotonicity([0.5, _NAN, 0.3]), "series"),
     (lambda: position_distribution(np.full(10, _NAN)), "psi"),
+    # the channel layer applies nothing non-finite
+    (lambda: apply_superoperators(np.full((4, 4), _NAN), RHO_UP), "superops"),
+    (lambda: apply_superoperators(np.eye(3), RHO_UP), "superops"),
+    (lambda: apply_superoperators(np.eye(4), np.full((2, 2), _NAN)), "states"),
+    (lambda: repeated(np.full((4, 4), _NAN), RHO_UP, [3]), "superops"),
+    (lambda: repeated(np.eye(4), np.diag([_NAN, 1.0]), [3]), "states"),
+    (lambda: density_matrix([_NAN, 1.0]), "ket"),
+    (lambda: hermitian_eigenvalues(np.full((2, 2), _NAN)), "matrix"),
 ])
 def test_library_arguments_are_refused_by_name(call, name):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value).startswith(f"{name} must be")
+
+
+def test_superoperators_are_checked_for_completeness_once_per_call(monkeypatch):
+    leaky = 0.9 * np.eye(4)
+    with pytest.raises(ValueError, match="incomplete"):
+        apply_superoperators(leaky, RHO_UP)
+    with pytest.raises(ValueError, match="incomplete"):
+        repeated(leaky, RHO_UP, [1, 4])
+    gates = []
+    monkeypatch.setattr(channels, "_complete", lambda superops: gates.append(1) or superops)
+    superop = superoperators([0.4], [1])[0, 0]
+    gates.clear()
+    images = repeated(superop, RHO_UP, [2, 5, 30])
+    assert len(gates) == 1
+    assert np.array_equal(images[-1], concatenated_map(0.4, 30, RHO_UP))
+    gates.clear()
+    apply_superoperators(superop, RHO_UP)
+    assert len(gates) == 1

@@ -15,6 +15,7 @@ from qwchannel.channels import (
 )
 from qwchannel.kraus import (
     KrausSet,
+    extract_kraus_binomial,
     extract_kraus_direct,
     iter_kraus_batches,
     iter_kraus_steps,
@@ -76,13 +77,14 @@ def test_rejects_non_finite_angle():
 def test_channel_values_are_computed_on_first_use_only():
     kset = extract_kraus_direct(0.6, 5)
     assert "superoperator" not in vars(kset)
-    assert "_residual" not in vars(kset)
     rho = density_matrix(random_ket(np.random.default_rng(4)))
     first = apply_kraus(kset, rho)
     superop = vars(kset)["superoperator"]
     assert kset.completeness_residual() <= 1e-14
     assert np.array_equal(apply_kraus(kset, rho), first)
     assert vars(kset)["superoperator"] is superop
+    # the channel is the one value a set caches
+    assert set(vars(kset)) <= {"theta", "t", "entries", "kind", "superoperator"}
 
 
 def test_a_set_refuses_writes_and_keeps_its_channel():
@@ -208,6 +210,39 @@ def test_chunked_batches_hold_at_most_one_longest_walk(monkeypatch):
     assert_batches_equal_single_extractions(BATCH_THETAS, steps)
     # a walk longer than the budget still runs, one angle at a time
     assert [len(ops) for _, _, ops in iter_kraus_batches((0.3, 0.4), [70])] == [1, 1]
+
+
+def test_the_first_steps_equal_the_position_trace_and_the_expanded_operator():
+    # t = 2 is the first set whose label 0 is rebuilt from its own lower row
+    for theta in BATCH_THETAS:
+        for t in (1, 2, 3):
+            walked = np.array(extract_kraus_direct(theta, t).operators())
+            assert np.array_equal(walked, traced_operators(theta, t))
+            expanded = np.array(extract_kraus_binomial(theta, t).operators())
+            assert np.abs(walked - expanded).max() <= 1e-14
+
+
+@pytest.mark.parametrize("theta", [0.5047, 2.9])
+def test_streamed_sets_of_both_parities_are_contiguous_and_equal_the_position_trace(theta):
+    steps = [1, 2, 5, 17, 60, 301]
+    sets = list(iter_kraus_batches([theta], steps))
+    assert [t for _, t, _ in sets] == steps
+    for _, t, operators in sets:
+        assert operators.flags.c_contiguous
+        assert np.array_equal(operators[0], traced_operators(theta, t))
+
+
+def test_chunked_batches_equal_the_position_trace(monkeypatch):
+    monkeypatch.setattr(kraus, "MAX_COUNT", 40)
+    steps = [2, 7, 12]
+    seen = []
+    for angles, t, operators in iter_kraus_batches(BATCH_THETAS, steps):
+        assert operators.flags.c_contiguous
+        for theta, ops in zip(BATCH_THETAS[angles], operators):
+            assert np.array_equal(ops, traced_operators(theta, t))
+        seen.append(len(operators))
+    # (40 + 1) // (12 + 1) = 3 angles a chunk: chunks of 3 and 2, three counts each
+    assert seen == [3, 3, 3, 2, 2, 2]
 
 
 def test_batched_superoperators_equal_the_cached_set_values():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from test_engine import traced_operators
 
 import qwchannel.kraus as kraus
 from qwchannel import reference
@@ -181,23 +182,32 @@ def test_minor_map_basics():
         minor_map(np.eye(3))
 
 
+# the engine builds K_{-mu} by flipping K_mu, so the mirror is checked on the
+# routes that walk every label: the expanded operator and the position trace
+
+
 def test_minor_map_relates_one_step_pair():
-    kset = extract_kraus_direct(1.3, 1)
+    kset = extract_kraus_binomial(1.3, 1)
     assert np.abs(minor_map(kset.operator(1)) - kset.operator(-1)).max() <= 1e-15
+    traced = traced_operators(1.3, 1)
+    assert np.abs(minor_map(traced[-1]) - traced[0]).max() <= 1e-15
 
 
 def test_minor_symmetry_extremes_up_to_25():
     for theta in (0.37, 2.9):
         for t in range(1, 26):
-            kset = extract_kraus_direct(theta, t)
-            dev = np.abs(kset.operator(-t) - minor_map(kset.operator(t))).max()
-            assert dev <= 1e-12
+            routes = [traced_operators(theta, t)]
+            if t <= 8:
+                routes.append(np.array(extract_kraus_binomial(theta, t).operators()))
+            for ops in routes:
+                assert np.abs(ops[0] - minor_map(ops[-1])).max() <= 1e-12
 
 
 def test_minor_symmetry_holds_for_every_pair():
-    kset = extract_kraus_direct(1.1, 7)
-    for mu in kset.labels():
-        assert np.abs(kset.operator(-mu) - minor_map(kset.operator(mu))).max() <= 1e-12
+    for ops in (np.array(extract_kraus_binomial(1.1, 7).operators()),
+                traced_operators(1.1, 7)):
+        # labels ascend, so row j holds K_{-7+2j} and row -1 - j its mirror label
+        assert np.abs(ops[::-1] - minor_map(ops)).max() <= 1e-12
 
 
 def test_serialization_round_trip_exact():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 from test_engine import momentum_oracle, traced_operators  # noqa: E402
 
 from qwchannel.channels import (  # noqa: E402
@@ -27,7 +27,9 @@ from qwchannel.kraus import (  # noqa: E402
     KrausSet,
     extract_kraus_direct,
     extract_kraus_split_step,
+    iter_kraus_batches,
 )
+from qwchannel.verification import generating_function_gap  # noqa: E402
 from qwchannel.witnesses import (  # noqa: E402
     holevo_max,
     holevo_max_batch,
@@ -47,6 +49,16 @@ def test_engine_equals_the_position_traced_walk_and_is_complete(theta, t):
 
 
 finite_angles = st.floats(0.0, 2 * math.pi, exclude_max=True)
+
+
+# few examples: a walk to t = 10^4 takes about 0.4 s
+@settings(max_examples=6)
+@given(theta=finite_angles, t=st.integers(1, 10_000),
+       ks=st.lists(st.integers(0, (1 << 20) - 1), min_size=1, max_size=8))
+def test_every_set_meets_its_generating_function(theta, t, ks):
+    _, _, operators = next(iter_kraus_batches([theta], [t]))
+    gap = generating_function_gap([theta], t, operators, ks)
+    assert gap.max() <= 1e-15 * (t + 1)
 
 
 def bloch_state(vector):
