@@ -382,13 +382,12 @@ def test_superoperators_are_checked_for_completeness_once_per_call(monkeypatch):
         apply_superoperators(leaky, RHO_UP)
     with pytest.raises(ValueError, match="incomplete"):
         repeated(leaky, RHO_UP, [1, 4])
-    gates = []
-    monkeypatch.setattr(channels, "_complete", lambda superops: gates.append(1) or superops)
     superop = superoperators([0.4], [1])[0, 0]
-    gates.clear()
-    images = repeated(superop, RHO_UP, [2, 5, 30])
-    assert len(gates) == 1
-    assert np.array_equal(images[-1], concatenated_map(0.4, 30, RHO_UP))
-    gates.clear()
+    expected = concatenated_map(0.4, 30, RHO_UP)
+    gate, gated = channels._complete, []
+    monkeypatch.setattr(channels, "_complete",
+                        lambda superops: gated.append(superops) or gate(superops))
+    assert np.array_equal(repeated(superop, RHO_UP, [2, 5, 30])[-1], expected)
+    assert len(gated) == 1
     apply_superoperators(superop, RHO_UP)
-    assert len(gates) == 1
+    assert len(gated) == 2

@@ -184,8 +184,6 @@ def test_minor_map_basics():
 
 # the engine builds K_{-mu} by flipping K_mu, so the mirror is checked on the
 # routes that walk every label: the expanded operator and the position trace
-
-
 def test_minor_map_relates_one_step_pair():
     kset = extract_kraus_binomial(1.3, 1)
     assert np.abs(minor_map(kset.operator(1)) - kset.operator(-1)).max() <= 1e-15
