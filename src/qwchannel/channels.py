@@ -87,7 +87,7 @@ def is_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> bool:
 
 def _complete(superops: np.ndarray) -> np.ndarray:
     """``superops``, once every residual is within ``COMPLETENESS_TOL``: the one gate."""
-    worst = float(np.max(residual_of(superops)))
+    worst = float(np.max(residual_of(superops), initial=0.0))
     if not worst <= COMPLETENESS_TOL:
         raise ValueError(f"kraus set incomplete: residual {worst:.3e}")
     return superops

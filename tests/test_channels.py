@@ -376,6 +376,11 @@ def test_library_arguments_are_refused_by_name(call, name):
     assert str(info.value).startswith(f"{name} must be")
 
 
+def test_an_empty_batch_of_superoperators_is_applied_to_nothing():
+    assert apply_superoperators(np.zeros((0, 4, 4)), RHO_UP).shape == (0, 2, 2)
+    assert repeated(np.zeros((0, 1, 4, 4)), RHO_UP, [1, 3]).shape == (0, 1, 2, 2, 2)
+
+
 def test_superoperators_are_checked_for_completeness_once_per_call(monkeypatch):
     leaky = 0.9 * np.eye(4)
     with pytest.raises(ValueError, match="incomplete"):
