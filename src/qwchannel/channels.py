@@ -68,7 +68,11 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
 
     Leading axes are a batch of matrices and give a pair of arrays.
     """
-    m = matrices("matrix", matrix)
+    return _eigenvalues(matrices("matrix", matrix))
+
+
+def _eigenvalues(m: np.ndarray) -> tuple[float, float]:
+    """:func:`hermitian_eigenvalues` of an already-checked complex array, unchecked."""
     diagonal = m[..., 0, 0].real, m[..., 1, 1].real
     mean = 0.5 * (diagonal[0] + diagonal[1])
     radius = np.hypot(0.5 * (diagonal[0] - diagonal[1]), np.abs(m[..., 0, 1]))

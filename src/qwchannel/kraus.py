@@ -295,7 +295,8 @@ def _walk_sets(angles: list[float], wanted: list[int]) -> Iterator[tuple[int, np
     other buffer, already shifted; label 0's upper row, which comes from
     ``K_{-1}``, is rebuilt from its own lower row.  A yielded set is one
     C-contiguous ``(B, t + 1, 2, 2)`` array with the negative labels flipped
-    out.
+    out, gathered in one call by an index of 32 (t + 1) bytes for the
+    largest requested step count of each parity (:func:`_unfold_index`).
     """
     coins = np.array([build_coin(theta) for theta in angles])
     # room for the t // 2 + 1 half labels of the longest walk plus one spare label
@@ -314,33 +315,36 @@ def _walk_sets(angles: list[float], wanted: list[int]) -> Iterator[tuple[int, np
     # K_0 = J K_0 J: its upper row is its lower row reversed, the same
     # products summed in the other order, so the same bits
     zero_upper, zero_lower = sets[1, :, 0, :2], sets[1, :, 1, 1::-1]
+    # the largest set of each parity; a smaller one reads its middle labels
+    last = {t % 2: t for t in wanted}
+    index = {parity: _unfold_index(top, size) for parity, top in last.items()}
     ops = _EYE
     done = 0
     for t in wanted:
         for n in range(done, t):
             width = 2 * (n // 2) + 2
-            if width <= _TILE:
-                np.matmul(coins, ops[..., :width], out=shifted[n % 2][..., :width])
-            else:
-                for start in range(0, width, _TILE):
-                    stop = min(start + _TILE, width)
-                    np.matmul(coins, ops[..., start:stop], out=shifted[n % 2][..., start:stop])
+            for start in range(0, width, _TILE):
+                stop = min(start + _TILE, width)
+                np.matmul(coins, ops[..., start:stop], out=shifted[n % 2][..., start:stop])
             ops = sets[n % 2]
             if n % 2:
                 zero_upper[...] = zero_lower
         done = t
-        yield t, _unfold(ops, t)
+        middle = (last[t % 2] - t) // 2
+        yield t, np.take(buffers[(t - 1) % 2], index[t % 2][middle:middle + t + 1], axis=1)
 
 
-def _unfold(half: np.ndarray, t: int) -> np.ndarray:
-    """The full ``(B, t + 1, 2, 2)`` sets of the half sets ``half[b, c, 2j + s]``."""
-    labels = t // 2 + 1
-    positive = half[..., :2 * labels].reshape(-1, 2, labels, 2).transpose(0, 2, 1, 3)
-    out = np.empty((len(positive), t + 1, 2, 2), dtype=np.complex128)
-    out[:, t + 1 - labels:] = positive
-    # K_{-mu} = K_mu[::-1, ::-1], for the labels -t..-1 in ascending order
-    out[:, :t + 1 - labels] = positive[:, ::-1, ::-1, ::-1][:, :t + 1 - labels]
-    return out
+def _unfold_index(t: int, size: int) -> np.ndarray:
+    """Where each entry of a full set of ``t`` steps sits in its half set.
+
+    Entry ``[j, c, s]``, of label ``mu = -t + 2j``, is the flat position in a
+    half buffer ``c' * size + 2 (|mu| // 2) + s'``: ``(c', s') = (c, s)`` for
+    ``mu >= 0`` and ``(1 - c, 1 - s)`` for ``mu < 0``, since ``K_{-mu} =
+    K_mu[::-1, ::-1]``.  One gather by it unfolds a whole set.
+    """
+    mu = np.arange(-t, t + 1, 2)[:, None, None]
+    entry = np.array([[0, 1], [size, size + 1]])  # c * size + s
+    return 2 * (np.abs(mu) // 2) + np.where(mu < 0, size + 1 - entry, entry)
 
 
 def extract_kraus_direct(theta: float, t: int) -> KrausSet:

@@ -26,14 +26,14 @@ import numpy as np
 from .channels import (
     RTNParams,
     _as_value,
+    _eigenvalues,
     apply_superoperators,
     channel_outputs,
     dephasers,
-    hermitian_eigenvalues,
     repeated,
     superoperators,
 )
-from .inputs import MAX_COUNT, count, matrices, real, states, step_list, weights
+from .inputs import MAX_COUNT, count, matrices, real, refuse, states, step_list, weights
 from .walk import canonical_angle
 
 MODE_NSTEP = "nstep"
@@ -47,8 +47,15 @@ _ORTHOGONAL_PAIR = np.stack((_RHO_UP, _RHO_DOWN))
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the absolute eigenvalue sum of rho - sigma; in [0, 1] for states."""
-    low, high = hermitian_eigenvalues(matrices("rho", rho) - matrices("sigma", sigma))
-    return _as_value(0.5 * (np.abs(low) + np.abs(high)))
+    rho, sigma = matrices("rho", rho), matrices("sigma", sigma)
+    # two finite non-states can still overflow the difference or its eigenvalues
+    with np.errstate(over="ignore", invalid="ignore"):
+        difference = rho - sigma
+        low, high = _eigenvalues(difference)
+        distance = 0.5 * (np.abs(low) + np.abs(high))
+    if not np.isfinite(distance).all():
+        raise refuse("rho - sigma", "within the float range", difference)
+    return _as_value(distance)
 
 
 def _check_distances(values) -> np.ndarray:
@@ -160,7 +167,7 @@ def mixedness(rho: np.ndarray, d: int = 2) -> float:
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -sum l log2 l over the eigenvalues, with 0 log 0 = 0."""
     entropy = 0.0
-    for ev in hermitian_eigenvalues(matrices("rho", rho)):
+    for ev in _eigenvalues(matrices("rho", rho)):
         ev = np.clip(ev, 0.0, 1.0)
         positive = ev > 0.0
         terms = np.where(positive, ev * np.log2(np.where(positive, ev, 1.0)), 0.0)

@@ -359,6 +359,9 @@ _ELAPSED = "max(gamma, 2a) * elapsed of a, gamma and elapsed"
     (lambda: purity(np.full((2, 2), _NAN)), "rho"),
     (lambda: mixedness(np.full((2, 2), _NAN)), "rho"),
     (lambda: trace_distance(RHO_UP, np.full((2, 2), _NAN)), "sigma"),
+    # finite non-states whose difference, or its eigenvalues, overflow
+    (lambda: trace_distance(np.diag([1e308, 0.0]), np.diag([-1e308, 0.0])), "rho - sigma"),
+    (lambda: trace_distance(np.diag([1e308, 0.0]), np.diag([0.0, 1e308])), "rho - sigma"),
     (lambda: nonmonotonicity([0.5, _NAN, 0.3]), "series"),
     (lambda: position_distribution(np.full(10, _NAN)), "psi"),
     # the channel layer applies nothing non-finite
