@@ -295,8 +295,7 @@ def _walk_sets(angles: list[float], wanted: list[int]) -> Iterator[tuple[int, np
     other buffer, already shifted; label 0's upper row, which comes from
     ``K_{-1}``, is rebuilt from its own lower row.  A yielded set is one
     C-contiguous ``(B, t + 1, 2, 2)`` array with the negative labels flipped
-    out, gathered in one call by an index of 32 (t + 1) bytes for the
-    largest requested step count of each parity (:func:`_unfold_index`).
+    out, gathered from its half set in one ``np.take``.
     """
     coins = np.array([build_coin(theta) for theta in angles])
     # room for the t // 2 + 1 half labels of the longest walk plus one spare label
@@ -315,7 +314,8 @@ def _walk_sets(angles: list[float], wanted: list[int]) -> Iterator[tuple[int, np
     # K_0 = J K_0 J: its upper row is its lower row reversed, the same
     # products summed in the other order, so the same bits
     zero_upper, zero_lower = sets[1, :, 0, :2], sets[1, :, 1, 1::-1]
-    # the largest set of each parity; a smaller one reads its middle labels
+    # the gather index of the largest set of each parity, 32 (t + 1) bytes; a
+    # smaller set of that parity takes its middle labels
     last = {t % 2: t for t in wanted}
     index = {parity: _unfold_index(top, size) for parity, top in last.items()}
     ops = _EYE
@@ -323,9 +323,10 @@ def _walk_sets(angles: list[float], wanted: list[int]) -> Iterator[tuple[int, np
     for t in wanted:
         for n in range(done, t):
             width = 2 * (n // 2) + 2
+            out = shifted[n % 2]
             for start in range(0, width, _TILE):
                 stop = min(start + _TILE, width)
-                np.matmul(coins, ops[..., start:stop], out=shifted[n % 2][..., start:stop])
+                np.matmul(coins, ops[..., start:stop], out=out[..., start:stop])
             ops = sets[n % 2]
             if n % 2:
                 zero_upper[...] = zero_lower
@@ -335,16 +336,20 @@ def _walk_sets(angles: list[float], wanted: list[int]) -> Iterator[tuple[int, np
 
 
 def _unfold_index(t: int, size: int) -> np.ndarray:
-    """Where each entry of a full set of ``t`` steps sits in its half set.
+    """Where each entry ``[j, c, s]`` of a full set of ``t`` steps sits in a half buffer.
 
-    Entry ``[j, c, s]``, of label ``mu = -t + 2j``, is the flat position in a
-    half buffer ``c' * size + 2 (|mu| // 2) + s'``: ``(c', s') = (c, s)`` for
-    ``mu >= 0`` and ``(1 - c, 1 - s)`` for ``mu < 0``, since ``K_{-mu} =
-    K_mu[::-1, ::-1]``.  One gather by it unfolds a whole set.
+    A half buffer keeps entry (c, s) of label ``t % 2 + 2j`` at ``c * size +
+    2j + s``.  The labels ``mu >= 0`` are read from there; each label ``-mu <
+    0`` is ``K_mu[::-1, ::-1]`` and the labels run in the opposite order, so
+    the row-major head of the index is its own tail reversed.
     """
-    mu = np.arange(-t, t + 1, 2)[:, None, None]
-    entry = np.array([[0, 1], [size, size + 1]])  # c * size + s
-    return 2 * (np.abs(mu) // 2) + np.where(mu < 0, size + 1 - entry, entry)
+    labels = t // 2 + 1
+    negative = t + 1 - labels
+    index = np.empty((t + 1, 2, 2), dtype=np.intp)
+    index[negative:] = np.arange(2 * size).reshape(2, size // 2, 2)[:, :labels].transpose(1, 0, 2)
+    flat = index.reshape(4 * (t + 1))
+    flat[4 * negative - 1::-1] = flat[4 * labels:]
+    return index
 
 
 def extract_kraus_direct(theta: float, t: int) -> KrausSet:
