@@ -73,9 +73,10 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
 
 def _eigenvalues(m: np.ndarray) -> tuple[float, float]:
     """:func:`hermitian_eigenvalues` of an already-checked complex array, unchecked."""
-    diagonal = m[..., 0, 0].real, m[..., 1, 1].real
-    mean = 0.5 * (diagonal[0] + diagonal[1])
-    radius = np.hypot(0.5 * (diagonal[0] - diagonal[1]), np.abs(m[..., 0, 1]))
+    # each diagonal entry is halved first, so their mean and half-difference stay finite
+    half = 0.5 * m[..., 0, 0].real, 0.5 * m[..., 1, 1].real
+    mean = half[0] + half[1]
+    radius = np.hypot(half[0] - half[1], np.abs(m[..., 0, 1]))
     return _as_value(mean - radius), _as_value(mean + radius)
 
 

@@ -10,18 +10,22 @@ purity          purity/mixedness of the channel output per (theta, delta, step)
 holevo          maximized Holevo quantity per (theta, step)
 verify          run the named consistency checks and report pass/fail
 
-Each subcommand's options are declared once, in ``COMMANDS``: its handler,
-its help line and its option defaults, from which the parser, the merged
-options and the help text are all made (``_HELP`` holds each option's help
-text).  Every flag is plain text, and argparse checks no value.  Options may
-also come from a JSON config file (``--config``): flags win, and a config
+Each option is declared once, in ``_OPTIONS``: its check and its flag help.
+Each subcommand is declared once, in ``COMMANDS``: its handler, its help line
+and its option defaults.  The parser and its help text are made from the two
+tables.  :func:`main` merges the command's options once (``_effective``),
+passes them to the handler, and writes what the handler returns: a header
+and its columns, or a finished document (``kraus --format json``).
+
+Every flag is plain text, and argparse checks no value.  Options may also
+come from a JSON config file (``--config``): flags win, and a config
 ``null`` is the same as leaving the key out.  Only one side of
 ``theta``/``theta_grid`` and of ``delta``/``delta_grid`` may be set, by the
 flags or by the config; a flag on one side silences the config's other side.
 A config key that belongs to another subcommand is ignored, so one file can
 serve several commands; a key that no subcommand takes exits 2 naming it.
-Each option has one check (``_CHECKS``, the rules of :mod:`qwchannel.inputs`),
-applied once to the merged value whatever its source: numbers must be finite,
+Each option's one check (the rules of :mod:`qwchannel.inputs`) is applied
+once to the merged value whatever its source: numbers must be finite,
 counts (``t``, ``grid_size``, step and grid counts) whole numbers up to
 ``MAX_COUNT``, ``format`` and ``mode`` one of their choices.  A refused value
 exits 2 with a message naming the option.
@@ -117,15 +121,26 @@ def _ensemble(name: str, value) -> tuple[np.ndarray, np.ndarray]:
     return states("rho1", rho1), states("rho2", rho2)
 
 
-_CHECKS = {
-    "theta": real, "delta": real,
-    "theta_grid": _grid, "delta_grid": _grid,
-    "t": count, "steps": _steps, "grid_size": partial(count, low=3),
-    "rtn_gamma": positive, "rtn_dt": positive, "rtn_a": nonnegative,
-    "markovian_ratio": nonnegative, "nonmarkovian_ratio": nonnegative,
-    "split": partial(_typed, bool, "true or false"), "ensemble": _ensemble,
-    "mode": partial(_choice, ("nstep", "concat", "both")),
-    "format": partial(_choice, ("csv", "json")), "out": partial(_typed, str, "a path"),
+# each option's check and its flag help (None: a config key with no flag)
+_OPTIONS = {
+    "theta": (real, "coin angle in radians"),
+    "theta_grid": (_grid, "coin angle grid start:stop:count"),
+    "delta": (real, "input-state angle in radians"),
+    "delta_grid": (_grid, "input-state angle grid start:stop:count"),
+    "t": (count, "number of walk steps"),
+    "steps": (_steps, "max step count N (runs 1..N) or comma list"),
+    "grid_size": (partial(count, low=3), "coarse grid points for the weight search"),
+    "rtn_gamma": (positive, "telegraph fluctuation rate"),
+    "rtn_dt": (positive, "time per walk step"),
+    "rtn_a": (nonnegative, "amplitude of an extra custom series"),
+    "markovian_ratio": (nonnegative, "a / rtn_gamma of the markovian series"),
+    "nonmarkovian_ratio": (nonnegative, "a / rtn_gamma of the nonmarkovian series"),
+    "split": (partial(_typed, bool, "true or false"),
+              "extract the split-step set (one split step = two steps)"),
+    "ensemble": (_ensemble, None),
+    "mode": (partial(_choice, ("nstep", "concat", "both")), "series: nstep, concat or both"),
+    "format": (partial(_choice, ("csv", "json")), "output format: csv or json"),
+    "out": (partial(_typed, str, "a path"), "output path (stdout if not given)"),
 }
 
 
@@ -155,7 +170,7 @@ def _effective(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dic
     defaults = COMMANDS[args.command][2]
     config = _load_config(args.config, parser) if args.config else {}
     for key in config:
-        if key not in _CHECKS:
+        if key not in _OPTIONS:
             raise ValueError(f"config key {key!r} is not an option of any subcommand")
     given = {key: value for key, value in config.items()
              if key in defaults and value is not None}
@@ -175,7 +190,7 @@ def _effective(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dic
     for key, value in merged.items():
         if value is not None:
             try:
-                merged[key] = _CHECKS[key](key, value)
+                merged[key] = _OPTIONS[key][0](key, value)
             except (TypeError, IndexError, KeyError) as exc:
                 raise ValueError(f"{key}: {exc}") from None
     return merged
@@ -244,26 +259,21 @@ def _default_ensemble_pair() -> tuple[np.ndarray, np.ndarray]:
 
 # -- subcommands ----------------------------------------------------------------
 
-def cmd_kraus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    options = _effective(args, parser)
+def cmd_kraus(options: dict) -> str | tuple[list[str], list[np.ndarray]]:
     theta, t = options["theta"], options["t"]
-    if theta is None or t is None:
-        parser.error("kraus requires --theta and --t")
     if options["split"]:
         # a split step is two walk steps, so t is capped at half, under its own name
         kset = extract_kraus_split_step(theta, count("t", t, high=MAX_COUNT // 2))
     else:
         kset = extract_kraus_direct(theta, t)
     if options["format"] == "json":
-        _write([kset.to_json(indent=2) + "\n"], options["out"])
-    else:
-        # one CSV row per matrix entry: (label, row, col) by (re, im)
-        values = kset.pair_array().reshape(-1, 2)
-        size = len(kset.entries)
-        _emit(["mu", "row", "col", "re", "im"],
-              [np.repeat(kset.labels(), 4), np.tile([0, 0, 1, 1], size),
-               np.tile([0, 1, 0, 1], size), values[:, 0], values[:, 1]], options)
-    return 0
+        return kset.to_json(indent=2) + "\n"
+    # one CSV row per matrix entry: (label, row, col) by (re, im)
+    values = kset.pair_array().reshape(-1, 2)
+    size = len(kset.entries)
+    return (["mu", "row", "col", "re", "im"],
+            [np.repeat(kset.labels(), 4), np.tile([0, 0, 1, 1], size),
+             np.tile([0, 1, 0, 1], size), values[:, 0], values[:, 1]])
 
 
 def _sorted_columns(columns: tuple, keys: tuple) -> list[np.ndarray]:
@@ -287,16 +297,13 @@ def _input_sweep(thetas: list[float], deltas: list[float], steps: list[int],
                            keys=(theta, delta, step))
 
 
-def cmd_probability(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    options = _effective(args, parser)
+def cmd_probability(options: dict) -> tuple[list[str], list[np.ndarray]]:
     columns = _input_sweep(_sweep_values(options, "theta"), _sweep_values(options, "delta"),
                            options["steps"], lambda outputs: (outputs[..., 0, 0].real,))
-    _emit(["theta", "delta", "step", "p_up"], columns, options)
-    return 0
+    return ["theta", "delta", "step", "p_up"], columns
 
 
-def cmd_trace_distance(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    options = _effective(args, parser)
+def cmd_trace_distance(options: dict) -> tuple[list[str], list[np.ndarray]]:
     thetas, steps = _sweep_values(options, "theta"), options["steps"]
     modes = ["concat", "nstep"] if options["mode"] == "both" else [options["mode"]]
     start = trace_distance(_RHO_UP, _RHO_DOWN)
@@ -305,12 +312,10 @@ def cmd_trace_distance(args: argparse.Namespace, parser: argparse.ArgumentParser
                        for mode in modes], axis=1)
     theta, mode, step = np.meshgrid(thetas, modes, [0, *steps], indexing="ij")
     columns = _sorted_columns((theta, step, mode, values), keys=(theta, mode, step))
-    _emit(["theta", "step", "mode", "d"], columns, options)
-    return 0
+    return ["theta", "step", "mode", "d"], columns
 
 
-def cmd_rtn_composite(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    options = _effective(args, parser)
+def cmd_rtn_composite(options: dict) -> tuple[list[str], list[np.ndarray]]:
     steps = options["steps"]
     gamma, dt = options["rtn_gamma"], options["rtn_dt"]
     # the regime amplitudes, checked under the names of the options they come from
@@ -323,10 +328,9 @@ def cmd_rtn_composite(args: argparse.Namespace, parser: argparse.ArgumentParser)
 
     values = td_regimes([options["theta"]], steps, [params for _, params in regimes])
     # rows by regime, then step
-    _emit(["step", "regime", "d"],
-          [np.tile(steps, len(regimes)), np.repeat([name for name, _ in regimes], len(steps)),
-           values[:, 0].ravel()], options)
-    return 0
+    return (["step", "regime", "d"],
+            [np.tile(steps, len(regimes)), np.repeat([name for name, _ in regimes], len(steps)),
+             values[:, 0].ravel()])
 
 
 def _purity_and_mixedness(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,16 +339,13 @@ def _purity_and_mixedness(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, 2.0 * (1.0 - p)
 
 
-def cmd_purity(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    options = _effective(args, parser)
+def cmd_purity(options: dict) -> tuple[list[str], list[np.ndarray]]:
     columns = _input_sweep(_sweep_values(options, "theta"), _sweep_values(options, "delta"),
                            options["steps"], _purity_and_mixedness)
-    _emit(["theta", "delta", "step", "purity", "mixedness"], columns, options)
-    return 0
+    return ["theta", "delta", "step", "purity", "mixedness"], columns
 
 
-def cmd_holevo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    options = _effective(args, parser)
+def cmd_holevo(options: dict) -> tuple[list[str], list[np.ndarray]]:
     thetas, steps = _sweep_values(options, "theta"), options["steps"]
     ensemble = np.array(options["ensemble"] or _default_ensemble_pair())
     outputs = channel_outputs(thetas, steps, ensemble)
@@ -352,11 +353,10 @@ def cmd_holevo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                                    grid_size=options["grid_size"])
     theta, step = np.meshgrid(thetas, steps, indexing="ij")
     columns = _sorted_columns((theta, step, chi, p_star), keys=(theta, step))
-    _emit(["theta", "step", "chi_max", "p1_star"], columns, options)
-    return 0
+    return ["theta", "step", "chi_max", "p1_star"], columns
 
 
-def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_verify() -> int:
     results = run_checks()
     failed = [r for r in results if not r.passed]
     for result in results:
@@ -371,8 +371,10 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 _THETAS = {"theta": None, "theta_grid": [0.0, math.pi, 64]}
 _OUTPUT = {"format": "csv", "out": None}
 
-# subcommand -> (handler, help line, option defaults); a None default leaves
-# the option unset, and the order is the order of the flags and the checks
+# subcommand -> (handler, help line, option defaults).  The handler maps the
+# checked options to what the command prints, a header and its columns or a
+# finished document, and main writes it.  A None default leaves the option
+# unset, and the order is the order of the flags and the checks.
 COMMANDS = {
     "kraus": (cmd_kraus, "dump an extracted operator set",
               {"theta": None, "t": None, "split": False, "format": "json", "out": None}),
@@ -391,23 +393,6 @@ COMMANDS = {
                {**_THETAS, "steps": 8, "grid_size": 33, "ensemble": None, **_OUTPUT}),
 }
 
-# each option's flag help; None: a config key with no flag
-_HELP = {
-    "theta": "coin angle in radians", "theta_grid": "coin angle grid start:stop:count",
-    "delta": "input-state angle in radians",
-    "delta_grid": "input-state angle grid start:stop:count",
-    "t": "number of walk steps", "steps": "max step count N (runs 1..N) or comma list",
-    "split": "extract the split-step set (one split step = two steps)",
-    "mode": "series: nstep, concat or both",
-    "grid_size": "coarse grid points for the weight search",
-    "rtn_gamma": "telegraph fluctuation rate", "rtn_dt": "time per walk step",
-    "rtn_a": "amplitude of an extra custom series",
-    "markovian_ratio": "a / rtn_gamma of the markovian series",
-    "nonmarkovian_ratio": "a / rtn_gamma of the nonmarkovian series",
-    "ensemble": None, "format": "output format: csv or json",
-    "out": "output path (stdout if not given)",
-}
-
 
 def _shown(default) -> str:
     """A default as flag text."""
@@ -421,21 +406,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "as an explicit quantum channel.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, summary, defaults) in COMMANDS.items():
+    for name, (_, summary, defaults) in COMMANDS.items():
         # no abbreviations: a flag has one spelling
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        p.set_defaults(fn=fn)
         p.add_argument("--config", help="JSON config file (flags win on conflict)")
         for key, default in defaults.items():
-            if _HELP[key] is None:
+            help_text = _OPTIONS[key][1]
+            if help_text is None:
                 continue
-            text = _HELP[key] if default is None else f"{_HELP[key]} (default: {_shown(default)})"
+            text = help_text if default is None else f"{help_text} (default: {_shown(default)})"
             flag = "--" + key.replace("_", "-")
             if isinstance(default, bool):
                 p.add_argument(flag, action="store_true", default=None, help=text)
             else:
                 p.add_argument(flag, help=text)
-    sub.add_parser("verify", help="run the consistency check suite").set_defaults(fn=cmd_verify)
+    sub.add_parser("verify", help="run the consistency check suite")
     return parser
 
 
@@ -443,7 +428,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, parser)
+        if args.command == "verify":
+            return cmd_verify()
+        options = _effective(args, parser)
+        if args.command == "kraus" and (options["theta"] is None or options["t"] is None):
+            parser.error("kraus requires --theta and --t")
+        output = COMMANDS[args.command][0](options)
+        if isinstance(output, str):
+            _write([output], options["out"])
+        else:
+            _emit(*output, options)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

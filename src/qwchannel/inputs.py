@@ -3,7 +3,7 @@
 Each check takes the name the value arrives under (a parameter or a CLI
 option) and the value, returns the value in its working type, and otherwise
 raises ``ValueError("<name> must be <expected>, got <value!r>")``.  The
-library's entry points and the CLI's options (``cli._CHECKS``) share them.
+library's entry points and the CLI's options (``cli._OPTIONS``) share them.
 """
 
 from __future__ import annotations

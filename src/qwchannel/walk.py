@@ -1,4 +1,10 @@
-"""Coin-position walk engine on a finite cyclic lattice.
+"""The coin and the coin-position walk on a finite cyclic lattice.
+
+This is the position-lattice walk that the oracles
+(:func:`~qwchannel.kraus.extract_kraus_binomial`,
+:mod:`qwchannel.verification`), :func:`evolve` and the demos use; the
+operator sets of the channel are extracted without a lattice, in
+:mod:`qwchannel.kraus`.
 
 A single walk step rotates the two-level coin and then shifts the walker
 conditionally: the upper coin component one site to the left, the lower one

@@ -25,9 +25,9 @@ import numpy as np
 
 from .channels import (
     RTNParams,
+    _apply,
     _as_value,
     _eigenvalues,
-    apply_superoperators,
     channel_outputs,
     dephasers,
     repeated,
@@ -132,7 +132,8 @@ def td_regimes(thetas: Iterable[float], steps: Iterable[int],
     outputs = channel_outputs(thetas, steps, _ORTHOGONAL_PAIR)
     values = []
     for superops in chained:
-        pair = outputs if superops is None else apply_superoperators(superops, outputs)
+        # dephasers and outputs were both checked when they were built
+        pair = outputs if superops is None else _apply(superops, outputs)
         values.append(trace_distance(pair[..., 0, :, :], pair[..., 1, :, :]))
     return _check_distances(np.array(values).reshape((len(values),) + outputs.shape[:2]))
 
@@ -159,9 +160,13 @@ def purity(rho: np.ndarray) -> float:
 
 
 def mixedness(rho: np.ndarray, d: int = 2) -> float:
-    """Complement of purity, scaled to [0, 1]: (d/(d-1)) (1 - Tr rho^2)."""
-    d = count("d", d, low=2)
-    return (d / (d - 1)) * (1.0 - purity(rho))
+    """Complement of purity, scaled to [0, 1]: (d/(d-1)) (1 - Tr rho^2).
+
+    ``d`` must be rho's dimension, 2: :func:`purity` takes qubit states only.
+    """
+    if real("d", d) != 2:
+        raise refuse("d", "2, the dimension of rho", d)
+    return 2.0 * (1.0 - purity(rho))
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

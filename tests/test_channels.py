@@ -65,6 +65,12 @@ def test_hermitian_eigenvalues_closed_form():
         assert abs(high - ref[1]) <= 1e-12
 
 
+def test_hermitian_eigenvalues_of_a_matrix_near_the_float_limit_stay_finite():
+    assert hermitian_eigenvalues(np.diag([1e308, -1e308])) == (-1e308, 1e308)
+    assert hermitian_eigenvalues(np.array([[1e308, 1e308], [1e308, -1e308]])) == (
+        -1.4142135623730951e308, 1.4142135623730951e308)
+
+
 def test_density_matrix_validator():
     assert is_density_matrix(RHO_UP)
     assert is_density_matrix(np.eye(2, dtype=complex) / 2)
@@ -341,6 +347,7 @@ _ELAPSED = "max(gamma, 2a) * elapsed of a, gamma and elapsed"
     (lambda: closed_form_q(0.3, 2, 1.0, _NAN), "b"),
     (lambda: mixedness(np.eye(2) / 2, d=1), "d"),
     (lambda: mixedness(np.eye(2) / 2, d=2.5), "d"),
+    (lambda: mixedness(np.eye(2) / 2, d=3), "d"),
     (lambda: joint_state(Lattice(5), [_NAN, 1.0]), "coin_amplitudes"),
     (lambda: evolve(np.array([_NAN] + [0.0] * 9), 0.3, 1), "psi0"),
     # the kernel's arguments overflow: gamma t, and the oscillation 2a t

@@ -19,7 +19,7 @@ from qwchannel.channels import (
     n_step_map,
     superoperators,
 )
-from qwchannel.cli import _HELP, COMMANDS, _effective, _emit, _shown, build_parser, main
+from qwchannel.cli import _OPTIONS, COMMANDS, _effective, _emit, _shown, build_parser, main
 from qwchannel.kraus import (
     KrausSet,
     extract_kraus_direct,
@@ -806,7 +806,7 @@ def test_help_lists_the_table_flags_with_the_defaults_in_use(capsys, command):
     entries = _help_entries(capsys.readouterr().out)
     defaults = COMMANDS[command][2]
     flags = {"--" + key.replace("_", "-"): default for key, default in defaults.items()
-             if _HELP[key] is not None}
+             if _OPTIONS[key][1] is not None}
     assert set(entries) == {"-h", "--config", *flags}
     for flag, default in flags.items():
         if default is None:
@@ -815,6 +815,11 @@ def test_help_lists_the_table_flags_with_the_defaults_in_use(capsys, command):
             assert entries[flag].endswith(f"(default: {_shown(default)})")
     if command == "kraus":
         assert entries["--format"].endswith("(default: json)")
+
+
+def test_every_option_of_every_command_has_one_row_and_every_row_serves_a_command():
+    served = {key for _, _, defaults in COMMANDS.values() for key in defaults}
+    assert served == set(_OPTIONS)
 
 
 @pytest.mark.parametrize("command", [name for name in COMMANDS if name != "kraus"])
