@@ -74,26 +74,19 @@ _ENTRY_JSON = "    " + json.dumps(
 ).replace('"%s"', "%s").replace("\n", "\n    ")
 
 
-class _ReadOnly(tuple):
-    """``(mu, matrix)`` pairs whose matrices are rows of one read-only array
-    made in this module, which a set keeps without copying."""
-
-
-def _entries(labels, operators: np.ndarray) -> _ReadOnly:
-    """Pair ``labels`` with the rows of ``operators``, freezing that array."""
-    operators.flags.writeable = False
-    return _ReadOnly(zip(labels, operators))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """Ordered reduced-coin operator set for a fixed angle and step count.
 
-    ``entries`` is a tuple of ``(mu, matrix)`` pairs sorted by ascending
-    label.  A standard set of ``t`` steps has ``t + 1`` labels in
-    ``{-t..t}`` sharing the parity of ``t``; a split-step set of ``t``
-    split steps has ``2t + 1`` labels covering every integer in ``{-t..t}``.
-    The operators are a read-only copy of the ones given.
+    The operators are held once, as one read-only complex128 array of shape
+    ``(labels, 2, 2)`` in ascending label order, copied from what is given.
+    The labels follow from ``kind`` and ``t``: a standard set of ``t`` steps
+    has the ``t + 1`` labels ``-t, -t + 2, .., t``; a split-step set of ``t``
+    split steps has the ``2t + 1`` labels ``-t..t``.  ``entries`` is given
+    either as ``(mu, matrix)`` pairs, whose labels must be exactly those, or
+    as the operator array alone, in label order; it is kept as ``(mu, row)``
+    pairs over the set's array, with ``mu`` an int.  Sets compare and hash
+    by identity.
     """
 
     theta: float
@@ -106,39 +99,40 @@ class KrausSet:
             raise ValueError(f"unknown kraus set kind {self.kind!r}")
         object.__setattr__(self, "theta", real("theta", self.theta))
         object.__setattr__(self, "t", count("t", self.t))
-        labels = [mu for mu, _ in self.entries]
-        if self.kind == STANDARD:
-            expected = list(range(-self.t, self.t + 1, 2))
-        else:
-            expected = list(range(-self.t, self.t + 1))
-        if labels != expected:
-            raise ValueError(
-                f"{self.kind} set of {self.t} steps needs labels {expected}, got {labels}"
-            )
-        if isinstance(self.entries, _ReadOnly):
-            return
+        expected = self.labels()
+        operators = self.entries
+        if not isinstance(operators, np.ndarray):
+            labels = [mu for mu, _ in operators]
+            if labels != expected:
+                raise ValueError(
+                    f"{self.kind} set of {self.t} steps needs labels {expected}, got {labels}"
+                )
+            operators = [matrix for _, matrix in operators]
         # a read-only copy of its own: no write through an operator or through
         # the caller's arrays can leave the cached channel stale.  A non-finite
         # set is kept as given and fails completeness when applied
         try:
-            operators = np.array([matrix for _, matrix in self.entries], dtype=np.complex128)
+            operators = np.array(operators, dtype=np.complex128, order="C")
         except ValueError:  # operators that do not stack
             operators = None
-        if operators is None or operators.shape[1:] != (2, 2):
-            raise ValueError("kraus operators must be 2x2 matrices")
-        object.__setattr__(self, "entries", _entries(labels, operators))
+        if operators is None or operators.shape != (len(expected), 2, 2):
+            raise ValueError(f"{self.kind} set of {self.t} steps needs "
+                             f"{len(expected)} kraus operators, each 2x2")
+        operators.flags.writeable = False
+        object.__setattr__(self, "_operators", operators)
+        object.__setattr__(self, "entries", tuple(zip(expected, operators)))
 
     def labels(self) -> list[int]:
-        return [mu for mu, _ in self.entries]
+        return list(range(-self.t, self.t + 1, 2 if self.kind == STANDARD else 1))
 
     def operators(self) -> list[np.ndarray]:
-        return [matrix for _, matrix in self.entries]
+        return list(self._operators)
 
     def operator(self, mu: int) -> np.ndarray:
-        for label, matrix in self.entries:
-            if label == mu:
-                return matrix
-        raise KeyError(f"no operator with label {mu}")
+        try:
+            return self._operators[self.labels().index(mu)]
+        except ValueError:
+            raise KeyError(f"no operator with label {mu}") from None
 
     def completeness_residual(self) -> float:
         """Max-entry deviation of sum K^dag K from I, read off :attr:`superoperator`."""
@@ -148,16 +142,16 @@ class KrausSet:
     def superoperator(self) -> np.ndarray:
         """The channel as a read-only 4x4 matrix acting on row-major ``vec(rho)``,
         built on first use: sets only built and serialized never pay for it."""
-        superop = superoperator_of(self.operators())
+        superop = superoperator_of(self._operators)
         superop.flags.writeable = False
         return superop
 
     # -- serialization (complex entries as [re, im] pairs) -----------------
 
     def pair_array(self) -> np.ndarray:
-        """Every operator as ``[re, im]`` pairs, shape ``(labels, 2, 2, 2)``."""
-        ops = np.asarray(self.operators(), dtype=np.complex128)
-        return np.stack((ops.real, ops.imag), -1)
+        """Every operator as ``[re, im]`` pairs, shape ``(labels, 2, 2, 2)``:
+        a read-only float64 view of the set's operators, not a copy."""
+        return self._operators.view(np.float64).reshape(self._operators.shape + (2,))
 
     def pairs(self) -> list:
         """Every operator as nested ``[re, im]`` lists, in label order."""
@@ -252,7 +246,7 @@ def iter_kraus_steps(theta: float, steps: Iterable[int]) -> Iterator[KrausSet]:
     called, not on first iteration.
     """
     theta = canonical_angle(theta)
-    return (KrausSet(theta=theta, t=t, entries=_entries(range(-t, t + 1, 2), ops[0]))
+    return (KrausSet(theta=theta, t=t, entries=ops[0])
             for _, t, ops in iter_kraus_batches([theta], steps))
 
 
@@ -370,6 +364,7 @@ def commutator_corrections(p: np.ndarray, q: np.ndarray, t: int) -> list[np.ndar
     ``D_1 = 0`` because ``[Q, P^0]`` vanishes.  These restore the terms the
     ordered products ``P^k Q^{t-k}`` miss when P and Q do not commute.
     """
+    t = count("t", t, low=0)
     dim = p.shape[0]
     p_pow = np.eye(dim, dtype=np.complex128)
     table = [np.zeros((dim, dim), dtype=np.complex128)]
@@ -424,9 +419,9 @@ def extract_kraus_binomial(theta: float, t: int, t_max: int = 8) -> KrausSet:
                 f"site {wrong[loud[0]]} of wrong parity carries amplitude "
                 f"{amplitude[loud[0]]:.3e}; extraction is inconsistent"
             )
-    labels = np.arange(-t, t + 1, 2)
-    blocks = outputs[:, origin - labels].transpose(1, 0, 2).copy()
-    return KrausSet(theta=theta, t=t, entries=_entries(labels.tolist(), blocks))
+    # the blocks in label order, from site x = t down to x = -t
+    blocks = outputs[:, origin + np.arange(t, -t - 1, -2)].transpose(1, 0, 2)
+    return KrausSet(theta=theta, t=t, entries=blocks)
 
 
 def kraus_closed_form_first_term(theta: float, t: int, mu: int) -> np.ndarray:
@@ -455,5 +450,4 @@ def extract_kraus_split_step(theta: float, n: int) -> KrausSet:
     covering both parities.
     """
     base = extract_kraus_direct(theta, 2 * count("n", n, high=inputs.MAX_COUNT // 2))
-    entries = _ReadOnly((mu // 2, matrix) for mu, matrix in base.entries)
-    return KrausSet(theta=base.theta, t=n, entries=entries, kind=SPLIT_STEP)
+    return KrausSet(theta=base.theta, t=n, entries=base._operators, kind=SPLIT_STEP)

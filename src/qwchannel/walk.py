@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inputs import count, finite, real
+from .inputs import MAX_COUNT, count, finite, real
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,8 +51,9 @@ class Lattice:
     size: int
 
     def __post_init__(self) -> None:
-        if self.size < 3:
-            raise ValueError(f"lattice needs at least 3 sites, got {self.size}")
+        # room for the guard band of the longest walk any count allows
+        object.__setattr__(self, "size", count("size", self.size, low=3,
+                                               high=2 * MAX_COUNT + 3))
         if self.size % 2 == 0:
             raise ValueError(f"lattice size must be odd, got {self.size}")
 
@@ -71,15 +72,11 @@ class Lattice:
         return cls(2 * count("t", t, low=0) + 3)
 
     def index_of(self, x: int) -> int:
-        j = self.origin_index + x
-        if not 0 <= j < self.size:
-            raise ValueError(f"position label {x} outside lattice of size {self.size}")
-        return j
+        origin = self.origin_index
+        return origin + count("x", x, low=-origin, high=origin)
 
     def label_of(self, index: int) -> int:
-        if not 0 <= index < self.size:
-            raise ValueError(f"storage index {index} outside lattice of size {self.size}")
-        return index - self.origin_index
+        return count("index", index, low=0, high=self.size - 1) - self.origin_index
 
 
 def build_coin(theta: float) -> np.ndarray:

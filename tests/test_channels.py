@@ -24,7 +24,7 @@ from qwchannel.channels import (
     rtn_lambda,
     superoperators,
 )
-from qwchannel.kraus import extract_kraus_direct
+from qwchannel.kraus import commutator_corrections, extract_kraus_direct
 from qwchannel.walk import Lattice, evolve, joint_state, position_distribution
 from qwchannel.witnesses import (
     holevo,
@@ -349,6 +349,11 @@ _ELAPSED = "max(gamma, 2a) * elapsed of a, gamma and elapsed"
     (lambda: mixedness(np.eye(2) / 2, d=2.5), "d"),
     (lambda: mixedness(np.eye(2) / 2, d=3), "d"),
     (lambda: joint_state(Lattice(5), [_NAN, 1.0]), "coin_amplitudes"),
+    (lambda: Lattice(7.5), "size"),
+    (lambda: joint_state(Lattice(5), [1, 0], 0.5), "x"),
+    (lambda: joint_state(Lattice(5), [1, 0], x=True), "x"),
+    (lambda: commutator_corrections(np.eye(2), np.eye(2), -1), "t"),
+    (lambda: commutator_corrections(np.eye(2), np.eye(2), 2.5), "t"),
     (lambda: evolve(np.array([_NAN] + [0.0] * 9), 0.3, 1), "psi0"),
     # the kernel's arguments overflow: gamma t, and the oscillation 2a t
     (lambda: dephasers(RTNParams(a=0.4, gamma=1e200, dt=1e200), [1, 3]), _KERNEL),

@@ -83,8 +83,8 @@ def test_channel_values_are_computed_on_first_use_only():
     assert kset.completeness_residual() <= 1e-14
     assert np.array_equal(apply_kraus(kset, rho), first)
     assert vars(kset)["superoperator"] is superop
-    # the channel is the one value a set caches
-    assert set(vars(kset)) <= {"theta", "t", "entries", "kind", "superoperator"}
+    # the channel is the one value a set caches; _operators is the set itself
+    assert set(vars(kset)) <= {"theta", "t", "entries", "kind", "_operators", "superoperator"}
 
 
 def test_a_set_refuses_writes_and_keeps_its_channel():

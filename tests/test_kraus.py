@@ -234,6 +234,37 @@ def test_kraus_set_validation():
         extract_kraus_direct(0.5, 2).operator(1)
 
 
+def test_sets_compare_and_hash_by_identity():
+    a, b = extract_kraus_direct(0.5, 3), extract_kraus_direct(0.5, 3)
+    assert a != b
+    assert a == a
+    assert len({a, b}) == 2
+
+
+def test_labels_are_ints_whatever_the_given_labels():
+    ops = extract_kraus_direct(0.4, 3).operators()
+    given = KrausSet(theta=0.4, t=3, entries=tuple(zip([-3, -1, 1, 3], ops)))
+    for labels in (np.arange(-3, 4, 2), [-3.0, -1.0, 1.0, 3.0]):
+        kset = KrausSet(theta=0.4, t=3, entries=tuple(zip(labels, ops)))
+        assert kset.labels() == [-3, -1, 1, 3]
+        assert all(type(mu) is int for mu in kset.labels())
+        assert kset.to_json(indent=2) == given.to_json(indent=2)
+        assert kset.to_json() == given.to_json()
+
+
+def test_a_set_is_one_array_given_whole_or_by_label():
+    kset = extract_kraus_direct(0.7, 4)
+    whole = KrausSet(theta=0.7, t=4, entries=np.array(kset.operators()))
+    assert whole.pair_array().tobytes() == kset.pair_array().tobytes()
+    pairs = kset.pair_array()
+    assert pairs.shape == (5, 2, 2, 2) and pairs.dtype == np.float64
+    assert np.shares_memory(pairs, kset.operator(0))
+    with pytest.raises(ValueError, match="read-only"):
+        pairs[0] = 0
+    with pytest.raises(ValueError, match="needs 5 kraus operators, each 2x2"):
+        KrausSet(theta=0.7, t=4, entries=np.array(kset.operators()[1:]))
+
+
 def test_invalid_step_counts():
     with pytest.raises(ValueError):
         extract_kraus_direct(0.5, 0)
