@@ -83,7 +83,7 @@ def test_channel_values_are_computed_on_first_use_only():
     assert kset.completeness_residual() <= 1e-14
     assert np.array_equal(apply_kraus(kset, rho), first)
     assert vars(kset)["superoperator"] is superop
-    # the channel is the one value a set caches; _operators is the set itself
+    # the channel is the one value a set caches
     assert set(vars(kset)) <= {"theta", "t", "entries", "kind", "_operators", "superoperator"}
 
 
