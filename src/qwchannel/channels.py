@@ -20,7 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inputs import count, finite, matrices, nonnegative, number, positive, real, step_list
+from .inputs import (
+    count,
+    finite,
+    matrices,
+    nonnegative,
+    number,
+    outputs,
+    positive,
+    real,
+    step_list,
+)
 from .inputs import states as qubit_states
 from .kraus import (
     KrausSet,
@@ -131,16 +141,20 @@ def superoperators(thetas: Iterable[float], steps: Iterable[int]) -> np.ndarray:
     """The channel of every coin angle and step count, shape ``(B, S, 4, 4)``.
 
     The step axis runs over the distinct step counts in ascending order.
-    All angles are walked together (:func:`~qwchannel.kraus.iter_kraus_batches`)
-    and every set's completeness residual is checked.
+    All angles are walked together (:func:`~qwchannel.kraus.iter_kraus_batches`),
+    each set becomes its channel by one Gram product
+    (:func:`~qwchannel.kraus.superoperator_of`), and the whole array passes
+    the completeness gate once.  At most ``MAX_OUTPUTS`` channels, refused
+    before any walk.
     """
     thetas = list(thetas)
     wanted = step_list("steps", steps)
+    outputs("thetas x steps", len(thetas), len(wanted))
     column = {t: k for k, t in enumerate(wanted)}
     out = np.empty((len(thetas), len(wanted), 4, 4), dtype=np.complex128)
     for angles, t, operators in iter_kraus_batches(thetas, wanted):
-        out[angles, column[t]] = checked_superoperator(operators)
-    return out
+        out[angles, column[t]] = superoperator_of(operators)
+    return _complete(out)
 
 
 def channel_outputs(thetas: Iterable[float], steps: Iterable[int],
@@ -148,10 +162,13 @@ def channel_outputs(thetas: Iterable[float], steps: Iterable[int],
     """Every state's image under every (angle, step count) channel.
 
     ``states`` has shape ``(K, 2, 2)``; the result ``(B, S, K, 2, 2)``, with
-    the axes of :func:`superoperators`.
+    the axes of :func:`superoperators`.  At most ``MAX_OUTPUTS`` outputs in
+    all, refused before any walk.
     """
-    states = qubit_states("states", states)
-    return _apply(superoperators(thetas, steps)[..., None, :, :], states)
+    states, thetas = qubit_states("states", states), list(thetas)
+    wanted = step_list("steps", steps)
+    outputs("thetas x steps x states", len(thetas), len(wanted), math.prod(states.shape[:-2]))
+    return _apply(superoperators(thetas, wanted)[..., None, :, :], states)
 
 
 def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
@@ -175,11 +192,14 @@ def repeated(superops: np.ndarray, states: np.ndarray, steps: Iterable[int]) -> 
     """``states`` under ``superops`` applied n times, for each distinct step count n.
 
     Only those images are kept, stacked in ascending n on an axis before the matrix axes.
-    Both arrays must be finite and every superoperator complete, checked once.
+    Both arrays must be finite and every superoperator complete, checked once,
+    and the kept images at most ``MAX_OUTPUTS``.
     """
     wanted = step_list("steps", steps)
     superops = _complete(matrices("superops", superops, 4))
     images, kept = matrices("states", states), []
+    outputs("superops/states x steps",
+            math.prod(np.broadcast_shapes(superops.shape[:-2], images.shape[:-2])), len(wanted))
     for n in range(1, wanted[-1] + 1):
         images = _apply(superops, images)
         if n == wanted[len(kept)]:

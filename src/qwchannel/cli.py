@@ -270,10 +270,10 @@ def cmd_kraus(options: dict) -> str | tuple[list[str], list[np.ndarray]]:
         return kset.to_json(indent=2) + "\n"
     # one CSV row per matrix entry: (label, row, col) by (re, im)
     values = kset.pair_array().reshape(-1, 2)
-    size = len(kset.entries)
+    labels = kset.labels()
     return (["mu", "row", "col", "re", "im"],
-            [np.repeat(kset.labels(), 4), np.tile([0, 0, 1, 1], size),
-             np.tile([0, 1, 0, 1], size), values[:, 0], values[:, 1]])
+            [np.repeat(labels, 4), np.tile([0, 0, 1, 1], len(labels)),
+             np.tile([0, 1, 0, 1], len(labels)), values[:, 0], values[:, 1]])
 
 
 def _sorted_columns(columns: tuple, keys: tuple) -> list[np.ndarray]:

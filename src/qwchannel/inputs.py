@@ -15,6 +15,9 @@ import numpy as np
 # largest count any input may ask for (25x the largest in use, t = 4000)
 MAX_COUNT = 100_000
 
+# most channel outputs (angles x step counts x input states) one call may ask for
+MAX_OUTPUTS = 100 * MAX_COUNT
+
 
 def refuse(name: str, expected: str, value) -> ValueError:
     return ValueError(f"{name} must be {expected}, got {value!r}")
@@ -61,6 +64,19 @@ def step_list(name: str, value) -> list[int]:
     if not steps:
         raise refuse(name, "a non-empty list", value)
     return steps
+
+
+def outputs(name: str, *sizes: int) -> int:
+    """The number of outputs ``sizes`` multiply to, at most ``MAX_OUTPUTS``.
+
+    ``name`` names the sizes, as ``"thetas x steps x states"``; the check
+    needs only the sizes, so it runs before anything of that size is made.
+    """
+    total = math.prod(sizes)
+    if total > MAX_OUTPUTS:
+        raise refuse(name, f"at most {MAX_OUTPUTS} outputs in all",
+                     " x ".join(map(str, sizes)))
+    return total
 
 
 def weights(name: str, value) -> list[float]:

@@ -33,7 +33,7 @@ the parity symmetry of the symmetric coined walk.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
@@ -74,6 +74,27 @@ _ENTRY_JSON = "    " + json.dumps(
 ).replace('"%s"', "%s").replace("\n", "\n    ")
 
 
+class _Entries(Sequence):
+    """A set's ``(mu, operator)`` pairs, each made when it is read: ``mu`` an
+    int label and ``operator`` a read-only view into the set's array."""
+
+    __slots__ = ("_labels", "_operators")
+
+    def __init__(self, labels: range, operators: np.ndarray) -> None:
+        self._labels, self._operators = labels, operators
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(zip(self._labels[index], self._operators[index]))
+        return self._labels[index], self._operators[index]
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        return zip(self._labels, self._operators)
+
+
 @dataclass(frozen=True, eq=False)
 class KrausSet:
     """Ordered reduced-coin operator set for a fixed angle and step count.
@@ -84,14 +105,14 @@ class KrausSet:
     has the ``t + 1`` labels ``-t, -t + 2, .., t``; a split-step set of ``t``
     split steps has the ``2t + 1`` labels ``-t..t``.  ``entries`` is given
     either as ``(mu, matrix)`` pairs, whose labels must be exactly those, or
-    as the operator array alone, in label order; it is kept as ``(mu, row)``
-    pairs over the set's array, with ``mu`` an int.  Sets compare and hash
-    by identity.
+    as the operator array alone, in label order; it is kept as a read-only
+    sequence of ``(mu, row)`` pairs over the set's array, with ``mu`` an
+    int, each pair made when it is read.  Sets compare and hash by identity.
     """
 
     theta: float
     t: int
-    entries: tuple = field(repr=False)
+    entries: Sequence = field(repr=False)
     kind: str = STANDARD
 
     def __post_init__(self) -> None:
@@ -99,14 +120,13 @@ class KrausSet:
             raise ValueError(f"unknown kraus set kind {self.kind!r}")
         object.__setattr__(self, "theta", real("theta", self.theta))
         object.__setattr__(self, "t", count("t", self.t))
-        expected = self.labels()
+        expected = self._label_range()
         operators = self.entries
         if not isinstance(operators, np.ndarray):
             labels = [mu for mu, _ in operators]
-            if labels != expected:
-                raise ValueError(
-                    f"{self.kind} set of {self.t} steps needs labels {expected}, got {labels}"
-                )
+            if labels != list(expected):
+                raise ValueError(f"{self.kind} set of {self.t} steps needs labels "
+                                 f"{list(expected)}, got {labels}")
             operators = [matrix for _, matrix in operators]
         # a read-only copy of its own: no write through an operator or through
         # the caller's arrays can leave the cached channel stale.  A non-finite
@@ -120,17 +140,20 @@ class KrausSet:
                              f"{len(expected)} kraus operators, each 2x2")
         operators.flags.writeable = False
         object.__setattr__(self, "_operators", operators)
-        object.__setattr__(self, "entries", tuple(zip(expected, operators)))
+        object.__setattr__(self, "entries", _Entries(expected, operators))
+
+    def _label_range(self) -> range:
+        return range(-self.t, self.t + 1, 2 if self.kind == STANDARD else 1)
 
     def labels(self) -> list[int]:
-        return list(range(-self.t, self.t + 1, 2 if self.kind == STANDARD else 1))
+        return list(self._label_range())
 
     def operators(self) -> list[np.ndarray]:
         return list(self._operators)
 
     def operator(self, mu: int) -> np.ndarray:
         try:
-            return self._operators[self.labels().index(mu)]
+            return self._operators[self._label_range().index(mu)]
         except ValueError:
             raise KeyError(f"no operator with label {mu}") from None
 
@@ -213,12 +236,18 @@ def residual_of(superops):
 def superoperator_of(operators) -> np.ndarray:
     """``sum_mu K_mu (x) conj(K_mu)``, so ``vec(out) = S @ vec(rho)`` row-major.
 
-    Leading axes of ``operators`` (before ``(label, 2, 2)``) are a batch of
-    sets and give one 4x4 matrix each.
+    Built from one Gram product per set: with the rows ``r_mu = vec(K_mu)``
+    stacked as ``R`` of shape ``(m, 4)``, ``G = R^T conj(R)`` is the
+    ``(4, m) @ (m, 4)`` product ``G[(i, j), (k, l)] = sum_mu K_mu[i, j]
+    conj(K_mu[k, l])``, and ``S`` is ``G`` with its axes ``(i, j, k, l)``
+    permuted to ``(i, k, j, l)``.  Leading axes of ``operators`` (before
+    ``(label, 2, 2)``) are a batch of sets and give one 4x4 matrix each.
     """
     ops = np.asarray(operators, dtype=np.complex128)
-    superop = np.einsum("...mij,...mkl->...ikjl", ops, ops.conj())
-    return superop.reshape(ops.shape[:-3] + (4, 4))
+    batch = ops.shape[:-3]
+    rows = ops.reshape(ops.shape[:-2] + (4,))
+    gram = np.matmul(rows.swapaxes(-1, -2), rows.conj())
+    return gram.reshape(batch + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(batch + (4, 4))
 
 
 def minor_map(matrix: np.ndarray) -> np.ndarray:

@@ -24,7 +24,13 @@ from qwchannel.channels import (
     rtn_lambda,
     superoperators,
 )
-from qwchannel.kraus import commutator_corrections, extract_kraus_direct
+from qwchannel.kraus import (
+    commutator_corrections,
+    extract_kraus_direct,
+    iter_kraus_batches,
+    residual_of,
+    superoperator_of,
+)
 from qwchannel.walk import Lattice, evolve, joint_state, position_distribution
 from qwchannel.witnesses import (
     holevo,
@@ -411,3 +417,30 @@ def test_superoperators_are_checked_for_completeness_once_per_call(monkeypatch):
     assert len(gated) == 1
     apply_superoperators(superop, RHO_UP)
     assert len(gated) == 2
+
+
+def test_superoperators_refuse_one_incomplete_set_that_is_not_first(monkeypatch):
+    scaled = []
+
+    def leaky_batches(thetas, steps):
+        for angles, t, operators in iter_kraus_batches(thetas, steps):
+            if t == 5:
+                operators = operators.copy()
+                operators[1, 2] *= 1 + 1e-3
+                scaled.append(operators[1])
+            yield angles, t, operators
+
+    thetas, steps = [0.2, 0.9, 1.4], [1, 3, 5, 8]
+    clean = superoperators(thetas, steps)
+    gate, gated = channels._complete, []
+    monkeypatch.setattr(channels, "_complete",
+                        lambda superops: gated.append(superops.shape) or gate(superops))
+    assert np.array_equal(superoperators(thetas, steps), clean)
+    # one gate per call, over the whole (angle, step) array
+    assert gated == [(3, 4, 4, 4)]
+    monkeypatch.setattr(channels, "iter_kraus_batches", leaky_batches)
+    with pytest.raises(ValueError, match="kraus set incomplete: residual") as info:
+        superoperators(thetas, steps)
+    worst = float(residual_of(superoperator_of(scaled[-1])))
+    assert worst > 1e-4
+    assert str(info.value) == f"kraus set incomplete: residual {worst:.3e}"

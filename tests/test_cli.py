@@ -4,6 +4,7 @@ import math
 import pathlib
 import re
 import shlex
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qwchannel.channels import (
     composite_map,
     density_matrix,
     n_step_map,
+    repeated,
     superoperators,
 )
 from qwchannel.cli import _OPTIONS, COMMANDS, _effective, _emit, _shown, build_parser, main
@@ -848,3 +850,48 @@ def test_readme_cli_commands_parse_and_pass_the_option_checks(line):
 
 def test_the_readme_shows_every_subcommand():
     assert {line.split()[1] for line in _readme_cli_lines()} == {*COMMANDS, "verify"}
+
+
+_ORTHOGONAL = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+_CAP = "must be at most 10000000 outputs in all"
+
+# id: (argv, library call, name in the library's message); each asks for over
+# 10^7 outputs, whose superoperators alone would take gigabytes
+_OVERSIZED = {
+    "purity": (["purity", "--theta-grid", "0:1:100000", "--delta-grid", "0:1:200",
+                "--steps", "1"],
+               lambda: channel_outputs(np.zeros(100_000), [1], np.stack([_HALF] * 200)),
+               "thetas x steps x states"),
+    "holevo": (["holevo", "--theta-grid", "0:1:100000", "--steps", "101"],
+               lambda: channel_outputs(np.zeros(100_000), range(1, 102), _ORTHOGONAL),
+               "thetas x steps x states"),
+    "probability": (["probability", "--theta-grid", "0:1:2001", "--delta", "0",
+                     "--steps", "5000"],
+                    lambda: superoperators(np.zeros(2001), range(1, 5001)), "thetas x steps"),
+    # two inputs under 501 one-step channels, each kept at 10^4 step counts
+    "trace-distance concat": (["trace-distance", "--theta-grid", "0:1:501", "--mode", "concat",
+                               "--steps", "10000"],
+                              lambda: repeated(np.eye(4), np.broadcast_to(_HALF, (1001, 2, 2)),
+                                               range(1, 10_001)),
+                              "superops/states x steps"),
+}
+
+
+@pytest.mark.parametrize("argv, call, library_name", _OVERSIZED.values(),
+                         ids=_OVERSIZED.keys())
+def test_an_oversized_sweep_is_refused_by_name_before_its_outputs_exist(
+        capsys, argv, call, library_name):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        captured = capsys.readouterr()
+        with pytest.raises(ValueError) as info:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, captured.out) == (2, "")
+    assert _CAP in captured.err
+    assert str(info.value).startswith(f"{library_name} {_CAP}, got ")
+    # the refused outputs would take at least 10^7 * 64 bytes
+    assert peak < 64 * 2**20

@@ -278,3 +278,27 @@ def test_binomial_guard_refuses_amplitude_on_wrong_parity_sites(monkeypatch):
         extract_kraus_binomial(0.5, 2)
     monkeypatch.undo()
     assert extract_kraus_binomial(0.5, 2).labels() == [-2, 0, 2]
+
+
+@pytest.mark.parametrize("kset", [extract_kraus_direct(0.7, 5), extract_kraus_split_step(0.3, 2)],
+                         ids=["standard", "split"])
+def test_entries_are_the_label_operator_pairs_made_when_read(kset):
+    entries = kset.entries
+    labels, operators = kset.labels(), kset.operators()
+    assert len(entries) == len(labels)
+    assert [mu for mu, _ in entries] == labels
+    assert all(type(mu) is int for mu, _ in entries)
+    assert all(np.shares_memory(matrix, kset.pair_array()) for _, matrix in entries)
+    for k in (0, 2, -1):
+        mu, matrix = entries[k]
+        assert mu == labels[k] and np.array_equal(matrix, operators[k])
+    assert [mu for mu, _ in entries[1:3]] == labels[1:3]
+    pairs = list(entries)
+    assert [mu for mu, _ in pairs] == labels
+    with pytest.raises(IndexError):
+        entries[len(labels)]
+    with pytest.raises(ValueError, match="read-only"):
+        entries[0][1][:] = 0
+    # the pairs rebuild the same set
+    clone = KrausSet(theta=kset.theta, t=kset.t, entries=entries, kind=kset.kind)
+    assert clone.pair_array().tobytes() == kset.pair_array().tobytes()

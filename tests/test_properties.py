@@ -28,6 +28,7 @@ from qwchannel.kraus import (  # noqa: E402
     extract_kraus_direct,
     extract_kraus_split_step,
     iter_kraus_batches,
+    superoperator_of,
 )
 from qwchannel.verification import generating_function_gap  # noqa: E402
 from qwchannel.witnesses import (  # noqa: E402
@@ -178,3 +179,32 @@ def test_the_completeness_gate_reads_sum_k_dag_k_and_refuses_a_scaled_operator(t
         apply_kraus(scaled, np.eye(2) / 2)
     with pytest.raises(ValueError, match="kraus set incomplete"):
         checked_superoperator(np.stack((np.array(kset.operators()), ops)))
+
+
+def complete_sets(seed, shape, m):
+    """Sets of m operators, each cut from a random 2m x 2 isometry, so sum K^dag K = I."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=shape + (2 * m, 2)) + 1j * rng.normal(size=shape + (2 * m, 2))
+    return np.linalg.qr(z)[0].reshape(shape + (m, 2, 2))
+
+
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(), (3,), (2, 3)]),
+       m=st.integers(1, 300))
+def test_the_gram_superoperator_is_the_sum_of_kronecker_products(seed, shape, m):
+    ops = complete_sets(seed, shape, m)
+    # kron(K, conj K)[(i, k), (j, l)] = K[i, j] conj(K[k, l]), one per operator, then summed
+    krons = ops[..., :, None, :, None] * ops.conj()[..., None, :, None, :]
+    expected = krons.reshape(shape + (m, 4, 4)).sum(axis=-3)
+    superop = superoperator_of(ops)
+    assert superop.shape == shape + (4, 4)
+    assert np.abs(superop - expected).max() <= 4e-16 * (m + 1)
+
+
+@given(thetas=st.lists(finite_angles, min_size=1, max_size=3),
+       t=st.integers(1, 200))
+def test_the_gram_superoperator_of_walked_sets_is_the_sum_of_kronecker_products(thetas, t):
+    (_, _, ops), = iter_kraus_batches(thetas, [t])
+    krons = ops[..., :, None, :, None] * ops.conj()[..., None, :, None, :]
+    expected = krons.reshape(ops.shape[:2] + (4, 4)).sum(axis=1)
+    assert np.abs(superoperator_of(ops) - expected).max() <= 4e-16 * (t + 2)
+    assert np.abs(superoperator_of(ops[0]) - expected[0]).max() <= 4e-16 * (t + 2)
