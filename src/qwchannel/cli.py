@@ -34,10 +34,13 @@ Each sweep is one batched walk of all its coin angles
 (:func:`~qwchannel.channels.channel_outputs`), in chunks of at most
 ``(MAX_COUNT + 1) // (largest step + 1)`` angles, so a sweep never holds
 more operators than one angle walked ``MAX_COUNT`` steps.  The input states
-of a sweep are applied as one matrix; rows come out sorted.  Output is
-written by column (``_emit``): one encoder call per column, a fixed template
-per row, and rows streamed in pieces, with the bytes of formatting each value
-on its own.
+of a sweep are built and applied as one array.  Rows run in C order over
+the arrays that hold them: coin angle, then input angle (or series mode, or
+noise regime), then step count.  Each grid is sorted once, by its check, so
+nothing is sorted afterwards, and a point a grid repeats repeats its block
+of rows.  Output is written by column (``_emit``): one encoder call per
+column, a fixed template per row, and rows streamed in pieces, with the bytes
+of formatting each value on its own.
 """
 
 from __future__ import annotations
@@ -83,12 +86,12 @@ from .witnesses import (
 # index or lookup) is re-raised by _effective naming the option.
 
 def _grid(name: str, value) -> list[float]:
-    """``start:stop:count`` text or a ``[start, stop, count]`` list, as its points."""
+    """``start:stop:count`` text or a ``[start, stop, count]`` list, as its points sorted."""
     parts = value.split(":") if isinstance(value, str) else value
     if not (isinstance(parts, list) and len(parts) == 3):
         raise refuse(name, "start:stop:count", value)
-    return np.linspace(real(name, parts[0]), real(name, parts[1]),
-                       count(name, parts[2])).tolist()
+    return np.sort(np.linspace(real(name, parts[0]), real(name, parts[1]),
+                               count(name, parts[2])), kind="stable").tolist()
 
 
 def _steps(name: str, value) -> list[int]:
@@ -227,13 +230,14 @@ def _cells(column: list, as_json: bool) -> list[str]:
 
 
 def _emit(header: list[str], columns: list[np.ndarray], options: dict) -> None:
-    """Write equal-length 1-D arrays as CSV rows or as a JSON list of row objects.
+    """Write equal-size arrays, read in C order, as CSV rows or a JSON list of row objects.
 
     The text is that of ``str`` per CSV value, or of ``json.dumps(rows,
     indent=2)``.  Each row fills a fixed template from its columns' cells,
     which are made a block of rows at a time, as the rows are written.
     """
     as_json = options["format"] == "json"
+    columns = [np.reshape(column, -1) for column in columns]
     cells = itertools.chain.from_iterable(
         zip(*(_cells(column[start:start + _LINES_PER_WRITE].tolist(), as_json)
               for column in columns))
@@ -269,32 +273,23 @@ def cmd_kraus(options: dict) -> str | tuple[list[str], list[np.ndarray]]:
     if options["format"] == "json":
         return kset.to_json(indent=2) + "\n"
     # one CSV row per matrix entry: (label, row, col) by (re, im)
-    values = kset.pair_array().reshape(-1, 2)
-    labels = kset.labels()
-    return (["mu", "row", "col", "re", "im"],
-            [np.repeat(labels, 4), np.tile([0, 0, 1, 1], len(labels)),
-             np.tile([0, 1, 0, 1], len(labels)), values[:, 0], values[:, 1]])
-
-
-def _sorted_columns(columns: tuple, keys: tuple) -> list[np.ndarray]:
-    """Equal-shape arrays, flattened and stably sorted by ``keys``, first key first."""
-    order = np.lexsort([np.ravel(key) for key in reversed(keys)])
-    return [np.ravel(column)[order] for column in columns]
+    values = kset.pair_array()
+    mu, row, col = np.meshgrid(kset.labels(), [0, 1], [0, 1], indexing="ij")
+    return ["mu", "row", "col", "re", "im"], [mu, row, col, values[..., 0], values[..., 1]]
 
 
 def _input_sweep(thetas: list[float], deltas: list[float], steps: list[int],
                  measure) -> list[np.ndarray]:
-    """Columns ``theta, delta, step, *measure(outputs)``, rows sorted by that key.
+    """Columns ``theta, delta, step, *measure(outputs)``, rows in that key's order.
 
-    ``measure`` maps the channel outputs, shape ``(theta, step, delta, 2, 2)``,
+    ``measure`` maps the channel outputs, shape ``(theta, delta, step, 2, 2)``,
     to a tuple of arrays of row values; all angles come from one batched
-    walk and all input angles are applied as one matrix.
+    walk and all input angles are applied as one array.
     """
-    inputs = np.array([density_matrix(coin_state_from_angle(delta)) for delta in deltas])
-    outputs = channel_outputs(thetas, steps, inputs)
-    theta, step, delta = np.meshgrid(thetas, steps, deltas, indexing="ij")
-    return _sorted_columns((theta, delta, step, *measure(outputs)),
-                           keys=(theta, delta, step))
+    kets = np.array([coin_state_from_angle(delta) for delta in deltas])
+    outputs = channel_outputs(thetas, steps, kets[:, :, None] * kets[:, None, :].conj())
+    return [*np.meshgrid(thetas, deltas, steps, indexing="ij"),
+            *measure(outputs.swapaxes(1, 2))]
 
 
 def cmd_probability(options: dict) -> tuple[list[str], list[np.ndarray]]:
@@ -311,8 +306,7 @@ def cmd_trace_distance(options: dict) -> tuple[list[str], list[np.ndarray]]:
     values = np.stack([np.insert(td_values(thetas, steps, mode=mode), 0, start, axis=1)
                        for mode in modes], axis=1)
     theta, mode, step = np.meshgrid(thetas, modes, [0, *steps], indexing="ij")
-    columns = _sorted_columns((theta, step, mode, values), keys=(theta, mode, step))
-    return ["theta", "step", "mode", "d"], columns
+    return ["theta", "step", "mode", "d"], [theta, step, mode, values]
 
 
 def cmd_rtn_composite(options: dict) -> tuple[list[str], list[np.ndarray]]:
@@ -328,9 +322,8 @@ def cmd_rtn_composite(options: dict) -> tuple[list[str], list[np.ndarray]]:
 
     values = td_regimes([options["theta"]], steps, [params for _, params in regimes])
     # rows by regime, then step
-    return (["step", "regime", "d"],
-            [np.tile(steps, len(regimes)), np.repeat([name for name, _ in regimes], len(steps)),
-             values[:, 0].ravel()])
+    regime, step = np.meshgrid([name for name, _ in regimes], steps, indexing="ij")
+    return ["step", "regime", "d"], [step, regime, values[:, 0]]
 
 
 def _purity_and_mixedness(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,9 +344,8 @@ def cmd_holevo(options: dict) -> tuple[list[str], list[np.ndarray]]:
     outputs = channel_outputs(thetas, steps, ensemble)
     chi, p_star = holevo_max_batch(outputs[..., 0, :, :], outputs[..., 1, :, :],
                                    grid_size=options["grid_size"])
-    theta, step = np.meshgrid(thetas, steps, indexing="ij")
-    columns = _sorted_columns((theta, step, chi, p_star), keys=(theta, step))
-    return ["theta", "step", "chi_max", "p1_star"], columns
+    return ["theta", "step", "chi_max", "p1_star"], [
+        *np.meshgrid(thetas, steps, indexing="ij"), chi, p_star]
 
 
 def cmd_verify() -> int:

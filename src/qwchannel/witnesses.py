@@ -7,10 +7,12 @@ of the reduced coin dynamics: the single n-step channels produce revivals
 quantity characterize what the channel does to information carried by the
 coin.
 
-The channels come from :mod:`qwchannel.channels`; this module only measures
-their outputs.  All 2x2 eigenvalue problems are solved in closed form
-(trace/determinant), never iteratively.  Every measure also takes a batch of
-matrices along leading axes; a sweep evaluates whole arrays
+The channels come from :mod:`qwchannel.channels`.  This module measures
+their outputs, and its series (:func:`td_values`, :func:`td_regimes`) also
+compose them: the one-step channel repeated, or the n-step channel chained
+with telegraph dephasing.  All 2x2 eigenvalue problems are solved in closed
+form (trace/determinant), never iteratively.  Every measure also takes a
+batch of matrices along leading axes; a sweep evaluates whole arrays
 (:func:`td_values`, :func:`td_regimes`, :func:`holevo_max_batch`), and each
 scalar call is the one-matrix case of the same code.
 """

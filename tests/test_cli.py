@@ -636,6 +636,20 @@ def test_rtn_composite_rows_equal_the_per_row_reference(capsys):
     _assert_json_dumps_the_rows(capsys, argv, out)
 
 
+def test_a_repeated_grid_point_repeats_its_block_of_rows(capsys):
+    # rows run in C order over the grid's points, so each repeat of the
+    # one (theta, delta) point prints its block of steps 1..3 in turn
+    thetas, deltas = [1.0] * 3, [0.0] * 2
+    ksets = list(iter_kraus_steps(1.0, [1, 2, 3]))
+    expected = [(theta, delta, kset.t, float(apply_kraus(
+                    kset, density_matrix(coin_state_from_angle(delta)))[0, 0].real))
+                for theta in thetas for delta in deltas for kset in ksets]
+    code, out = run_cli(capsys, "probability", "--theta-grid", "1:1:3",
+                        "--delta-grid", "0:0:2", "--steps", "3")
+    assert code == 0
+    _assert_rows_match(out, expected, keys=3)
+
+
 @pytest.mark.parametrize("argv", [
     ["probability", "--theta-grid", "0:3:7", "--delta-grid", "0:3:3", "--steps", "9"],
     ["purity", "--theta-grid", "3:0:7", "--steps", "2,9"],

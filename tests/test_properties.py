@@ -10,6 +10,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from test_cli import _cell_value  # noqa: E402
 from test_engine import momentum_oracle, traced_operators  # noqa: E402
 
 from qwchannel.channels import (  # noqa: E402
@@ -208,3 +209,49 @@ def test_the_gram_superoperator_of_walked_sets_is_the_sum_of_kronecker_products(
     expected = krons.reshape(ops.shape[:2] + (4, 4)).sum(axis=1)
     assert np.abs(superoperator_of(ops) - expected).max() <= 4e-16 * (t + 2)
     assert np.abs(superoperator_of(ops[0]) - expected[0]).max() <= 4e-16 * (t + 2)
+
+
+# each grid sweep's key columns, in the order its rows run over them
+SWEEP_KEYS = {
+    "probability": ("theta", "delta", "step"),
+    "purity": ("theta", "delta", "step"),
+    "holevo": ("theta", "step"),
+    "trace-distance": ("theta", "mode", "step"),
+}
+grid_specs = st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0), st.integers(1, 4))
+
+
+@pytest.mark.parametrize("command, keys", SWEEP_KEYS.items())
+@given(theta_grid=grid_specs, delta_grid=grid_specs,
+       steps=st.lists(st.integers(1, 5), min_size=1, max_size=3), from_config=st.booleans())
+def test_sweep_rows_run_in_c_order_over_the_sorted_grid_points(
+        tmp_path_factory, command, keys, theta_grid, delta_grid, steps, from_config):
+    grids = {"theta_grid": theta_grid}
+    if "delta" in keys:
+        grids["delta_grid"] = delta_grid
+    # a trailing comma makes even one step count a list, not a count N
+    argv = [command, "--steps", ",".join(map(str, steps)) + ",",
+            *(["--grid-size", "3"] if command == "holevo" else [])]
+    if from_config:
+        path = tmp_path_factory.mktemp("grids") / "run.json"
+        path.write_text(json.dumps({key: list(spec) for key, spec in grids.items()}))
+        argv += ["--config", str(path)]
+    else:
+        argv += [f"--{key.replace('_', '-')}={start!r}:{stop!r}:{n}"
+                 for key, (start, stop, n) in grids.items()]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    header, *lines = out.getvalue().rstrip("\n").split("\n")
+    cells = dict(zip(header.split(","), zip(*(line.split(",") for line in lines))))
+    columns = [[_cell_value(text) for text in cells[key]] for key in keys]
+    axes = {"theta": sorted(np.linspace(*theta_grid).tolist()),
+            "delta": sorted(np.linspace(*delta_grid).tolist()),
+            "mode": ["concat", "nstep"],
+            "step": ([0] if command == "trace-distance" else []) + sorted(set(steps))}
+    expected = np.meshgrid(*(axes[key] for key in keys), indexing="ij")
+    assert columns == [grid.reshape(-1).tolist() for grid in expected]
+    # a point a grid repeats repeats its whole block; otherwise the keys only grow
+    if all(len(set(axes[key])) == len(axes[key]) for key in keys):
+        rows = list(zip(*columns))
+        assert all(a < b for a, b in zip(rows, rows[1:]))
