@@ -17,7 +17,8 @@ tables.  :func:`main` merges the command's options once (``_effective``),
 passes them to the handler, and writes what the handler returns: a header
 and its columns, or a finished document (``kraus --format json``).
 
-Every flag is plain text, and argparse checks no value.  Options may also
+Every flag is plain text, and argparse checks no value: a value flag takes
+the next token whatever it starts with (``_attached``).  Options may also
 come from a JSON config file (``--config``): flags win, and a config
 ``null`` is the same as leaving the key out.  Only one side of
 ``theta``/``theta_grid`` and of ``delta``/``delta_grid`` may be set, by the
@@ -31,16 +32,17 @@ counts (``t``, ``grid_size``, step and grid counts) whole numbers up to
 exits 2 with a message naming the option.
 
 Each sweep is one batched walk of all its coin angles
-(:func:`~qwchannel.channels.channel_outputs`), in chunks of at most
-``(MAX_COUNT + 1) // (largest step + 1)`` angles, so a sweep never holds
-more operators than one angle walked ``MAX_COUNT`` steps.  The input states
-of a sweep are built and applied as one array.  Rows run in C order over
-the arrays that hold them: coin angle, then input angle (or series mode, or
-noise regime), then step count.  Each grid is sorted once, by its check, so
-nothing is sorted afterwards, and a point a grid repeats repeats its block
-of rows.  Output is written by column (``_emit``): one encoder call per
-column, a fixed template per row, and rows streamed in pieces, with the bytes
-of formatting each value on its own.
+(:func:`~qwchannel.channels.channel_outputs`), except the ``concat`` rows of
+``trace-distance``, which repeat each angle's one-step channel.  A walk goes
+in chunks of at most ``(MAX_COUNT + 1) // (largest step + 1)`` angles, so a
+sweep never holds more operators than one angle walked ``MAX_COUNT`` steps.
+The input states of a sweep are built and applied as one array.  Rows run in
+C order over the arrays that hold them: coin angle, then input angle (or
+series mode, or noise regime), then step count.  Each grid is sorted once,
+by its check, so nothing is sorted afterwards, and a point a grid repeats
+repeats its block of rows.  Output is written by column (``_emit``): one
+encoder call per column, a fixed template per row, and rows streamed in
+pieces, with the bytes of formatting each value on its own.
 """
 
 from __future__ import annotations
@@ -391,6 +393,35 @@ def _shown(default) -> str:
     return ":".join(map(str, default)) if isinstance(default, list) else str(default)
 
 
+def _flags(defaults: dict):
+    """``(flag, key, default)`` for each of a command's options that has a flag."""
+    for key, default in defaults.items():
+        if _OPTIONS[key][1] is not None:
+            yield "--" + key.replace("_", "-"), key, default
+
+
+def _attached(argv: list[str]) -> list[str]:
+    """``argv`` with each value flag joined to the token after it, ``--flag=value``.
+
+    argparse takes a token that starts with ``-`` for a flag unless it reads as
+    a negative number by its own rule, which differs between Python versions;
+    joined, every value reaches its option's check.  A token that is one of the
+    command's flags is left to argparse, so a missing value is still reported.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return argv
+    takes_value = {flag: not isinstance(default, bool)
+                   for flag, _, default in _flags(COMMANDS[argv[0]][2])}
+    takes_value.update({"--config": True, "-h": False, "--help": False})
+    joined = argv[:1]
+    for token in argv[1:]:
+        if takes_value.get(joined[-1]) and token not in takes_value:
+            joined[-1] += f"={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwchannel",
@@ -402,12 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
         # no abbreviations: a flag has one spelling
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file (flags win on conflict)")
-        for key, default in defaults.items():
+        for flag, key, default in _flags(defaults):
             help_text = _OPTIONS[key][1]
-            if help_text is None:
-                continue
             text = help_text if default is None else f"{help_text} (default: {_shown(default)})"
-            flag = "--" + key.replace("_", "-")
             if isinstance(default, bool):
                 p.add_argument(flag, action="store_true", default=None, help=text)
             else:
@@ -418,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attached(sys.argv[1:] if argv is None else list(argv)))
     try:
         if args.command == "verify":
             return cmd_verify()

@@ -2,8 +2,9 @@
 
 Each check pits one route through the code against an independent one
 (closed-form tables, the expanded-operator extraction, the joint evolution
-plus explicit position trace, analytic decay laws) and reports a named
-pass/fail result with the worst observed deviation.
+plus explicit position trace, analytic decay laws) and returns whether it
+passed and a detail, mostly the worst observed deviation.  ``run_checks``
+names each result after its check's function.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, worst: float, tol: float) -> CheckResult:
-    detail = f"worst deviation {worst:.3e} (tolerance {tol:.0e})"
-    return CheckResult(name, worst <= tol, detail)
+def _result(worst: float, tol: float) -> tuple[bool, str]:
+    return worst <= tol, f"worst deviation {worst:.3e} (tolerance {tol:.0e})"
 
 
-def check_completeness() -> CheckResult:
+def check_completeness() -> tuple[bool, str]:
     # every (angle, step) set from one batched walk, summing K^dag K label by
     # label, and the library's own gate (the partial trace of the superoperator)
     # on the single-set route (the one ``kraus`` dumps) at the longest walk
@@ -55,10 +55,10 @@ def check_completeness() -> CheckResult:
     for _, _, operators in iter_kraus_batches(thetas, steps):
         gram = np.einsum("...mji,...mjk->...ik", operators.conj(), operators)
         worst = max(worst, float(np.abs(gram - np.eye(2)).max()))
-    return _result("completeness", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
-def check_table_standard() -> CheckResult:
+def check_table_fidelity_standard() -> tuple[bool, str]:
     worst = 0.0
     for theta in (math.pi / 6, math.pi / 4, math.pi / 3):
         for t in range(1, 5):
@@ -66,10 +66,10 @@ def check_table_standard() -> CheckResult:
             extracted = extract_kraus_direct(theta, t)
             for mu, expected in table.items():
                 worst = max(worst, float(np.abs(extracted.operator(mu) - expected).max()))
-    return _result("table-fidelity-standard", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
-def check_table_split_step() -> CheckResult:
+def check_table_fidelity_split_step() -> tuple[bool, str]:
     worst = 0.0
     for theta in (math.pi / 6, math.pi / 4, math.pi / 3):
         for n in range(1, 4):
@@ -78,10 +78,10 @@ def check_table_split_step() -> CheckResult:
             for matrix in expected:
                 best = min(float(np.abs(g - matrix).max()) for g in got)
                 worst = max(worst, best)
-    return _result("table-fidelity-split-step", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
-def check_dual_extraction() -> CheckResult:
+def check_dual_extraction() -> tuple[bool, str]:
     worst = 0.0
     for theta in (math.pi / 7, math.pi / 4, 1.0):
         for t in range(1, 9):
@@ -89,10 +89,10 @@ def check_dual_extraction() -> CheckResult:
             expanded = extract_kraus_binomial(theta, t)
             for ka, kb in zip(direct.operators(), expanded.operators()):
                 worst = max(worst, float(np.abs(ka - kb).max()))
-    return _result("dual-extraction", worst, 1e-9)
+    return _result(worst, 1e-9)
 
 
-def check_reduced_dynamics() -> CheckResult:
+def check_reduced_dynamics() -> tuple[bool, str]:
     rng = np.random.default_rng(2024)
     worst = 0.0
     for n in range(1, 13):
@@ -104,10 +104,10 @@ def check_reduced_dynamics() -> CheckResult:
         traced = psi @ psi.conj().T
         channeled = apply_kraus(extract_kraus_direct(theta, n), density_matrix(ket))
         worst = max(worst, float(np.abs(traced - channeled).max()))
-    return _result("reduced-dynamics", worst, 1e-10)
+    return _result(worst, 1e-10)
 
 
-def check_closed_form_probabilities() -> CheckResult:
+def check_closed_form_probabilities() -> tuple[bool, str]:
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(25):
@@ -119,17 +119,17 @@ def check_closed_form_probabilities() -> CheckResult:
             out = apply_kraus(extract_kraus_direct(theta, t), density_matrix(ket))
             worst = max(worst, abs(out[0, 0].real - closed_form_p(theta, t, a, b)))
             worst = max(worst, abs(out[0, 1] - closed_form_q(theta, t, a, b)))
-    return _result("closed-form-probabilities", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
-def check_concatenation_decay() -> CheckResult:
+def check_concatenation_decay() -> tuple[bool, str]:
     worst = 0.0
     for theta in (math.pi / 6, 0.9, 2.2):
         series = td_series(theta, 30, mode="concat")
         decay = abs(math.cos(2 * theta))
         for n, d in zip(series.steps, series.values):
             worst = max(worst, abs(d - decay ** n))
-    return _result("concatenation-decay", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
 # points z = exp(2 pi i k / _CIRCLE) of the generating function: the phase of
@@ -157,7 +157,7 @@ def generating_function_gap(thetas, t: int, operators, ks) -> np.ndarray:
     return np.abs(series - closed).max(axis=(1, 2, 3))
 
 
-def check_minor_symmetry() -> CheckResult:
+def check_minor_symmetry() -> tuple[bool, str]:
     # the engine walks the labels mu >= 0 and flips out K_{-mu} = J K_mu J:
     # certify whole flipped sets of both parities against the generating
     # function at 8 seeded points of the unit circle.  The longest walk, 400
@@ -168,10 +168,10 @@ def check_minor_symmetry() -> CheckResult:
     for angles, t, operators in iter_kraus_batches(thetas, (1, 2, 3, 399, 400)):
         gap = generating_function_gap(thetas[angles], t, operators, ks)
         worst = max(worst, float(gap.max()))
-    return _result("minor-symmetry", worst, 1e-12)
+    return _result(worst, 1e-12)
 
 
-def check_half_pi_degeneracy() -> CheckResult:
+def check_half_pi_degeneracy() -> tuple[bool, str]:
     worst = 0.0
     for t in range(2, 13, 2):
         kset = extract_kraus_direct(math.pi / 2, t)
@@ -181,10 +181,10 @@ def check_half_pi_degeneracy() -> CheckResult:
                 worst = max(worst, float(np.abs(matrix - sign * np.eye(2)).max()))
             else:
                 worst = max(worst, float(np.abs(matrix).max()))
-    return _result("half-pi-degeneracy", worst, 1e-14)
+    return _result(worst, 1e-14)
 
 
-def check_rtn_kernel() -> CheckResult:
+def check_rtn_kernel() -> tuple[bool, str]:
     worst = 0.0
     for ratio in (0.4, 2.0):
         params = RTNParams(a=ratio, gamma=1.0)
@@ -195,14 +195,12 @@ def check_rtn_kernel() -> CheckResult:
     markovian = [rtn_lambda(overdamped, t) for t in np.linspace(0.0, 10.0, 1001)]
     monotone = all(b <= a + 1e-15 for a, b in zip(markovian, markovian[1:]))
     positive = all(v > 0 for v in markovian)
-    result = _result("rtn-kernel", worst, 1e-12)
     if not (monotone and positive):
-        return CheckResult("rtn-kernel", False,
-                           "overdamped kernel not positive-decreasing")
-    return result
+        return False, "overdamped kernel not positive-decreasing"
+    return _result(worst, 1e-12)
 
 
-def check_shift_power_identity() -> CheckResult:
+def check_shift_power_identity() -> tuple[bool, str]:
     for t in range(0, 11):
         lattice = Lattice.for_steps(t)
         s_left, s_right = build_shifts(lattice)
@@ -214,16 +212,14 @@ def check_shift_power_identity() -> CheckResult:
                 value = power[origin + mu, origin].real
                 expected = 1.0 if mu + k == t - k else 0.0
                 if value != expected:
-                    return CheckResult(
-                        "shift-power-identity", False,
-                        f"mismatch at t={t}, k={k}, mu={mu}")
-    return CheckResult("shift-power-identity", True, "exact for all t <= 10")
+                    return False, f"mismatch at t={t}, k={k}, mu={mu}"
+    return True, "exact for all t <= 10"
 
 
 ALL_CHECKS = (
     check_completeness,
-    check_table_standard,
-    check_table_split_step,
+    check_table_fidelity_standard,
+    check_table_fidelity_split_step,
     check_dual_extraction,
     check_reduced_dynamics,
     check_closed_form_probabilities,
@@ -240,8 +236,9 @@ def run_checks() -> list[CheckResult]:
     results = []
     for check in ALL_CHECKS:
         try:
-            results.append(check())
+            passed, detail = check()
         except Exception as exc:  # a crashed check is a failed check
-            name = check.__name__.removeprefix("check_").replace("_", "-")
-            results.append(CheckResult(name, False, f"raised {exc!r}"))
+            passed, detail = False, f"raised {exc!r}"
+        name = check.__name__.removeprefix("check_").replace("_", "-")
+        results.append(CheckResult(name, passed, detail))
     return results

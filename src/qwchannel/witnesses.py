@@ -89,8 +89,8 @@ def td_series(theta: float, n_max: int, mode: str = MODE_NSTEP,
 
     mode "nstep" applies the single n-step channel, "concat" repeats the
     one-step channel n times, and "composite" chains telegraph dephasing
-    (with the given parameters) after the n-step channel.  The one-angle
-    case of :func:`td_values`.
+    (with the given parameters, which only this mode takes) after the
+    n-step channel.  The one-angle case of :func:`td_values`.
     """
     theta = canonical_angle(theta)
     steps = tuple(range(1, count("n_max", n_max) + 1))
@@ -107,6 +107,9 @@ def td_values(thetas: Iterable[float], steps: Iterable[int], mode: str = MODE_NS
     each angle's one-step channel (:func:`~qwchannel.channels.repeated`).
     """
     steps = step_list("steps", steps)
+    if mode in (MODE_NSTEP, MODE_CONCAT) and rtn is not None:
+        raise ValueError(f"rtn must be None outside composite mode, got {rtn!r} "
+                         f"with mode {mode!r}")
     if mode == MODE_CONCAT:
         # the one-step axis broadcasts over the input pair: (angle, input, step, 2, 2)
         pairs = repeated(superoperators(thetas, [1]), _ORTHOGONAL_PAIR, steps)
@@ -114,7 +117,7 @@ def td_values(thetas: Iterable[float], steps: Iterable[int], mode: str = MODE_NS
     if mode in (MODE_NSTEP, MODE_COMPOSITE):
         if mode == MODE_COMPOSITE and rtn is None:
             raise ValueError("composite mode needs telegraph-noise parameters")
-        return td_regimes(thetas, steps, [rtn if mode == MODE_COMPOSITE else None])[0]
+        return td_regimes(thetas, steps, [rtn])[0]
     raise ValueError(f"unknown series mode {mode!r}")
 
 

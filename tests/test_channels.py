@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qwchannel.channels as channels
+from qwchannel import reference
 from qwchannel.channels import (
     RTNParams,
     apply_kraus,
@@ -25,6 +26,7 @@ from qwchannel.channels import (
     superoperators,
 )
 from qwchannel.kraus import (
+    KrausSet,
     commutator_corrections,
     extract_kraus_direct,
     iter_kraus_batches,
@@ -37,6 +39,8 @@ from qwchannel.witnesses import (
     mixedness,
     nonmonotonicity,
     purity,
+    td_series,
+    td_values,
     trace_distance,
     von_neumann_entropy,
 )
@@ -390,11 +394,29 @@ _ELAPSED = "max(gamma, 2a) * elapsed of a, gamma and elapsed"
     (lambda: repeated(np.eye(4), np.diag([_NAN, 1.0]), [3]), "states"),
     (lambda: density_matrix([_NAN, 1.0]), "ket"),
     (lambda: hermitian_eigenvalues(np.full((2, 2), _NAN)), "matrix"),
+    # telegraph parameters serve only the composite series
+    (lambda: td_series(0.5, 5, mode="nstep", rtn=RTNParams(a=2.0, gamma=1.0)), "rtn"),
+    (lambda: td_values([0.5], [5], mode="concat", rtn=RTNParams(a=2.0, gamma=1.0)), "rtn"),
 ])
 def test_library_arguments_are_refused_by_name(call, name):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value).startswith(f"{name} must be")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: KrausSet(theta=0.3, t=1, entries=np.zeros((2, 2, 2)), kind="x"),
+     "unknown kraus set kind 'x'"),
+    (lambda: evolve(np.zeros(5), 0.3, 1), "joint state length must be 2L, got 5"),
+    (lambda: reference.standard_walk_operators(0.3, 5),
+     "standard-walk table covers t in 1..4, got 5"),
+    (lambda: reference.split_step_operators(0.3, 4),
+     "split-step table covers n in 1..3, got 4"),
+])
+def test_malformed_structures_are_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_an_empty_batch_of_superoperators_is_applied_to_nothing():

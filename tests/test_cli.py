@@ -28,7 +28,7 @@ from qwchannel.kraus import (
     extract_kraus_split_step,
     iter_kraus_steps,
 )
-from qwchannel.walk import coin_projections
+from qwchannel.walk import build_shifts, coin_projections
 from qwchannel.witnesses import (
     holevo_max,
     holevo_max_batch,
@@ -251,6 +251,41 @@ def test_verify_names_completeness_when_kraus_corrupted(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify")
     assert code == 1
     assert "[FAIL] completeness" in out
+
+
+def _check_names(out):
+    return [line.split("] ")[1].split(":")[0] for line in out.splitlines()
+            if line.startswith("[")]
+
+
+def test_a_raising_check_is_reported_under_the_name_it_passes_under(capsys, monkeypatch):
+    _, passing = run_cli(capsys, "verify")
+
+    def unavailable(*args):
+        raise RuntimeError("table unavailable")
+
+    monkeypatch.setattr(verification.reference, "standard_walk_operators", unavailable)
+    monkeypatch.setattr(verification.reference, "split_step_operators", unavailable)
+    code, out = run_cli(capsys, "verify")
+    assert code == 1
+    assert _check_names(out) == _check_names(passing)
+    assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+        f"[FAIL] {name}: raised RuntimeError('table unavailable')"
+        for name in ("table-fidelity-standard", "table-fidelity-split-step")]
+
+
+@pytest.mark.parametrize("attr, patch, line", [
+    # a kernel that rises is not the overdamped (Markovian) decay
+    ("rtn_lambda", lambda params, elapsed: 1.0 + elapsed,
+     "[FAIL] rtn-kernel: overdamped kernel not positive-decreasing"),
+    ("build_shifts", lambda lattice: build_shifts(lattice)[::-1],
+     "[FAIL] shift-power-identity: mismatch at t=1, k=0, mu=-1"),
+])
+def test_a_failing_check_reports_its_own_text(capsys, monkeypatch, attr, patch, line):
+    monkeypatch.setattr(verification, attr, patch)
+    code, out = run_cli(capsys, "verify")
+    assert code == 1
+    assert [text for text in out.splitlines() if text.startswith("[FAIL]")] == [line]
 
 
 def test_csv_output_is_deterministic(tmp_path):
@@ -487,6 +522,14 @@ _STATE = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
     # a regime amplitude that overflows names the options it is made of
     (["rtn-composite", "--markovian-ratio", "1e200", "--rtn-gamma", "1e200"], None,
      ["markovian_ratio * rtn_gamma must be finite"]),
+    # a value may start with "-"; it reaches its option's check
+    (["probability", "--theta", "-inf", "--steps", "2"], None, ["theta must be finite"]),
+    # an int beyond the float range
+    (["kraus", "--theta", "0.4"], {"t": 10**400}, ["t must be finite"]),
+    (["holevo", "--theta", "0.4", "--steps", "1"],
+     {"ensemble": {"rho1": [[[0.5, 0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+                   "rho2": _STATE}},
+     ["ensemble must be rho1 and rho2 as [re, im] pairs"]),
 ])
 def test_every_option_is_checked_by_name_whatever_its_source(tmp_path, capsys, argv,
                                                              config, named):
@@ -500,6 +543,29 @@ def test_every_option_is_checked_by_name_whatever_its_source(tmp_path, capsys, a
     assert captured.out == ""
     for text in named:
         assert text in captured.err
+
+
+def test_a_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps([{"theta": 0.4}]))
+    with pytest.raises(SystemExit) as info:
+        main(["probability", "--config", str(path)])
+    assert info.value.code == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--theta-grid", "-1:1:3"), ("--theta", "-1e-3")])
+def test_a_value_that_starts_with_a_dash_is_the_flags_value(capsys, flag, value):
+    joined = run_cli(capsys, "probability", f"{flag}={value}", "--steps", "1")
+    assert joined[0] == 0
+    assert run_cli(capsys, "probability", flag, value, "--steps", "1") == joined
+
+
+def test_a_flag_in_a_value_position_is_still_a_missing_value(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["probability", "--theta", "--steps", "1"])
+    assert info.value.code == 2
+    assert "argument --theta: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -860,6 +926,13 @@ def test_readme_cli_commands_parse_and_pass_the_option_checks(line):
     args = parser.parse_args(shlex.split(line)[1:])
     if args.command != "verify":
         _effective(args, parser)
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_commands_run(capsys, line):
+    code, out = run_cli(capsys, *shlex.split(line)[1:])
+    assert code == 0
+    assert out.strip()
 
 
 def test_the_readme_shows_every_subcommand():

@@ -138,7 +138,7 @@ def test_the_scalar_maps_and_the_batched_series_are_one_definition(theta, n, rtn
     for mode, channel in (("nstep", lambda rho: n_step_map(theta, n, rho)),
                           ("concat", lambda rho: concatenated_map(theta, n, rho)),
                           ("composite", lambda rho: composite_map(rtn, theta, n, rho))):
-        series = td_series(theta, n, mode=mode, rtn=rtn)
+        series = td_series(theta, n, mode=mode, rtn=rtn if mode == "composite" else None)
         assert trace_distance(channel(_UP), channel(_DOWN)) == series.values[-1]
 
 
