@@ -13,7 +13,8 @@ verify          run the named consistency checks and report pass/fail
 Each option is declared once, in ``_OPTIONS``: its check and its flag help.
 Each subcommand is declared once, in ``COMMANDS``: its handler, its help line
 and its option defaults.  The parser and its help text are made from the two
-tables.  :func:`main` merges the command's options once (``_effective``),
+tables; a run builds only the flags of the subcommand it invokes, and names
+the others.  :func:`main` merges the command's options once (``_effective``),
 passes them to the handler, and writes what the handler returns: a header
 and its columns, or a finished document (``kraus --format json``).
 
@@ -42,7 +43,8 @@ series mode, or noise regime), then step count.  Each grid is sorted once,
 by its check, so nothing is sorted afterwards, and a point a grid repeats
 repeats its block of rows.  Output is written by column (``_emit``): one
 encoder call per column, a fixed template per row, and rows streamed in
-pieces, with the bytes of formatting each value on its own.
+pieces, with the bytes of formatting each value on its own.  Key axes come
+as open grids, so each of their points is formatted once.
 """
 
 from __future__ import annotations
@@ -151,14 +153,14 @@ _OPTIONS = {
 
 # -- plumbing -----------------------------------------------------------------
 
-def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
+def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config {path}: {exc}")
+        raise ValueError(f"cannot read config {path}: {exc}") from None
     if not isinstance(config, dict):
-        parser.error(f"config {path} must hold a JSON object")
+        raise ValueError(f"config {path} must hold a JSON object")
     return {key.replace("-", "_"): value for key, value in config.items()}
 
 
@@ -167,13 +169,13 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
 _EXCLUSIVE_PAIRS = (("theta", "theta_grid"), ("delta", "delta_grid"))
 
 
-def _effective(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+def _effective(args: argparse.Namespace) -> dict:
     """Merge the command's defaults <- config file <- explicit flags, then check each value.
 
     ``None`` (a config ``null``, a flag not given) leaves the value below it.
     """
     defaults = COMMANDS[args.command][2]
-    config = _load_config(args.config, parser) if args.config else {}
+    config = _load_config(args.config) if args.config else {}
     for key in config:
         if key not in _OPTIONS:
             raise ValueError(f"config key {key!r} is not an option of any subcommand")
@@ -232,18 +234,30 @@ def _cells(column: list, as_json: bool) -> list[str]:
 
 
 def _emit(header: list[str], columns: list[np.ndarray], options: dict) -> None:
-    """Write equal-size arrays, read in C order, as CSV rows or a JSON list of row objects.
+    """Write arrays broadcast together, read in C order, as CSV rows or a JSON list of row objects.
 
     The text is that of ``str`` per CSV value, or of ``json.dumps(rows,
-    indent=2)``.  Each row fills a fixed template from its columns' cells,
-    which are made a block of rows at a time, as the rows are written.
+    indent=2)``.  Each row fills a fixed template from its columns' cells.
+    A column smaller than the rows (a key axis of an open grid) is formatted
+    once, at its own shape, and read through a broadcast view; the others
+    are formatted a block of rows at a time, as the rows are written.
     """
     as_json = options["format"] == "json"
-    columns = [np.reshape(column, -1) for column in columns]
+    columns = [np.asarray(column) for column in columns]
+    shape = np.broadcast_shapes(*(column.shape for column in columns))
+    rows = math.prod(shape)
+
+    def reader(column: np.ndarray):
+        if column.size < rows:
+            cells = np.array(_cells(column.ravel().tolist(), as_json), dtype=object)
+            grid = np.broadcast_to(cells.reshape(column.shape), shape)
+            return lambda start: grid.flat[start:start + _LINES_PER_WRITE]
+        column = column.reshape(-1)
+        return lambda start: _cells(column[start:start + _LINES_PER_WRITE].tolist(), as_json)
+
+    readers = [reader(column) for column in columns]
     cells = itertools.chain.from_iterable(
-        zip(*(_cells(column[start:start + _LINES_PER_WRITE].tolist(), as_json)
-              for column in columns))
-        for start in range(0, len(columns[0]), _LINES_PER_WRITE))
+        zip(*(read(start) for read in readers)) for start in range(0, rows, _LINES_PER_WRITE))
     if as_json:
         row = "  {\n" + ",\n".join(f"    {json.dumps(key)}: %s" for key in header) + "\n  }"
         # a comma goes before every row but the first
@@ -276,13 +290,13 @@ def cmd_kraus(options: dict) -> str | tuple[list[str], list[np.ndarray]]:
         return kset.to_json(indent=2) + "\n"
     # one CSV row per matrix entry: (label, row, col) by (re, im)
     values = kset.pair_array()
-    mu, row, col = np.meshgrid(kset.labels(), [0, 1], [0, 1], indexing="ij")
+    mu, row, col = np.meshgrid(kset.labels(), [0, 1], [0, 1], indexing="ij", sparse=True)
     return ["mu", "row", "col", "re", "im"], [mu, row, col, values[..., 0], values[..., 1]]
 
 
 def _input_sweep(thetas: list[float], deltas: list[float], steps: list[int],
                  measure) -> list[np.ndarray]:
-    """Columns ``theta, delta, step, *measure(outputs)``, rows in that key's order.
+    """Columns ``theta, delta, step`` as an open grid, then ``*measure(outputs)``.
 
     ``measure`` maps the channel outputs, shape ``(theta, delta, step, 2, 2)``,
     to a tuple of arrays of row values; all angles come from one batched
@@ -290,7 +304,7 @@ def _input_sweep(thetas: list[float], deltas: list[float], steps: list[int],
     """
     kets = np.array([coin_state_from_angle(delta) for delta in deltas])
     outputs = channel_outputs(thetas, steps, kets[:, :, None] * kets[:, None, :].conj())
-    return [*np.meshgrid(thetas, deltas, steps, indexing="ij"),
+    return [*np.meshgrid(thetas, deltas, steps, indexing="ij", sparse=True),
             *measure(outputs.swapaxes(1, 2))]
 
 
@@ -307,7 +321,7 @@ def cmd_trace_distance(options: dict) -> tuple[list[str], list[np.ndarray]]:
     # axes (theta, mode, step), step 0 first
     values = np.stack([np.insert(td_values(thetas, steps, mode=mode), 0, start, axis=1)
                        for mode in modes], axis=1)
-    theta, mode, step = np.meshgrid(thetas, modes, [0, *steps], indexing="ij")
+    theta, mode, step = np.meshgrid(thetas, modes, [0, *steps], indexing="ij", sparse=True)
     return ["theta", "step", "mode", "d"], [theta, step, mode, values]
 
 
@@ -324,7 +338,7 @@ def cmd_rtn_composite(options: dict) -> tuple[list[str], list[np.ndarray]]:
 
     values = td_regimes([options["theta"]], steps, [params for _, params in regimes])
     # rows by regime, then step
-    regime, step = np.meshgrid([name for name, _ in regimes], steps, indexing="ij")
+    regime, step = np.meshgrid([name for name, _ in regimes], steps, indexing="ij", sparse=True)
     return ["step", "regime", "d"], [step, regime, values[:, 0]]
 
 
@@ -347,7 +361,7 @@ def cmd_holevo(options: dict) -> tuple[list[str], list[np.ndarray]]:
     chi, p_star = holevo_max_batch(outputs[..., 0, :, :], outputs[..., 1, :, :],
                                    grid_size=options["grid_size"])
     return ["theta", "step", "chi_max", "p1_star"], [
-        *np.meshgrid(thetas, steps, indexing="ij"), chi, p_star]
+        *np.meshgrid(thetas, steps, indexing="ij", sparse=True), chi, p_star]
 
 
 def cmd_verify() -> int:
@@ -422,7 +436,8 @@ def _attached(argv: list[str]) -> list[str]:
     return joined
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand's parser, with flags only for ``command``, the one a run parses."""
     parser = argparse.ArgumentParser(
         prog="qwchannel",
         description="Reduced coin dynamics of a discrete-time quantum walk "
@@ -432,6 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, summary, defaults) in COMMANDS.items():
         # no abbreviations: a flag has one spelling
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if name != command:
+            continue
         p.add_argument("--config", help="JSON config file (flags win on conflict)")
         for flag, key, default in _flags(defaults):
             help_text = _OPTIONS[key][1]
@@ -445,14 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attached(sys.argv[1:] if argv is None else list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(_attached(argv))
     try:
         if args.command == "verify":
             return cmd_verify()
-        options = _effective(args, parser)
+        options = _effective(args)
         if args.command == "kraus" and (options["theta"] is None or options["t"] is None):
-            parser.error("kraus requires --theta and --t")
+            raise ValueError("kraus requires --theta and --t")
         output = COMMANDS[args.command][0](options)
         if isinstance(output, str):
             _write([output], options["out"])

@@ -23,7 +23,7 @@ from qwchannel.channels import (  # noqa: E402
     rtn_lambda,
     superoperators,
 )
-from qwchannel.cli import main  # noqa: E402
+from qwchannel.cli import _emit, main  # noqa: E402
 from qwchannel.kraus import (  # noqa: E402
     KrausSet,
     extract_kraus_direct,
@@ -255,3 +255,39 @@ def test_sweep_rows_run_in_c_order_over_the_sorted_grid_points(
     if all(len(set(axes[key])) == len(axes[key]) for key in keys):
         rows = list(zip(*columns))
         assert all(a < b for a, b in zip(rows, rows[1:]))
+
+
+# key axes of every kind the handlers emit, non-finite and signed-zero cells frequent
+special_floats = st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf])
+key_axes = st.one_of(
+    st.lists(st.floats() | special_floats, min_size=1, max_size=24),
+    st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=24),
+    st.lists(st.text(max_size=4), min_size=1, max_size=24),
+)
+
+
+def _emitted(header, columns, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(header, columns, {"format": fmt, "out": None})
+    return out.getvalue()
+
+
+# 37 x 29 x 3 = 3219 rows: three full blocks of 1024 and a partial one
+@example(axes=[np.linspace(-1.0, 1.0, 32).tolist() + [-0.0, math.nan, math.inf, -math.inf, 0.0],
+               list(range(-14, 15)), ["concat", "nstep", ""]], seed=0, reverse=False)
+@given(axes=st.lists(key_axes, min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1),
+       reverse=st.booleans())
+def test_open_grid_keys_emit_the_bytes_of_their_materialized_grids(axes, seed, reverse):
+    shape = tuple(map(len, axes))
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape)
+    values.flat[rng.integers(0, values.size, 4)] = rng.choice([-0.0, math.nan, math.inf,
+                                                                -math.inf], 4)
+    header = [f"k{i}" for i in range(len(axes))] + ["v"]
+    open_grid = [*np.meshgrid(*axes, indexing="ij", sparse=True), values]
+    dense = [*np.meshgrid(*axes, indexing="ij"), values]
+    if reverse:  # key columns need not come in the order of their axes
+        header, open_grid, dense = header[::-1], open_grid[::-1], dense[::-1]
+    for fmt in ("csv", "json"):
+        assert _emitted(header, open_grid, fmt) == _emitted(header, dense, fmt)
