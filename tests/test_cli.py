@@ -21,7 +21,17 @@ from qwchannel.channels import (
     repeated,
     superoperators,
 )
-from qwchannel.cli import _OPTIONS, COMMANDS, _emit, _flags, _shown, main
+from qwchannel.cli import (
+    _OPTIONS,
+    COMMANDS,
+    _attached,
+    _effective,
+    _emit,
+    _flags,
+    _shown,
+    build_parser,
+    main,
+)
 from qwchannel.kraus import (
     KrausSet,
     extract_kraus_direct,
@@ -940,6 +950,14 @@ def _readme_cli_lines():
     blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
     return [line.split("#")[0].strip() for block in blocks for line in block.splitlines()
             if line.startswith("qwchannel ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_commands_parse_and_pass_the_option_checks(line):
+    argv = shlex.split(line)[1:]
+    args = build_parser(argv[0]).parse_args(_attached(argv))
+    if args.command != "verify":
+        _effective(args)
 
 
 @pytest.mark.parametrize("line", _readme_cli_lines())
