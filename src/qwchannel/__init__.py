@@ -5,7 +5,23 @@ the t-step reduced-coin operator sets by two independent routes, applies the
 resulting channels (optionally chained with random telegraph dephasing), and
 computes memory witnesses: trace-distance series, purity/mixedness, and the
 maximized Holevo quantity.
+
+Imported before numpy, the package loads OpenBLAS with one thread: no operand
+here is large enough to use a second one, and an idle worker burns CPU time
+busy-waiting.  A session that sets ``OPENBLAS_NUM_THREADS`` itself, or imports
+numpy first, keeps its own pool; the environment is left as it was.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    # OpenBLAS reads the variable once, when numpy loads it
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .channels import (
     RTNParams,
