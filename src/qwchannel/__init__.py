@@ -8,20 +8,27 @@ maximized Holevo quantity.
 
 Imported before numpy, the package loads OpenBLAS with one thread: no operand
 here is large enough to use a second one, and an idle worker burns CPU time
-busy-waiting.  A session that sets ``OPENBLAS_NUM_THREADS`` itself, or imports
-numpy first, keeps its own pool; the environment is left as it was.
+busy-waiting.  The pool is the process's, so every call into numpy's OpenBLAS,
+the caller's own included, then runs on that one thread.  A session that sets
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` itself, or
+imports numpy first, keeps its own pool; the environment is left as it was.
 """
 
 import os
 import sys
 
-if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+# OpenBLAS sizes its pool from the first of these variables that is set
+if "numpy" not in sys.modules and not any(
+    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
     # OpenBLAS reads the variable once, when numpy loads it
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
+    del numpy
+del os, sys
 
 from .channels import (
     RTNParams,

@@ -61,7 +61,7 @@ _EYE = np.eye(2, dtype=np.complex128)
 _EYE.flags.writeable = False
 
 # column tile of one step's product: the package loads OpenBLAS with one thread,
-# but a session that imported numpy first or set OPENBLAS_NUM_THREADS keeps a
+# but a session that imported numpy first or set its own thread count keeps a
 # larger pool, which runs a complex product of more than 16 384 columns on
 # several threads and costs more CPU time than it saves
 _TILE = 8192
