@@ -63,9 +63,10 @@ def coin_state_from_angle(delta: float) -> np.ndarray:
 
 
 def density_matrix(ket: np.ndarray) -> np.ndarray:
-    """Rank-one density matrix |ket><ket|."""
-    vec = finite("ket", ket).reshape(-1)
-    return np.outer(vec, vec.conj())
+    """Rank-one density matrices |ket><ket|: the last axis holds a ket's two
+    amplitudes, and leading axes are a batch of kets."""
+    vec = finite("ket", ket, "finite kets of two amplitudes", lambda shape: shape[-1:] == (2,))
+    return vec[..., :, None] * vec[..., None, :].conj()
 
 
 def _as_value(array):

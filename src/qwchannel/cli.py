@@ -33,18 +33,20 @@ counts (``t``, ``grid_size``, step and grid counts) whole numbers up to
 exits 2 with a message naming the option.
 
 Each sweep is one batched walk of all its coin angles
-(:func:`~qwchannel.channels.channel_outputs`), except the ``concat`` rows of
-``trace-distance``, which repeat each angle's one-step channel.  A walk goes
-in chunks of at most ``(MAX_COUNT + 1) // (largest step + 1)`` angles, so a
-sweep never holds more operators than one angle walked ``MAX_COUNT`` steps.
-The input states of a sweep are built and applied as one array.  Rows run in
-C order over the arrays that hold them: coin angle, then input angle (or
-series mode, or noise regime), then step count.  Each grid is sorted once,
-by its check, so nothing is sorted afterwards, and a point a grid repeats
-repeats its block of rows.  Output is written by column (``_emit``): one
-encoder call per column, a fixed template per row, and rows streamed in
-pieces, with the bytes of formatting each value on its own.  Key axes come
-as open grids, so each of their points is formatted once.
+(:func:`~qwchannel.channels.channel_outputs`); the ``concat`` rows of
+``trace-distance`` come from one batched one-step walk, whose channels are
+applied n times.  A walk goes in chunks of at most ``(MAX_COUNT + 1) //
+(largest step + 1)`` angles, so a sweep never holds more operators than one
+angle walked ``MAX_COUNT`` steps.  The input states of a sweep are built as
+one array by the batched :func:`~qwchannel.channels.density_matrix` and
+applied as one array.  The module uses only public names of the package.
+Rows run in C order over the arrays that hold them: coin angle, then input
+angle (or series mode, or noise regime), then step count.  Each grid is
+sorted once, by its check, so nothing is sorted afterwards, and a point a
+grid repeats repeats its block of rows.  Output is written by column
+(``_emit``): one encoder call per column, a fixed template per row, and rows
+streamed in pieces, with the bytes of formatting each value on its own.  Key
+axes come as open grids, so each of their points is formatted once.
 """
 
 from __future__ import annotations
@@ -73,15 +75,7 @@ from .kraus import (
     matrix_from_pairs,
 )
 from .verification import run_checks
-from .witnesses import (
-    _RHO_DOWN,
-    _RHO_UP,
-    holevo_max_batch,
-    purity,
-    td_regimes,
-    td_values,
-    trace_distance,
-)
+from .witnesses import holevo_max_batch, purity, td_regimes, td_values
 
 # -- option checks --------------------------------------------------------------
 # A check returns the value in its working type, or raises ValueError with a
@@ -94,8 +88,10 @@ def _grid(name: str, value) -> list[float]:
     parts = value.split(":") if isinstance(value, str) else value
     if not (isinstance(parts, list) and len(parts) == 3):
         raise refuse(name, "start:stop:count", value)
-    return np.sort(np.linspace(real(name, parts[0]), real(name, parts[1]),
-                               count(name, parts[2])), kind="stable").tolist()
+    start, stop = real(name, parts[0]), real(name, parts[1])
+    if not math.isfinite(stop - start):  # linspace's step would overflow
+        raise refuse(name, "start:stop:count with a finite span stop - start", value)
+    return np.sort(np.linspace(start, stop, count(name, parts[2])), kind="stable").tolist()
 
 
 def _steps(name: str, value) -> list[int]:
@@ -270,17 +266,17 @@ def _emit(header: list[str], columns: list[np.ndarray], options: dict) -> None:
 
 
 def _default_ensemble_pair() -> tuple[np.ndarray, np.ndarray]:
-    rho1 = 0.25 * _RHO_UP + 0.75 * _RHO_DOWN
-    plus = np.array([1.0, 1.0]) / math.sqrt(2)
-    minus = np.array([1.0, -1.0]) / math.sqrt(2)
-    rho2 = (density_matrix(plus) / 6) + (5 * density_matrix(minus) / 6)
-    return rho1, rho2
+    up, down = density_matrix(np.eye(2))
+    plus, minus = density_matrix(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))
+    return 0.25 * up + 0.75 * down, plus / 6 + 5 * minus / 6
 
 
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_kraus(options: dict) -> str | tuple[list[str], list[np.ndarray]]:
     theta, t = options["theta"], options["t"]
+    if theta is None or t is None:
+        raise ValueError("kraus requires --theta and --t")
     if options["split"]:
         # a split step is two walk steps, so t is capped at half, under its own name
         kset = extract_kraus_split_step(theta, count("t", t, high=MAX_COUNT // 2))
@@ -303,7 +299,7 @@ def _input_sweep(thetas: list[float], deltas: list[float], steps: list[int],
     walk and all input angles are applied as one array.
     """
     kets = np.array([coin_state_from_angle(delta) for delta in deltas])
-    outputs = channel_outputs(thetas, steps, kets[:, :, None] * kets[:, None, :].conj())
+    outputs = channel_outputs(thetas, steps, density_matrix(kets))
     return [*np.meshgrid(thetas, deltas, steps, indexing="ij", sparse=True),
             *measure(outputs.swapaxes(1, 2))]
 
@@ -317,9 +313,9 @@ def cmd_probability(options: dict) -> tuple[list[str], list[np.ndarray]]:
 def cmd_trace_distance(options: dict) -> tuple[list[str], list[np.ndarray]]:
     thetas, steps = _sweep_values(options, "theta"), options["steps"]
     modes = ["concat", "nstep"] if options["mode"] == "both" else [options["mode"]]
-    start = trace_distance(_RHO_UP, _RHO_DOWN)
-    # axes (theta, mode, step), step 0 first
-    values = np.stack([np.insert(td_values(thetas, steps, mode=mode), 0, start, axis=1)
+    # axes (theta, mode, step), step 0 first: the inputs |0><0| and |1><1| are
+    # orthogonal pure states, at trace distance 1 before any step
+    values = np.stack([np.insert(td_values(thetas, steps, mode=mode), 0, 1.0, axis=1)
                        for mode in modes], axis=1)
     theta, mode, step = np.meshgrid(thetas, modes, [0, *steps], indexing="ij", sparse=True)
     return ["theta", "step", "mode", "d"], [theta, step, mode, values]
@@ -468,8 +464,6 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify()
         options = _effective(args)
-        if args.command == "kraus" and (options["theta"] is None or options["t"] is None):
-            raise ValueError("kraus requires --theta and --t")
         output = COMMANDS[args.command][0](options)
         if isinstance(output, str):
             _write([output], options["out"])

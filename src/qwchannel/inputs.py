@@ -60,7 +60,13 @@ def count(name: str, value, low: int = 1, high: int = MAX_COUNT) -> int:
 
 def step_list(name: str, value) -> list[int]:
     """Step counts, each a :func:`count`, as a sorted non-empty list without repeats."""
-    steps = sorted({count(name, step) for step in value})
+    try:
+        if isinstance(value, (str, bytes)):  # "12" is not the steps 1 and 2
+            raise TypeError
+        items = iter(value)
+    except TypeError:
+        raise refuse(name, "a list of step counts", value) from None
+    steps = sorted({count(name, step) for step in items})
     if not steps:
         raise refuse(name, "a non-empty list", value)
     return steps

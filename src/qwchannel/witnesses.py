@@ -31,6 +31,7 @@ from .channels import (
     _as_value,
     _eigenvalues,
     channel_outputs,
+    density_matrix,
     dephasers,
     repeated,
     superoperators,
@@ -41,10 +42,6 @@ from .walk import canonical_angle
 MODE_NSTEP = "nstep"
 MODE_CONCAT = "concat"
 MODE_COMPOSITE = "composite"
-
-_RHO_UP = np.diag([1.0, 0.0]).astype(np.complex128)
-_RHO_DOWN = np.diag([0.0, 1.0]).astype(np.complex128)
-_ORTHOGONAL_PAIR = np.stack((_RHO_UP, _RHO_DOWN))
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -111,8 +108,9 @@ def td_values(thetas: Iterable[float], steps: Iterable[int], mode: str = MODE_NS
         raise ValueError(f"rtn must be None outside composite mode, got {rtn!r} "
                          f"with mode {mode!r}")
     if mode == MODE_CONCAT:
-        # the one-step axis broadcasts over the input pair: (angle, input, step, 2, 2)
-        pairs = repeated(superoperators(thetas, [1]), _ORTHOGONAL_PAIR, steps)
+        # the one-step axis broadcasts over the input pair |0><0|, |1><1|:
+        # (angle, input, step, 2, 2)
+        pairs = repeated(superoperators(thetas, [1]), density_matrix(np.eye(2)), steps)
         return _check_distances(trace_distance(pairs[:, 0], pairs[:, 1]))
     if mode in (MODE_NSTEP, MODE_COMPOSITE):
         if mode == MODE_COMPOSITE and rtn is None:
@@ -134,7 +132,7 @@ def td_regimes(thetas: Iterable[float], steps: Iterable[int],
     # every regime's dephasers are checked before the walk starts
     chained = [None if params is None else dephasers(params, steps)[:, None]
                for params in regimes]
-    outputs = channel_outputs(thetas, steps, _ORTHOGONAL_PAIR)
+    outputs = channel_outputs(thetas, steps, density_matrix(np.eye(2)))
     values = []
     for superops in chained:
         # dephasers and outputs were both checked when they were built
@@ -176,13 +174,11 @@ def mixedness(rho: np.ndarray, d: int = 2) -> float:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -sum l log2 l over the eigenvalues, with 0 log 0 = 0."""
-    entropy = 0.0
-    for ev in _eigenvalues(matrices("rho", rho)):
-        ev = np.clip(ev, 0.0, 1.0)
-        positive = ev > 0.0
-        terms = np.where(positive, ev * np.log2(np.where(positive, ev, 1.0)), 0.0)
-        entropy = entropy - terms
-    return _as_value(entropy)
+    ev = np.clip(np.stack(_eigenvalues(matrices("rho", rho))), 0.0, 1.0)
+    positive = ev > 0.0
+    terms = np.where(positive, ev * np.log2(np.where(positive, ev, 1.0)), 0.0)
+    # subtracted from +0.0, so a pure state's entropy is 0.0, not -0.0
+    return _as_value(0.0 - terms[0] - terms[1])
 
 
 # -- Holevo quantity ----------------------------------------------------------
@@ -194,14 +190,12 @@ def holevo(ensemble, channel) -> float:
     of (weight, state) pairs; bounds the information recoverable about j
     from the channel output.
     """
-    probabilities = weights("ensemble weights", [weight for weight, _ in ensemble])
+    probabilities = np.array(weights("ensemble weights", [weight for weight, _ in ensemble]))
     rhos = states("ensemble states", [state for _, state in ensemble])
-    average = np.zeros((2, 2), dtype=np.complex128)
-    conditional = 0.0
-    for weight, rho in zip(probabilities, rhos):
-        out = matrices("channel output", channel(rho))
-        average += weight * out
-        conditional += weight * von_neumann_entropy(out)
+    outs = matrices("channel output", [channel(rho) for rho in rhos])
+    # both sums add one state after another: a 1-d np.sum pairs nine or more terms
+    average = (probabilities[:, None, None] * outs).sum(axis=0)
+    conditional = float(np.cumsum(probabilities * von_neumann_entropy(outs))[-1])
     return von_neumann_entropy(average) - conditional
 
 

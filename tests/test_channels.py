@@ -30,6 +30,7 @@ from qwchannel.kraus import (
     commutator_corrections,
     extract_kraus_direct,
     iter_kraus_batches,
+    iter_kraus_steps,
     residual_of,
     superoperator_of,
 )
@@ -79,6 +80,25 @@ def test_hermitian_eigenvalues_of_a_matrix_near_the_float_limit_stay_finite():
     assert hermitian_eigenvalues(np.diag([1e308, -1e308])) == (-1e308, 1e308)
     assert hermitian_eigenvalues(np.array([[1e308, 1e308], [1e308, -1e308]])) == (
         -1.4142135623730951e308, 1.4142135623730951e308)
+
+
+def test_density_matrix_builds_one_state_per_ket_of_a_batch():
+    rng = np.random.default_rng(41)
+    kets = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    expected = np.stack([np.outer(ket, ket.conj()) for ket in kets])
+    assert density_matrix(kets).tobytes() == expected.tobytes()
+    assert density_matrix(kets.reshape(5, 1, 2)).shape == (5, 1, 2, 2)
+    # the rows of the identity are |0> and |1>: a pair of states, not one 4x4 matrix
+    assert np.array_equal(density_matrix(np.eye(2)), np.stack([RHO_UP, RHO_DOWN]))
+    assert density_matrix(np.zeros((0, 2))).shape == (0, 2, 2)
+
+
+# the last axis of a ket holds its two amplitudes, nothing else: three
+# amplitudes, a (2, 1) column, rows of three, a bare number
+@pytest.mark.parametrize("ket", [[1.0, 0.0, 0.0], [[1.0], [0.0]], np.eye(3), 1.0])
+def test_density_matrix_refuses_a_ket_that_is_not_two_amplitudes(ket):
+    with pytest.raises(ValueError, match=r"^ket must be finite kets of two amplitudes"):
+        density_matrix(ket)
 
 
 def test_density_matrix_validator():
@@ -397,6 +417,13 @@ _ELAPSED = "max(gamma, 2a) * elapsed of a, gamma and elapsed"
     # telegraph parameters serve only the composite series
     (lambda: td_series(0.5, 5, mode="nstep", rtn=RTNParams(a=2.0, gamma=1.0)), "rtn"),
     (lambda: td_values([0.5], [5], mode="concat", rtn=RTNParams(a=2.0, gamma=1.0)), "rtn"),
+    # a step list is a list of counts: neither text nor a bare count
+    (lambda: superoperators([0.5], "12"), "steps"),
+    (lambda: iter_kraus_steps(0.5, "31"), "steps"),
+    (lambda: iter_kraus_steps(0.5, b"31"), "steps"),
+    (lambda: td_values([0.5], 5), "steps"),
+    (lambda: superoperators([0.5], 8), "steps"),
+    (lambda: superoperators([0.5], np.array(8)), "steps"),
 ])
 def test_library_arguments_are_refused_by_name(call, name):
     with pytest.raises(ValueError) as info:

@@ -538,6 +538,12 @@ _STATE = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
      {"ensemble": {"rho1": [[[0.5, 0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
                    "rho2": _STATE}},
      ["ensemble must be rho1 and rho2 as [re, im] pairs"]),
+
+    # finite grid ends whose span stop - start overflows, as a flag and in a config
+    (["probability", "--theta-grid", "1e308:-1e308:3", "--steps", "1"], None,
+     ["theta_grid must be start:stop:count with a finite span"]),
+    (["purity", "--theta", "0.4", "--steps", "1"], {"delta_grid": [-1e308, 1e308, 3]},
+     ["delta_grid must be start:stop:count with a finite span"]),
 ])
 def test_every_option_is_checked_by_name_whatever_its_source(tmp_path, capsys, argv,
                                                              config, named):

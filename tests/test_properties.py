@@ -11,7 +11,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from test_cli import _cell_value  # noqa: E402
-from test_engine import momentum_oracle, traced_operators  # noqa: E402
+from test_engine import (  # noqa: E402
+    WALK_ERROR_PER_STEP,
+    momentum_oracle,
+    needs_long_double,
+    traced_operators,
+    walk_errors,
+)
 
 from qwchannel.channels import (  # noqa: E402
     RTNParams,
@@ -51,6 +57,12 @@ def test_engine_equals_the_position_traced_walk_and_is_complete(theta, t):
 
 
 finite_angles = st.floats(0.0, 2 * math.pi, exclude_max=True)
+
+
+@needs_long_double
+@given(theta=finite_angles, t=st.integers(1, 60))
+def test_every_walk_keeps_the_error_law(theta, t):
+    assert max(walk_errors(theta, t)) <= WALK_ERROR_PER_STEP * (t + 1)
 
 
 # 8 seeded points exp(2 pi i k / 2^20) of the unit circle

@@ -8,6 +8,7 @@ from qwchannel.channels import (
     apply_kraus,
     coin_state,
     density_matrix,
+    hermitian_eigenvalues,
     n_step_map,
 )
 from qwchannel.kraus import extract_kraus_direct
@@ -168,6 +169,42 @@ def test_holevo_matches_independent_entropy_computation():
     expected -= weights[1] * entropy_oracle(channel(rho2))
     chi = holevo([(weights[0], rho1), (weights[1], rho2)], channel)
     assert abs(chi - expected) <= 1e-12
+
+
+def entropy_loop(rho):
+    """The entropy summed eigenvalue by eigenvalue, in a loop."""
+    entropy = 0.0
+    for ev in hermitian_eigenvalues(rho):
+        ev = np.clip(ev, 0.0, 1.0)
+        positive = ev > 0.0
+        entropy = entropy - np.where(positive, ev * np.log2(np.where(positive, ev, 1.0)), 0.0)
+    return entropy
+
+
+def holevo_loop(ensemble, channel):
+    """The Holevo quantity summed state by state, in a loop."""
+    average, conditional = np.zeros((2, 2), dtype=complex), 0.0
+    for weight, rho in ensemble:
+        out = channel(rho)
+        average += weight * out
+        conditional += weight * entropy_loop(out)
+    return entropy_loop(average) - conditional
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 9, 20, 33])
+def test_the_measures_equal_their_loops_to_the_bit(size):
+    # the same terms added in the same order: one state after another, where a
+    # 1-d np.sum of nine or more terms would pair them
+    rng = np.random.default_rng(size)
+    channel = lambda rho: n_step_map(0.7, 5, rho)
+    for _ in range(10):
+        states = [rng.uniform() * random_state(rng) + rng.uniform() * FLAT
+                  for _ in range(size)]
+        states = np.array([state / np.trace(state).real for state in states])
+        weights = rng.uniform(size=size)
+        ensemble = list(zip(weights / weights.sum(), states))
+        assert holevo(ensemble, channel) == holevo_loop(ensemble, channel)
+        assert np.array_equal(von_neumann_entropy(states), entropy_loop(states))
 
 
 def test_holevo_invariant_under_relabeling():
