@@ -34,7 +34,7 @@ from .inputs import (
 from .inputs import states as qubit_states
 from .kraus import (
     KrausSet,
-    iter_kraus_batches,
+    _walk_chunks,
     residual_of,
     superoperator_of,
 )
@@ -148,12 +148,16 @@ def superoperators(thetas: Iterable[float], steps: Iterable[int]) -> np.ndarray:
     the completeness gate once.  At most ``MAX_OUTPUTS`` channels, refused
     before any walk.
     """
-    thetas = list(thetas)
-    wanted = step_list("steps", steps)
+    return _superoperators(list(thetas), step_list("steps", steps))
+
+
+def _superoperators(thetas: list, wanted: list[int]) -> np.ndarray:
+    """:func:`superoperators` of a step list already checked (sorted, distinct, each a count)."""
     outputs("thetas x steps", len(thetas), len(wanted))
     column = {t: k for k, t in enumerate(wanted)}
     out = np.empty((len(thetas), len(wanted), 4, 4), dtype=np.complex128)
-    for angles, t, operators in iter_kraus_batches(thetas, wanted):
+    for angles, t, operators in _walk_chunks([canonical_angle(theta) for theta in thetas],
+                                             wanted):
         out[angles, column[t]] = superoperator_of(operators)
     return _complete(out)
 
@@ -167,9 +171,13 @@ def channel_outputs(thetas: Iterable[float], steps: Iterable[int],
     all, refused before any walk.
     """
     states, thetas = qubit_states("states", states), list(thetas)
-    wanted = step_list("steps", steps)
+    return _channel_outputs(thetas, step_list("steps", steps), states)
+
+
+def _channel_outputs(thetas: list, wanted: list[int], states: np.ndarray) -> np.ndarray:
+    """:func:`channel_outputs` of checked steps and states, unchecked."""
     outputs("thetas x steps x states", len(thetas), len(wanted), math.prod(states.shape[:-2]))
-    return _apply(superoperators(thetas, wanted)[..., None, :, :], states)
+    return _apply(_superoperators(thetas, wanted)[..., None, :, :], states)
 
 
 def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
@@ -197,8 +205,13 @@ def repeated(superops: np.ndarray, states: np.ndarray, steps: Iterable[int]) -> 
     and the kept images at most ``MAX_OUTPUTS``.
     """
     wanted = step_list("steps", steps)
-    superops = _complete(matrices("superops", superops, 4))
-    images, kept = matrices("states", states), []
+    return _repeated(_complete(matrices("superops", superops, 4)),
+                     matrices("states", states), wanted)
+
+
+def _repeated(superops: np.ndarray, images: np.ndarray, wanted: list[int]) -> np.ndarray:
+    """:func:`repeated` of checked arrays and steps, unchecked."""
+    kept = []
     outputs("superops/states x steps",
             math.prod(np.broadcast_shapes(superops.shape[:-2], images.shape[:-2])), len(wanted))
     for n in range(1, wanted[-1] + 1):
@@ -323,6 +336,14 @@ def rtn_lambda(params: RTNParams, elapsed: float) -> float:
     """
     elapsed = nonnegative("elapsed", elapsed)
     _check_kernel_span(params, elapsed, "max(gamma, 2a) * elapsed of a, gamma and elapsed")
+    return _rtn_lambda(params, elapsed)
+
+
+def _rtn_lambda(params: RTNParams, elapsed: float) -> float:
+    """:func:`rtn_lambda` at a time already checked, unchecked.
+
+    A grid of times is checked once, by its smallest time and its largest.
+    """
     gt = params.gamma * elapsed
     # squared as r = 2a/gamma: a^2 and gamma^2 overflow or vanish where r is O(1)
     r = 2.0 * params.a / params.gamma
@@ -358,11 +379,16 @@ def dephasers(params: RTNParams, steps: Iterable[int]) -> np.ndarray:
 
     The kernel's arguments, at most ``max(gamma, 2a) * n * dt``, must be finite.
     """
-    wanted = step_list("steps", steps)
+    return _dephasers(params, step_list("steps", steps))
+
+
+def _dephasers(params: RTNParams, wanted: list[int]) -> np.ndarray:
+    """:func:`dephasers` of a checked step list; the kernel's span is checked here."""
+    # the span of the longest time bounds every shorter one
     _check_kernel_span(params, wanted[-1] * params.dt,
                        "max(gamma, 2a) * n * dt of a, gamma, dt and steps")
     return checked_superoperator(np.array(
-        [rtn_kraus(rtn_lambda(params, n * params.dt)) for n in wanted]))
+        [rtn_kraus(_rtn_lambda(params, n * params.dt)) for n in wanted]))
 
 
 def composite_map(params: RTNParams, theta: float, n: int,

@@ -4,12 +4,15 @@ Each check pits one route through the code against an independent one
 (closed-form tables, the expanded-operator extraction, the joint evolution
 plus explicit position trace, analytic decay laws) and returns whether it
 passed and a detail, mostly the worst observed deviation.  ``run_checks``
-names each result after its check's function.
+names each result after its check's function.  The seeded checks draw their
+points from the standard library's ``random.Random``, so a run never loads
+numpy's random-number package.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +20,9 @@ import numpy as np
 from . import reference
 from .channels import (
     RTNParams,
+    _rtn_lambda,
     apply_kraus,
+    channel_outputs,
     closed_form_p,
     closed_form_q,
     density_matrix,
@@ -41,7 +46,23 @@ class CheckResult:
 
 
 def _result(worst: float, tol: float) -> tuple[bool, str]:
+    worst = float(worst)
     return worst <= tol, f"worst deviation {worst:.3e} (tolerance {tol:.0e})"
+
+
+def _seeded_points(seed: int, size: int) -> tuple[np.ndarray, list[float]]:
+    """``size`` seeded kets, shape ``(size, 2)``, and an angle for each.
+
+    Each ket has standard normal real and imaginary parts and is normalized;
+    each angle is uniform in ``[0, 2 pi)``.
+    """
+    rng = random.Random(seed)
+    kets, thetas = [], []
+    for _ in range(size):
+        kets.append([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(2)])
+        thetas.append(rng.uniform(0.0, 2 * math.pi))
+    kets = np.array(kets)
+    return kets / np.linalg.norm(kets, axis=1, keepdims=True), thetas
 
 
 def check_completeness() -> tuple[bool, str]:
@@ -93,12 +114,9 @@ def check_dual_extraction() -> tuple[bool, str]:
 
 
 def check_reduced_dynamics() -> tuple[bool, str]:
-    rng = np.random.default_rng(2024)
+    kets, thetas = _seeded_points(2024, 12)
     worst = 0.0
-    for n in range(1, 13):
-        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
-        ket /= np.linalg.norm(ket)
-        theta = rng.uniform(0.0, 2 * math.pi)
+    for n, ket, theta in zip(range(1, 13), kets, thetas):
         lattice = Lattice.for_steps(n)
         psi = evolve(joint_state(lattice, ket), theta, n).reshape(2, lattice.size)
         traced = psi @ psi.conj().T
@@ -108,15 +126,14 @@ def check_reduced_dynamics() -> tuple[bool, str]:
 
 
 def check_closed_form_probabilities() -> tuple[bool, str]:
-    rng = np.random.default_rng(99)
+    kets, thetas = _seeded_points(99, 25)
+    # one batched walk: every ket under every (angle, step) channel, of which
+    # point j keeps angle j and ket j, shape (point, step, 2, 2)
+    points = np.arange(len(thetas))
+    images = channel_outputs(thetas, (1, 2, 3), density_matrix(kets))[points, :, points]
     worst = 0.0
-    for _ in range(25):
-        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
-        ket /= np.linalg.norm(ket)
-        a, b = ket
-        theta = rng.uniform(0.0, 2 * math.pi)
-        for t in (1, 2, 3):
-            out = apply_kraus(extract_kraus_direct(theta, t), density_matrix(ket))
+    for (a, b), theta, outs in zip(kets, thetas, images):
+        for t, out in zip((1, 2, 3), outs):
             worst = max(worst, abs(out[0, 0].real - closed_form_p(theta, t, a, b)))
             worst = max(worst, abs(out[0, 1] - closed_form_q(theta, t, a, b)))
     return _result(worst, 1e-12)
@@ -162,7 +179,8 @@ def check_minor_symmetry() -> tuple[bool, str]:
     # certify whole flipped sets of both parities against the generating
     # function at 8 seeded points of the unit circle.  The longest walk, 400
     # steps, is what the suite's time allows
-    ks = np.random.default_rng(8).integers(0, _CIRCLE, 8)
+    rng = random.Random(8)
+    ks = [rng.randrange(_CIRCLE) for _ in range(8)]
     thetas = (0.37, 1.1, 2.9)
     worst = 0.0
     for angles, t, operators in iter_kraus_batches(thetas, (1, 2, 3, 399, 400)):
@@ -184,15 +202,24 @@ def check_half_pi_degeneracy() -> tuple[bool, str]:
     return _result(worst, 1e-14)
 
 
+def _kernel_grid(params: RTNParams, stop: float, size: int) -> list[float]:
+    """``rtn_lambda`` at ``size`` even times from 0 to ``stop``, checked once.
+
+    The two ends go through ``rtn_lambda``, whose checks at the smallest and
+    the largest time cover every time between; those take its unchecked core.
+    """
+    first, *inner, last = np.linspace(0.0, stop, size).tolist()
+    return [rtn_lambda(params, first), *(_rtn_lambda(params, t) for t in inner),
+            rtn_lambda(params, last)]
+
+
 def check_rtn_kernel() -> tuple[bool, str]:
     worst = 0.0
     for ratio in (0.4, 2.0):
-        params = RTNParams(a=ratio, gamma=1.0)
-        worst = max(worst, abs(rtn_lambda(params, 0.0) - 1.0))
-        values = [rtn_lambda(params, t) for t in np.linspace(0.0, 20.0, 2001)]
+        values = _kernel_grid(RTNParams(a=ratio, gamma=1.0), 20.0, 2001)
+        worst = max(worst, abs(values[0] - 1.0))
         worst = max(worst, max(0.0, max(abs(v) for v in values) - 1.0))
-    overdamped = RTNParams(a=0.4, gamma=1.0)
-    markovian = [rtn_lambda(overdamped, t) for t in np.linspace(0.0, 10.0, 1001)]
+    markovian = _kernel_grid(RTNParams(a=0.4, gamma=1.0), 10.0, 1001)
     monotone = all(b <= a + 1e-15 for a, b in zip(markovian, markovian[1:]))
     positive = all(v > 0 for v in markovian)
     if not (monotone and positive):

@@ -29,12 +29,12 @@ from .channels import (
     RTNParams,
     _apply,
     _as_value,
+    _channel_outputs,
+    _dephasers,
     _eigenvalues,
-    channel_outputs,
+    _repeated,
+    _superoperators,
     density_matrix,
-    dephasers,
-    repeated,
-    superoperators,
 )
 from .inputs import MAX_COUNT, count, matrices, real, refuse, states, step_list, weights
 from .walk import canonical_angle
@@ -102,6 +102,7 @@ def td_values(thetas: Iterable[float], steps: Iterable[int], mode: str = MODE_NS
     The step axis runs over the distinct step counts in ascending order.
     The n-step modes take every set from one batched walk; "concat" repeats
     each angle's one-step channel (:func:`~qwchannel.channels.repeated`).
+    The step list is checked here once and handed down as it is.
     """
     steps = step_list("steps", steps)
     if mode in (MODE_NSTEP, MODE_CONCAT) and rtn is not None:
@@ -110,12 +111,12 @@ def td_values(thetas: Iterable[float], steps: Iterable[int], mode: str = MODE_NS
     if mode == MODE_CONCAT:
         # the one-step axis broadcasts over the input pair |0><0|, |1><1|:
         # (angle, input, step, 2, 2)
-        pairs = repeated(superoperators(thetas, [1]), density_matrix(np.eye(2)), steps)
+        pairs = _repeated(_superoperators(list(thetas), [1]), density_matrix(np.eye(2)), steps)
         return _check_distances(trace_distance(pairs[:, 0], pairs[:, 1]))
     if mode in (MODE_NSTEP, MODE_COMPOSITE):
         if mode == MODE_COMPOSITE and rtn is None:
             raise ValueError("composite mode needs telegraph-noise parameters")
-        return td_regimes(thetas, steps, [rtn])[0]
+        return _td_regimes(thetas, steps, [rtn])[0]
     raise ValueError(f"unknown series mode {mode!r}")
 
 
@@ -128,11 +129,15 @@ def td_regimes(thetas: Iterable[float], steps: Iterable[int],
     n-step channel alone).  The images of |0><0| and |1><1| come from one
     batched walk and are shared by every regime.
     """
-    steps = step_list("steps", steps)
+    return _td_regimes(thetas, step_list("steps", steps), regimes)
+
+
+def _td_regimes(thetas: Iterable[float], steps: list[int], regimes) -> np.ndarray:
+    """:func:`td_regimes` of a checked step list."""
     # every regime's dephasers are checked before the walk starts
-    chained = [None if params is None else dephasers(params, steps)[:, None]
+    chained = [None if params is None else _dephasers(params, steps)[:, None]
                for params in regimes]
-    outputs = channel_outputs(thetas, steps, density_matrix(np.eye(2)))
+    outputs = _channel_outputs(list(thetas), steps, density_matrix(np.eye(2)))
     values = []
     for superops in chained:
         # dephasers and outputs were both checked when they were built
@@ -188,8 +193,9 @@ def holevo(ensemble, channel) -> float:
 
     ``S(sum_j p_j F(rho_j)) - sum_j p_j S(F(rho_j))`` for the input ensemble
     of (weight, state) pairs; bounds the information recoverable about j
-    from the channel output.
+    from the channel output.  ``ensemble`` is read once, so it may be a generator.
     """
+    ensemble = list(ensemble)
     probabilities = np.array(weights("ensemble weights", [weight for weight, _ in ensemble]))
     rhos = states("ensemble states", [state for _, state in ensemble])
     outs = matrices("channel output", [channel(rho) for rho in rhos])

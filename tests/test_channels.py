@@ -487,7 +487,7 @@ def test_superoperators_refuse_one_incomplete_set_that_is_not_first(monkeypatch)
     assert np.array_equal(superoperators(thetas, steps), clean)
     # one gate per call, over the whole (angle, step) array
     assert gated == [(3, 4, 4, 4)]
-    monkeypatch.setattr(channels, "iter_kraus_batches", leaky_batches)
+    monkeypatch.setattr(channels, "_walk_chunks", leaky_batches)
     with pytest.raises(ValueError, match="kraus set incomplete: residual") as info:
         superoperators(thetas, steps)
     worst = float(residual_of(superoperator_of(scaled[-1])))

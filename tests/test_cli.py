@@ -1,9 +1,12 @@
 import contextlib
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,6 +17,7 @@ from qwchannel.channels import (
     RTNParams,
     apply_kraus,
     channel_outputs,
+    closed_form_q,
     coin_state_from_angle,
     composite_map,
     density_matrix,
@@ -36,9 +40,10 @@ from qwchannel.kraus import (
     KrausSet,
     extract_kraus_direct,
     extract_kraus_split_step,
+    iter_kraus_batches,
     iter_kraus_steps,
 )
-from qwchannel.walk import build_shifts, coin_projections
+from qwchannel.walk import build_shifts, coin_projections, evolve
 from qwchannel.witnesses import (
     holevo_max,
     holevo_max_batch,
@@ -296,6 +301,59 @@ def test_a_failing_check_reports_its_own_text(capsys, monkeypatch, attr, patch, 
     code, out = run_cli(capsys, "verify")
     assert code == 1
     assert [text for text in out.splitlines() if text.startswith("[FAIL]")] == [line]
+
+
+def _unflipped_batches(thetas, steps):
+    """The walk with the negative labels of its t >= 399 sets copied from the
+    positive ones without the flip ``K_{-mu} = J K_mu J``."""
+    for angles, t, operators in iter_kraus_batches(thetas, steps):
+        if t >= 399:
+            half = (t + 1) // 2
+            operators = operators.copy()
+            operators[:, :half] = operators[:, :t - half:-1]
+        yield angles, t, operators
+
+
+@pytest.mark.parametrize("name, attr, damage", [
+    # the joint walk at a slightly wrong angle
+    ("reduced-dynamics", "evolve",
+     lambda psi0, theta, t: evolve(psi0, theta + 1e-3, t)),
+    # the coherence closed form conjugated: invisible only where it is real
+    ("closed-form-probabilities", "closed_form_q",
+     lambda theta, t, a, b: closed_form_q(theta, t, a, b).conjugate()),
+    ("minor-symmetry", "iter_kraus_batches", _unflipped_batches),
+])
+def test_the_seeded_checks_catch_a_damage(capsys, monkeypatch, name, attr, damage):
+    monkeypatch.setattr(verification, attr, damage)
+    code, out = run_cli(capsys, "verify")
+    assert code == 1
+    assert [line.split(":")[0] for line in out.splitlines()
+            if line.startswith("[FAIL]")] == [f"[FAIL] {name}"]
+
+
+def test_every_check_result_is_a_bool_verdict():
+    assert all(type(result.passed) is bool for result in verification.run_checks())
+
+
+# verify in a fresh interpreter: its exit code and whether numpy.random got loaded
+VERIFY_ALONE = """
+import sys
+import qwchannel.cli
+code = qwchannel.cli.main(["verify"])
+print(code, "numpy.random" in sys.modules)
+"""
+
+
+def test_verify_loads_no_numpy_random():
+    environ = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", VERIFY_ALONE], env=environ,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert sum(line.startswith("[PASS]") for line in lines) == 11
+    assert lines[-1] == "0 False"
 
 
 def test_csv_output_is_deterministic(tmp_path):

@@ -215,6 +215,13 @@ def test_holevo_invariant_under_relabeling():
     assert abs(forward - backward) <= 1e-14
 
 
+def test_holevo_reads_a_generator_ensemble_once():
+    rho1, rho2 = example_ensemble_pair()
+    pairs = [(0.3, rho1), (0.7, rho2)]
+    channel = lambda rho: n_step_map(1.1, 3, rho)
+    assert holevo((pair for pair in pairs), channel) == holevo(pairs, channel)
+
+
 def test_holevo_ensemble_validation():
     with pytest.raises(ValueError):
         holevo([(0.5, RHO_UP), (0.6, RHO_DOWN)], lambda rho: rho)
@@ -281,3 +288,23 @@ def test_holevo_scan_in_chunks_holds_few_mixes_and_keeps_the_first_maximum(monke
     assert np.array_equal(chunked[0], whole[0]) and np.array_equal(chunked[1], whole[1])
     assert max(mixes) <= 14
     assert whole[1][-1] == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("mode, rtn", [("nstep", None), ("concat", None),
+                                       ("composite", RTNParams(0.4, 1.0, 1.0))])
+def test_an_n_step_series_checks_its_step_list_once(monkeypatch, mode, rtn):
+    import qwchannel.channels as channels
+    import qwchannel.inputs as inputs
+    import qwchannel.kraus as kraus
+    import qwchannel.witnesses as witnesses
+    calls = []
+
+    def counted(name, value):
+        calls.append(name)
+        return inputs.step_list(name, value)
+
+    for module in (witnesses, channels, kraus):
+        monkeypatch.setattr(module, "step_list", counted)
+    series = td_series(0.5, 300, mode=mode, rtn=rtn)
+    assert len(series.values) == 300
+    assert calls == ["steps"]
