@@ -29,12 +29,13 @@ from .inputs import (
     outputs,
     positive,
     real,
+    refuse,
     step_list,
 )
 from .inputs import states as qubit_states
 from .kraus import (
     KrausSet,
-    _walk_chunks,
+    iter_kraus_batches,
     residual_of,
     superoperator_of,
 )
@@ -118,6 +119,19 @@ def checked_superoperator(operators) -> np.ndarray:
     return _complete(superoperator_of(operators))
 
 
+def _cptp(superops) -> np.ndarray:
+    """A user's ``superops``, once finite, complete and completely positive: its Choi
+    matrix (:func:`~qwchannel.kraus.superoperator_of`'s axis swap undone) Hermitian,
+    with no eigenvalue below ``-COMPLETENESS_TOL``."""
+    superops = _complete(matrices("superops", superops, 4))
+    choi = superops.reshape(superops.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2)
+    choi = choi.reshape(superops.shape)
+    if not (np.abs(choi - choi.conj().swapaxes(-1, -2)).max(initial=0.0) <= COMPLETENESS_TOL
+            and np.linalg.eigvalsh(choi).min(initial=0.0) >= -COMPLETENESS_TOL):
+        raise refuse("superops", "completely positive maps", superops)
+    return superops
+
+
 def _apply(superops: np.ndarray, states: np.ndarray) -> np.ndarray:
     """``vec(out) = S @ vec(rho)`` over the broadcast leading axes of both, unchecked.
 
@@ -133,9 +147,9 @@ def apply_superoperators(superops: np.ndarray, states: np.ndarray) -> np.ndarray
 
     ``superops`` has shape ``(..., 4, 4)`` and ``states`` ``(..., 2, 2)``;
     ``vec`` is row-major.  Both must be finite and every superoperator
-    complete (:func:`checked_superoperator`'s gate).
+    complete (:func:`checked_superoperator`'s gate) and completely positive.
     """
-    return _apply(_complete(matrices("superops", superops, 4)), matrices("states", states))
+    return _apply(_cptp(superops), matrices("states", states))
 
 
 def superoperators(thetas: Iterable[float], steps: Iterable[int]) -> np.ndarray:
@@ -148,16 +162,11 @@ def superoperators(thetas: Iterable[float], steps: Iterable[int]) -> np.ndarray:
     the completeness gate once.  At most ``MAX_OUTPUTS`` channels, refused
     before any walk.
     """
-    return _superoperators(list(thetas), step_list("steps", steps))
-
-
-def _superoperators(thetas: list, wanted: list[int]) -> np.ndarray:
-    """:func:`superoperators` of a step list already checked (sorted, distinct, each a count)."""
-    outputs("thetas x steps", len(thetas), len(wanted))
-    column = {t: k for k, t in enumerate(wanted)}
-    out = np.empty((len(thetas), len(wanted), 4, 4), dtype=np.complex128)
-    for angles, t, operators in _walk_chunks([canonical_angle(theta) for theta in thetas],
-                                             wanted):
+    thetas, steps = list(thetas), step_list("steps", steps)
+    outputs("thetas x steps", len(thetas), len(steps))
+    column = {t: k for k, t in enumerate(steps)}
+    out = np.empty((len(thetas), len(steps), 4, 4), dtype=np.complex128)
+    for angles, t, operators in iter_kraus_batches(thetas, steps):
         out[angles, column[t]] = superoperator_of(operators)
     return _complete(out)
 
@@ -171,13 +180,9 @@ def channel_outputs(thetas: Iterable[float], steps: Iterable[int],
     all, refused before any walk.
     """
     states, thetas = qubit_states("states", states), list(thetas)
-    return _channel_outputs(thetas, step_list("steps", steps), states)
-
-
-def _channel_outputs(thetas: list, wanted: list[int], states: np.ndarray) -> np.ndarray:
-    """:func:`channel_outputs` of checked steps and states, unchecked."""
-    outputs("thetas x steps x states", len(thetas), len(wanted), math.prod(states.shape[:-2]))
-    return _apply(_superoperators(thetas, wanted)[..., None, :, :], states)
+    steps = step_list("steps", steps)
+    outputs("thetas x steps x states", len(thetas), len(steps), math.prod(states.shape[:-2]))
+    return _apply(superoperators(thetas, steps)[..., None, :, :], states)
 
 
 def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
@@ -201,22 +206,17 @@ def repeated(superops: np.ndarray, states: np.ndarray, steps: Iterable[int]) -> 
     """``states`` under ``superops`` applied n times, for each distinct step count n.
 
     Only those images are kept, stacked in ascending n on an axis before the matrix axes.
-    Both arrays must be finite and every superoperator complete, checked once,
-    and the kept images at most ``MAX_OUTPUTS``.
+    Both arrays must be finite and every superoperator complete and completely
+    positive, checked once, and the kept images at most ``MAX_OUTPUTS``.
     """
-    wanted = step_list("steps", steps)
-    return _repeated(_complete(matrices("superops", superops, 4)),
-                     matrices("states", states), wanted)
-
-
-def _repeated(superops: np.ndarray, images: np.ndarray, wanted: list[int]) -> np.ndarray:
-    """:func:`repeated` of checked arrays and steps, unchecked."""
+    steps = step_list("steps", steps)
+    superops, images = _cptp(superops), matrices("states", states)
     kept = []
     outputs("superops/states x steps",
-            math.prod(np.broadcast_shapes(superops.shape[:-2], images.shape[:-2])), len(wanted))
-    for n in range(1, wanted[-1] + 1):
+            math.prod(np.broadcast_shapes(superops.shape[:-2], images.shape[:-2])), len(steps))
+    for n in range(1, steps[-1] + 1):
         images = _apply(superops, images)
-        if n == wanted[len(kept)]:
+        if n == steps[len(kept)]:
             kept.append(images)
     return np.stack(kept, axis=-3)
 
@@ -322,7 +322,7 @@ def _check_kernel_span(params: RTNParams, elapsed: float, name: str) -> None:
     real(name, max(params.gamma, 2.0 * params.a) * elapsed)
 
 
-def rtn_lambda(params: RTNParams, elapsed: float) -> float:
+def rtn_lambda(params: RTNParams, elapsed) -> float | np.ndarray:
     """Dephasing kernel value Lambda(elapsed), always in [-1, 1] with Lambda(0)=1.
 
     Underdamped regime (4 a^2/gamma^2 > 1):
@@ -332,32 +332,30 @@ def rtn_lambda(params: RTNParams, elapsed: float) -> float:
         [(1 + 1/w) exp(-(1-w) g t) + (1 - 1/w) exp(-(1+w) g t)] / 2,
     which also returns exactly 1.0 when a = 0.  At the regime boundary the
     common limit exp(-g t)(1 + g t) is used.  ``max(gamma, 2a) * elapsed``
-    must be finite.
+    must be finite.  An array of times gives an array, checked once, by its
+    smallest time and its largest.
     """
-    elapsed = nonnegative("elapsed", elapsed)
-    _check_kernel_span(params, elapsed, "max(gamma, 2a) * elapsed of a, gamma and elapsed")
-    return _rtn_lambda(params, elapsed)
-
-
-def _rtn_lambda(params: RTNParams, elapsed: float) -> float:
-    """:func:`rtn_lambda` at a time already checked, unchecked.
-
-    A grid of times is checked once, by its smallest time and its largest.
-    """
-    gt = params.gamma * elapsed
+    times = np.asarray(elapsed)
+    if times.dtype.kind not in "iuf" or times.size == 0:
+        raise refuse("elapsed", "a time or a non-empty array of times", elapsed)
+    nonnegative("elapsed", times.min().item())
+    _check_kernel_span(params, nonnegative("elapsed", times.max().item()),
+                       "max(gamma, 2a) * elapsed of a, gamma and elapsed")
+    # in float64 whatever the times' type: float32 times would round every value
+    gt = params.gamma * times.astype(float, copy=False)
     # squared as r = 2a/gamma: a^2 and gamma^2 overflow or vanish where r is O(1)
     r = 2.0 * params.a / params.gamma
     ratio = r * r - 1.0
     if abs(ratio) < 1e-12:
-        value = math.exp(-gt) * (1.0 + gt)
+        value = np.exp(-gt) * (1.0 + gt)
     elif ratio > 0:
         w = math.sqrt(ratio)
-        value = math.exp(-gt) * (math.cos(w * gt) + math.sin(w * gt) / w)
+        value = np.exp(-gt) * (np.cos(w * gt) + np.sin(w * gt) / w)
     else:
         w = math.sqrt(-ratio)
-        value = 0.5 * ((1.0 + 1.0 / w) * math.exp(-(1.0 - w) * gt)
-                       + (1.0 - 1.0 / w) * math.exp(-(1.0 + w) * gt))
-    return min(1.0, max(-1.0, value))
+        value = 0.5 * ((1.0 + 1.0 / w) * np.exp(-(1.0 - w) * gt)
+                       + (1.0 - 1.0 / w) * np.exp(-(1.0 + w) * gt))
+    return _as_value(np.clip(value, -1.0, 1.0))
 
 
 def rtn_kraus(lambda_val: float) -> list[np.ndarray]:
@@ -378,17 +376,16 @@ def dephasers(params: RTNParams, steps: Iterable[int]) -> np.ndarray:
     """Telegraph dephasing at time ``n * dt`` per step count, ``(S, 4, 4)``, ascending in n.
 
     The kernel's arguments, at most ``max(gamma, 2a) * n * dt``, must be finite.
+    Each channel is :func:`rtn_kraus`'s pair at that time's kernel value.
     """
-    return _dephasers(params, step_list("steps", steps))
-
-
-def _dephasers(params: RTNParams, wanted: list[int]) -> np.ndarray:
-    """:func:`dephasers` of a checked step list; the kernel's span is checked here."""
+    steps = step_list("steps", steps)
     # the span of the longest time bounds every shorter one
-    _check_kernel_span(params, wanted[-1] * params.dt,
+    _check_kernel_span(params, steps[-1] * params.dt,
                        "max(gamma, 2a) * n * dt of a, gamma, dt and steps")
-    return checked_superoperator(np.array(
-        [rtn_kraus(_rtn_lambda(params, n * params.dt)) for n in wanted]))
+    lam = rtn_lambda(params, np.array(steps) * params.dt)
+    # lam lies in [-1, 1], so both weights are real
+    weights = np.sqrt(np.stack([1.0 + lam, 1.0 - lam], axis=-1) / 2.0)
+    return checked_superoperator(weights[..., None, None] * np.array([np.eye(2), SIGMA_Z]))
 
 
 def composite_map(params: RTNParams, theta: float, n: int,

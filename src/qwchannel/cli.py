@@ -68,7 +68,7 @@ from .channels import (
     coin_state_from_angle,
     density_matrix,
 )
-from .inputs import MAX_COUNT, count, nonnegative, positive, real, refuse, states, step_list
+from .inputs import MAX_COUNT, Steps, count, nonnegative, positive, real, refuse, states, step_list
 from .kraus import (
     extract_kraus_direct,
     extract_kraus_split_step,
@@ -94,12 +94,12 @@ def _grid(name: str, value) -> list[float]:
     return np.sort(np.linspace(start, stop, count(name, parts[2])), kind="stable").tolist()
 
 
-def _steps(name: str, value) -> list[int]:
+def _steps(name: str, value) -> Steps:
     """A count N (steps 1..N), or a list or comma-separated text of step counts."""
     if isinstance(value, str) and "," in value:
         value = [part for part in value.split(",") if part.strip()]
     if not isinstance(value, list):
-        return list(range(1, count(name, value) + 1))
+        value = range(1, count(name, value) + 1)
     return step_list(name, value)
 
 

@@ -58,15 +58,24 @@ def count(name: str, value, low: int = 1, high: int = MAX_COUNT) -> int:
     return int(number)
 
 
-def step_list(name: str, value) -> list[int]:
-    """Step counts, each a :func:`count`, as a sorted non-empty list without repeats."""
+class Steps(tuple):
+    """A step list that :func:`step_list` checked; made only there."""
+
+    __slots__ = ()
+
+
+def step_list(name: str, value) -> Steps:
+    """Step counts, each a :func:`count`, as sorted non-empty :class:`Steps` without
+    repeats.  :class:`Steps` are returned as they are, so only the first layer checks."""
+    if isinstance(value, Steps):
+        return value
     try:
         if isinstance(value, (str, bytes)):  # "12" is not the steps 1 and 2
             raise TypeError
         items = iter(value)
     except TypeError:
         raise refuse(name, "a list of step counts", value) from None
-    steps = sorted({count(name, step) for step in items})
+    steps = Steps(sorted({count(name, step) for step in items}))
     if not steps:
         raise refuse(name, "a non-empty list", value)
     return steps

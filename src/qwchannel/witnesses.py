@@ -29,12 +29,12 @@ from .channels import (
     RTNParams,
     _apply,
     _as_value,
-    _channel_outputs,
-    _dephasers,
     _eigenvalues,
-    _repeated,
-    _superoperators,
+    channel_outputs,
     density_matrix,
+    dephasers,
+    repeated,
+    superoperators,
 )
 from .inputs import MAX_COUNT, count, matrices, real, refuse, states, step_list, weights
 from .walk import canonical_angle
@@ -42,6 +42,9 @@ from .walk import canonical_angle
 MODE_NSTEP = "nstep"
 MODE_CONCAT = "concat"
 MODE_COMPOSITE = "composite"
+
+# the one-step channel's step list, checked once at import
+_ONE_STEP = step_list("steps", [1])
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -111,12 +114,12 @@ def td_values(thetas: Iterable[float], steps: Iterable[int], mode: str = MODE_NS
     if mode == MODE_CONCAT:
         # the one-step axis broadcasts over the input pair |0><0|, |1><1|:
         # (angle, input, step, 2, 2)
-        pairs = _repeated(_superoperators(list(thetas), [1]), density_matrix(np.eye(2)), steps)
+        pairs = repeated(superoperators(thetas, _ONE_STEP), density_matrix(np.eye(2)), steps)
         return _check_distances(trace_distance(pairs[:, 0], pairs[:, 1]))
     if mode in (MODE_NSTEP, MODE_COMPOSITE):
         if mode == MODE_COMPOSITE and rtn is None:
             raise ValueError("composite mode needs telegraph-noise parameters")
-        return _td_regimes(thetas, steps, [rtn])[0]
+        return td_regimes(thetas, steps, [rtn])[0]
     raise ValueError(f"unknown series mode {mode!r}")
 
 
@@ -129,15 +132,11 @@ def td_regimes(thetas: Iterable[float], steps: Iterable[int],
     n-step channel alone).  The images of |0><0| and |1><1| come from one
     batched walk and are shared by every regime.
     """
-    return _td_regimes(thetas, step_list("steps", steps), regimes)
-
-
-def _td_regimes(thetas: Iterable[float], steps: list[int], regimes) -> np.ndarray:
-    """:func:`td_regimes` of a checked step list."""
+    steps = step_list("steps", steps)
     # every regime's dephasers are checked before the walk starts
-    chained = [None if params is None else _dephasers(params, steps)[:, None]
+    chained = [None if params is None else dephasers(params, steps)[:, None]
                for params in regimes]
-    outputs = _channel_outputs(list(thetas), steps, density_matrix(np.eye(2)))
+    outputs = channel_outputs(thetas, steps, density_matrix(np.eye(2)))
     values = []
     for superops in chained:
         # dephasers and outputs were both checked when they were built

@@ -275,6 +275,14 @@ def test_rtn_lambda_bounded_and_guarded():
         rtn_lambda(RTNParams(a=1.0, gamma=1.0), -0.1)
 
 
+def test_rtn_lambda_of_integer_or_float32_times_is_computed_in_float64():
+    params = RTNParams(a=2.0, gamma=1.0)
+    times = np.arange(30)
+    expected = [rtn_lambda(params, float(t)) for t in times]
+    for dtype in (np.int64, np.float32):
+        assert rtn_lambda(params, times.astype(dtype)).tolist() == expected
+
+
 def test_rtn_kraus_limits():
     identity, zero = rtn_kraus(1.0)
     assert np.array_equal(identity, np.eye(2))
@@ -365,6 +373,13 @@ def test_rtn_params_reject_non_finite_values(field, bad):
 _NAN = float("nan")
 _KERNEL = "max(gamma, 2a) * n * dt of a, gamma, dt and steps"
 _ELAPSED = "max(gamma, 2a) * elapsed of a, gamma and elapsed"
+# trace preserving, but not completely positive: the transpose, S[(i, j), (j, i)] = 1,
+# and a map that takes |+><+| to eigenvalues -1 and 2
+_TRANSPOSE = np.eye(4)[[0, 2, 1, 3]]
+_NOT_POSITIVE = np.eye(4) + np.array([[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]])
+# scales rho01 by 1 + 0.5j but rho10 by 1: its Choi matrix is not Hermitian, although
+# the eigenvalues of its lower triangle are all >= 0
+_NOT_HERMITIAN = np.diag([1, 1 + 0.5j, 1, 1])
 
 
 @pytest.mark.parametrize("call, name", [
@@ -412,6 +427,13 @@ _ELAPSED = "max(gamma, 2a) * elapsed of a, gamma and elapsed"
     (lambda: apply_superoperators(np.eye(4), np.full((2, 2), _NAN)), "states"),
     (lambda: repeated(np.full((4, 4), _NAN), RHO_UP, [3]), "superops"),
     (lambda: repeated(np.eye(4), np.diag([_NAN, 1.0]), [3]), "states"),
+    # a map must be completely positive as well as trace preserving
+    (lambda: apply_superoperators(_TRANSPOSE, RHO_UP), "superops"),
+    (lambda: apply_superoperators(_NOT_POSITIVE, RHO_UP), "superops"),
+    (lambda: repeated(_TRANSPOSE, RHO_UP, [3]), "superops"),
+    (lambda: repeated(_NOT_POSITIVE, RHO_UP, [3]), "superops"),
+    (lambda: apply_superoperators(_NOT_HERMITIAN, RHO_UP), "superops"),
+    (lambda: repeated(_NOT_HERMITIAN, RHO_UP, [3]), "superops"),
     (lambda: density_matrix([_NAN, 1.0]), "ket"),
     (lambda: hermitian_eigenvalues(np.full((2, 2), _NAN)), "matrix"),
     # telegraph parameters serve only the composite series
@@ -431,6 +453,18 @@ def test_library_arguments_are_refused_by_name(call, name):
     assert str(info.value).startswith(f"{name} must be")
 
 
+@pytest.mark.parametrize("elapsed, message", [
+    (np.array([0.0, -1.0, 2.0]), "elapsed must be >= 0"),
+    (np.array([0.0, _NAN, 2.0]), "elapsed must be finite"),
+    (np.array([0.0, 1.0, 1e200]), f"{_ELAPSED} must be finite"),
+    (np.array([]), "elapsed must be a time or a non-empty array of times"),
+])
+def test_an_array_of_times_is_checked_by_its_smallest_and_largest(elapsed, message):
+    with pytest.raises(ValueError) as info:
+        rtn_lambda(RTNParams(0.4, 1e200), elapsed)
+    assert str(info.value).startswith(message)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: KrausSet(theta=0.3, t=1, entries=np.zeros((2, 2, 2)), kind="x"),
      "unknown kraus set kind 'x'"),
@@ -444,6 +478,18 @@ def test_malformed_structures_are_refused(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_completely_positive_maps_pass_the_positivity_gate():
+    # full amplitude damping to |0> and the unitary sigma_z (Choi matrices of rank
+    # two and one), and walk channels: each is applied and repeated unchanged
+    damping = superoperator_of([[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
+    unitary = superoperator_of([np.diag([1, -1])])
+    walks = superoperators([0.3, math.pi / 4, 2.0], [1, 7, 40])
+    for superops in (damping, unitary, walks):
+        assert np.array_equal(apply_superoperators(superops, RHO_UP),
+                              channels._apply(superops, RHO_UP))
+        assert repeated(superops, RHO_UP, [2]).shape == superops.shape[:-2] + (1, 2, 2)
 
 
 def test_an_empty_batch_of_superoperators_is_applied_to_nothing():
@@ -487,7 +533,7 @@ def test_superoperators_refuse_one_incomplete_set_that_is_not_first(monkeypatch)
     assert np.array_equal(superoperators(thetas, steps), clean)
     # one gate per call, over the whole (angle, step) array
     assert gated == [(3, 4, 4, 4)]
-    monkeypatch.setattr(channels, "_walk_chunks", leaky_batches)
+    monkeypatch.setattr(channels, "iter_kraus_batches", leaky_batches)
     with pytest.raises(ValueError, match="kraus set incomplete: residual") as info:
         superoperators(thetas, steps)
     worst = float(residual_of(superoperator_of(scaled[-1])))

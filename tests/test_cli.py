@@ -28,14 +28,12 @@ from qwchannel.channels import (
 from qwchannel.cli import (
     _OPTIONS,
     COMMANDS,
-    _attached,
-    _effective,
     _emit,
     _flags,
     _shown,
-    build_parser,
     main,
 )
+from qwchannel.inputs import Steps, step_list
 from qwchannel.kraus import (
     KrausSet,
     extract_kraus_direct,
@@ -1009,19 +1007,19 @@ def test_a_sweep_takes_its_step_count_only_as_steps(capsys, command):
     assert "unrecognized arguments: --t 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, steps", [("20", tuple(range(1, 21))), ("8,3,8", (3, 8)),
+                                          ([8, 3], (3, 8)), (2, (1, 2))])
+def test_every_step_list_from_the_command_line_is_checked_once(value, steps):
+    checked = _OPTIONS["steps"][0]("steps", value)
+    assert isinstance(checked, Steps) and checked == steps
+    assert step_list("steps", checked) is checked
+
+
 def _readme_cli_lines():
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
     return [line.split("#")[0].strip() for block in blocks for line in block.splitlines()
             if line.startswith("qwchannel ")]
-
-
-@pytest.mark.parametrize("line", _readme_cli_lines())
-def test_readme_cli_commands_parse_and_pass_the_option_checks(line):
-    argv = shlex.split(line)[1:]
-    args = build_parser(argv[0]).parse_args(_attached(argv))
-    if args.command != "verify":
-        _effective(args)
 
 
 @pytest.mark.parametrize("line", _readme_cli_lines())

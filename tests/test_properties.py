@@ -102,11 +102,15 @@ def test_concatenated_decay_is_the_power_of_cos_two_theta(theta, n):
 @given(a=st.floats(0.0, 50.0), gamma=st.floats(1e-3, 50.0), dt=st.floats(1e-3, 10.0),
        n=st.integers(0, 500))
 def test_telegraph_kernel_is_finite_and_bounded(a, gamma, dt, n):
-    value = rtn_lambda(RTNParams(a=a, gamma=gamma, dt=dt), n * dt)
+    params = RTNParams(a=a, gamma=gamma, dt=dt)
+    value = rtn_lambda(params, n * dt)
     assert math.isfinite(value)
     assert -1.0 <= value <= 1.0
     if n == 0:
         assert value == 1.0
+    # an array of times gives each time's value, to the bit
+    values = rtn_lambda(params, np.arange(n + 1) * dt)
+    assert values.tolist() == [rtn_lambda(params, k * dt) for k in range(n + 1)]
 
 
 @given(theta=finite_angles, t=st.integers(1, 30), rho=bloch_points, sigma=bloch_points)

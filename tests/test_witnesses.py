@@ -293,18 +293,16 @@ def test_holevo_scan_in_chunks_holds_few_mixes_and_keeps_the_first_maximum(monke
 @pytest.mark.parametrize("mode, rtn", [("nstep", None), ("concat", None),
                                        ("composite", RTNParams(0.4, 1.0, 1.0))])
 def test_an_n_step_series_checks_its_step_list_once(monkeypatch, mode, rtn):
-    import qwchannel.channels as channels
     import qwchannel.inputs as inputs
-    import qwchannel.kraus as kraus
-    import qwchannel.witnesses as witnesses
     calls = []
+    count = inputs.count
 
-    def counted(name, value):
+    def counted(name, value, *bounds):
         calls.append(name)
-        return inputs.step_list(name, value)
+        return count(name, value, *bounds)
 
-    for module in (witnesses, channels, kraus):
-        monkeypatch.setattr(module, "step_list", counted)
+    # step_list checks each step with inputs.count: one call a step, once in all
+    monkeypatch.setattr(inputs, "count", counted)
     series = td_series(0.5, 300, mode=mode, rtn=rtn)
     assert len(series.values) == 300
-    assert calls == ["steps"]
+    assert calls == ["steps"] * 300
