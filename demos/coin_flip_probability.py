@@ -6,9 +6,10 @@ return the coin with certainty and odd ones flip it with certainty.  The
 first three columns are cross-checked against the closed-form expressions.
 """
 
-import numpy as np
-
+# the package first: imported before numpy, it loads OpenBLAS with one thread
 from qwchannel import closed_form_p, density_matrix, n_step_map
+
+import numpy as np
 
 RHO_UP = density_matrix(np.array([1.0, 0.0]))
 

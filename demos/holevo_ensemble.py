@@ -7,14 +7,15 @@ Averaged over angles, odd step counts retain visibly less information than
 their even neighbours.
 """
 
-import numpy as np
-
+# the package first: imported before numpy, it loads OpenBLAS with one thread
 from qwchannel import (
     apply_kraus,
     density_matrix,
     extract_kraus_direct,
     holevo_max,
 )
+
+import numpy as np
 
 rho1 = np.diag([0.25, 0.75]).astype(complex)
 plus = np.array([1.0, 1.0]) / np.sqrt(2)

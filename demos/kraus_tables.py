@@ -5,14 +5,15 @@ properties (completeness, minor symmetry, the pi/2 collapse), and checks the
 expanded-operator route against the direct one.
 """
 
-import numpy as np
-
+# the package first: imported before numpy, it loads OpenBLAS with one thread
 from qwchannel import (
     extract_kraus_binomial,
     extract_kraus_direct,
     extract_kraus_split_step,
     minor_map,
 )
+
+import numpy as np
 
 np.set_printoptions(precision=4, suppress=True, linewidth=100)
 

@@ -7,8 +7,7 @@ channel acts as a perfect dephaser and the output purity drops to
 1 - 2 p (1-p) < 1.
 """
 
-import numpy as np
-
+# the package first: imported before numpy, it loads OpenBLAS with one thread
 from qwchannel import (
     coin_state_from_angle,
     density_matrix,
@@ -16,6 +15,8 @@ from qwchannel import (
     n_step_map,
     purity,
 )
+
+import numpy as np
 
 steps = (1, 2, 3, 4)
 thetas = np.linspace(0.0, np.pi, 9)

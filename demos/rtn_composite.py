@@ -7,9 +7,10 @@ channel survive: non-monotone behaviour under an overdamped ("Markovian")
 dephaser is the walk's own memory showing through.
 """
 
-import numpy as np
-
+# the package first: imported before numpy, it loads OpenBLAS with one thread
 from qwchannel import RTNParams, nonmonotonicity, rtn_lambda, td_series
+
+import numpy as np
 
 gamma, dt = 1.0, 1.0
 markovian = RTNParams(a=0.4 * gamma, gamma=gamma, dt=dt)

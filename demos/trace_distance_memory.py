@@ -8,9 +8,10 @@ as |cos 2 theta|^n; the n-step family revives, which certifies that the
 channel family is not divisible into positive intermediate maps.
 """
 
-import numpy as np
-
+# the package first: imported before numpy, it loads OpenBLAS with one thread
 from qwchannel import nonmonotonicity, td_series
+
+import numpy as np
 
 theta = np.pi / 6
 n_max = 20

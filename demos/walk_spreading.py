@@ -7,8 +7,7 @@ exact zeros, so the cyclic boundary is never felt), and the standard
 deviation grows linearly with t rather than like sqrt(t).
 """
 
-import numpy as np
-
+# the package first: imported before numpy, it loads OpenBLAS with one thread
 from qwchannel import (
     Lattice,
     build_walk_unitary,
@@ -16,6 +15,8 @@ from qwchannel import (
     joint_state,
     position_distribution,
 )
+
+import numpy as np
 
 theta = np.pi / 4
 # mirror-invariant input (sigma_x eigenstate): the spread comes out symmetric

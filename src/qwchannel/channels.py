@@ -5,8 +5,10 @@ whole angle/step batches from one walk as 4x4 arrays: the single n-step walk
 channel (:func:`superoperators`), the n-fold repetition of the one-step
 channel (:func:`repeated`; not the same map once the walk remembers its
 position register), and telegraph dephasing at time ``n * dt``
-(:func:`dephasers`) to chain after the walk.  The scalar maps are the
-one-matrix case.  Closed forms validate the first three steps.
+(:func:`dephasers`) to chain after the walk.  Each family passes the
+completeness gate once, where it is built; a raw 4x4 map enters only through
+:func:`apply_superoperators`, an operator set through :func:`apply_kraus`.  The
+scalar maps are the one-matrix case.  Closed forms validate the first three steps.
 
 Basis convention: ``|0>`` is the upper coin state ``(1, 0)^T`` and carries
 ``sigma_z = +1``.
@@ -45,6 +47,9 @@ SIGMA_Z = np.diag([1.0, -1.0]).astype(np.complex128)
 
 COMPLETENESS_TOL = 1e-8
 
+# the one-step channel's step list, checked once at import
+_ONE_STEP = step_list("steps", [1])
+
 
 # -- states -----------------------------------------------------------------
 
@@ -65,9 +70,13 @@ def coin_state_from_angle(delta: float) -> np.ndarray:
 
 def density_matrix(ket: np.ndarray) -> np.ndarray:
     """Rank-one density matrices |ket><ket|: the last axis holds a ket's two
-    amplitudes, and leading axes are a batch of kets."""
+    amplitudes, with ``|a|^2 + |b|^2`` (the trace) 1 within :func:`coin_state`'s
+    1e-12, and leading axes are a batch of kets."""
     vec = finite("ket", ket, "finite kets of two amplitudes", lambda shape: shape[-1:] == (2,))
-    return vec[..., :, None] * vec[..., None, :].conj()
+    rho = vec[..., :, None] * vec[..., None, :].conj()
+    if not np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max(initial=0.0) <= 1e-12:
+        raise refuse("ket", "normalized kets, |a|^2 + |b|^2 = 1 within 1e-12", ket)
+    return rho
 
 
 def _as_value(array):
@@ -110,28 +119,6 @@ def _complete(superops: np.ndarray) -> np.ndarray:
     return superops
 
 
-def checked_superoperator(operators) -> np.ndarray:
-    """:func:`~qwchannel.kraus.superoperator_of`, once every set is complete.
-
-    ``operators`` has shape ``(..., label, 2, 2)``; any set whose completeness
-    residual exceeds ``COMPLETENESS_TOL`` raises ``ValueError``.
-    """
-    return _complete(superoperator_of(operators))
-
-
-def _cptp(superops) -> np.ndarray:
-    """A user's ``superops``, once finite, complete and completely positive: its Choi
-    matrix (:func:`~qwchannel.kraus.superoperator_of`'s axis swap undone) Hermitian,
-    with no eigenvalue below ``-COMPLETENESS_TOL``."""
-    superops = _complete(matrices("superops", superops, 4))
-    choi = superops.reshape(superops.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2)
-    choi = choi.reshape(superops.shape)
-    if not (np.abs(choi - choi.conj().swapaxes(-1, -2)).max(initial=0.0) <= COMPLETENESS_TOL
-            and np.linalg.eigvalsh(choi).min(initial=0.0) >= -COMPLETENESS_TOL):
-        raise refuse("superops", "completely positive maps", superops)
-    return superops
-
-
 def _apply(superops: np.ndarray, states: np.ndarray) -> np.ndarray:
     """``vec(out) = S @ vec(rho)`` over the broadcast leading axes of both, unchecked.
 
@@ -146,10 +133,18 @@ def apply_superoperators(superops: np.ndarray, states: np.ndarray) -> np.ndarray
     """``vec(out) = S @ vec(rho)`` over the broadcast leading axes of both.
 
     ``superops`` has shape ``(..., 4, 4)`` and ``states`` ``(..., 2, 2)``;
-    ``vec`` is row-major.  Both must be finite and every superoperator
-    complete (:func:`checked_superoperator`'s gate) and completely positive.
+    ``vec`` is row-major.  Both must be finite and every superoperator complete
+    (:func:`_complete`) and completely positive: its Choi matrix
+    (:func:`~qwchannel.kraus.superoperator_of`'s axis swap undone) Hermitian,
+    with no eigenvalue below ``-COMPLETENESS_TOL``.  The one door for raw maps.
     """
-    return _apply(_cptp(superops), matrices("states", states))
+    superops = _complete(matrices("superops", superops, 4))
+    choi = superops.reshape(superops.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2)
+    choi = choi.reshape(superops.shape)
+    if not (np.abs(choi - choi.conj().swapaxes(-1, -2)).max(initial=0.0) <= COMPLETENESS_TOL
+            and np.linalg.eigvalsh(choi).min(initial=0.0) >= -COMPLETENESS_TOL):
+        raise refuse("superops", "completely positive maps", superops)
+    return _apply(superops, matrices("states", states))
 
 
 def superoperators(thetas: Iterable[float], steps: Iterable[int]) -> np.ndarray:
@@ -198,27 +193,31 @@ def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
         superop = _complete(kraus.superoperator)
     else:
         # an empty list stacks to shape (0,): refused as incomplete, not as a shape
-        superop = checked_superoperator(matrices("kraus", list(kraus) or np.zeros((0, 2, 2))))
+        superop = _complete(superoperator_of(
+            matrices("kraus", list(kraus) or np.zeros((0, 2, 2)))))
     return _apply(superop, rho)
 
 
-def repeated(superops: np.ndarray, states: np.ndarray, steps: Iterable[int]) -> np.ndarray:
-    """``states`` under ``superops`` applied n times, for each distinct step count n.
+def repeated(thetas: Iterable[float], steps: Iterable[int], states: np.ndarray) -> np.ndarray:
+    """Every state's image under each angle's one-step channel applied n times.
 
-    Only those images are kept, stacked in ascending n on an axis before the matrix axes.
-    Both arrays must be finite and every superoperator complete and completely
-    positive, checked once, and the kept images at most ``MAX_OUTPUTS``.
+    ``states`` are finite 2x2 matrices; the result has shape
+    ``(B, S) + states.shape``, one image per angle and per distinct step count n,
+    ascending.  The one-step channels come from :func:`superoperators`, gated
+    there once.  At most ``MAX_OUTPUTS`` outputs in all, refused before any walk.
     """
+    states, thetas = matrices("states", states), list(thetas)
     steps = step_list("steps", steps)
-    superops, images = _cptp(superops), matrices("states", states)
-    kept = []
-    outputs("superops/states x steps",
-            math.prod(np.broadcast_shapes(superops.shape[:-2], images.shape[:-2])), len(steps))
+    outputs("thetas x steps x states", len(thetas), len(steps), math.prod(states.shape[:-2]))
+    # one channel per angle, broadcast over the leading axes of states
+    one_step = superoperators(thetas, _ONE_STEP).reshape(
+        (len(thetas),) + (1,) * (states.ndim - 2) + (4, 4))
+    images, kept = states, []
     for n in range(1, steps[-1] + 1):
-        images = _apply(superops, images)
+        images = _apply(one_step, images)
         if n == steps[len(kept)]:
             kept.append(images)
-    return np.stack(kept, axis=-3)
+    return np.stack(kept, axis=1)
 
 
 def n_step_map(theta: float, n: int, rho: np.ndarray) -> np.ndarray:
@@ -233,8 +232,7 @@ def concatenated_map(theta: float, n: int, rho: np.ndarray) -> np.ndarray:
     Distinct from :func:`n_step_map` for n >= 2: repetition discards the
     position correlations the walk builds up between steps.
     """
-    n, rho = count("n", n), matrices("rho", rho)
-    return repeated(superoperators([theta], [1])[0, 0], rho, [n])[..., 0, :, :]
+    return repeated([theta], [count("n", n)], matrices("rho", rho))[0, 0]
 
 
 # -- closed forms for the first steps ----------------------------------------
@@ -385,7 +383,7 @@ def dephasers(params: RTNParams, steps: Iterable[int]) -> np.ndarray:
     lam = rtn_lambda(params, np.array(steps) * params.dt)
     # lam lies in [-1, 1], so both weights are real
     weights = np.sqrt(np.stack([1.0 + lam, 1.0 - lam], axis=-1) / 2.0)
-    return checked_superoperator(weights[..., None, None] * np.array([np.eye(2), SIGMA_Z]))
+    return _complete(superoperator_of(weights[..., None, None] * np.array([np.eye(2), SIGMA_Z])))
 
 
 def composite_map(params: RTNParams, theta: float, n: int,

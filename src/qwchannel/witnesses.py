@@ -34,7 +34,6 @@ from .channels import (
     density_matrix,
     dephasers,
     repeated,
-    superoperators,
 )
 from .inputs import MAX_COUNT, count, matrices, real, refuse, states, step_list, weights
 from .walk import canonical_angle
@@ -42,9 +41,6 @@ from .walk import canonical_angle
 MODE_NSTEP = "nstep"
 MODE_CONCAT = "concat"
 MODE_COMPOSITE = "composite"
-
-# the one-step channel's step list, checked once at import
-_ONE_STEP = step_list("steps", [1])
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -112,10 +108,9 @@ def td_values(thetas: Iterable[float], steps: Iterable[int], mode: str = MODE_NS
         raise ValueError(f"rtn must be None outside composite mode, got {rtn!r} "
                          f"with mode {mode!r}")
     if mode == MODE_CONCAT:
-        # the one-step axis broadcasts over the input pair |0><0|, |1><1|:
-        # (angle, input, step, 2, 2)
-        pairs = repeated(superoperators(thetas, _ONE_STEP), density_matrix(np.eye(2)), steps)
-        return _check_distances(trace_distance(pairs[:, 0], pairs[:, 1]))
+        # the images of the pair |0><0|, |1><1|: (angle, step, input, 2, 2)
+        pairs = repeated(thetas, steps, density_matrix(np.eye(2)))
+        return _check_distances(trace_distance(pairs[:, :, 0], pairs[:, :, 1]))
     if mode in (MODE_NSTEP, MODE_COMPOSITE):
         if mode == MODE_COMPOSITE and rtn is None:
             raise ValueError("composite mode needs telegraph-noise parameters")
@@ -166,13 +161,8 @@ def purity(rho: np.ndarray) -> float:
     return _as_value(np.trace(m @ m, axis1=-2, axis2=-1).real)
 
 
-def mixedness(rho: np.ndarray, d: int = 2) -> float:
-    """Complement of purity, scaled to [0, 1]: (d/(d-1)) (1 - Tr rho^2).
-
-    ``d`` must be rho's dimension, 2: :func:`purity` takes qubit states only.
-    """
-    if real("d", d) != 2:
-        raise refuse("d", "2, the dimension of rho", d)
+def mixedness(rho: np.ndarray) -> float:
+    """Complement of purity, scaled to [0, 1]: (d/(d-1)) (1 - Tr rho^2) at d = 2."""
     return 2.0 * (1.0 - purity(rho))
 
 

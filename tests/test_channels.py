@@ -85,6 +85,7 @@ def test_hermitian_eigenvalues_of_a_matrix_near_the_float_limit_stay_finite():
 def test_density_matrix_builds_one_state_per_ket_of_a_batch():
     rng = np.random.default_rng(41)
     kets = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
     expected = np.stack([np.outer(ket, ket.conj()) for ket in kets])
     assert density_matrix(kets).tobytes() == expected.tobytes()
     assert density_matrix(kets.reshape(5, 1, 2)).shape == (5, 1, 2, 2)
@@ -98,6 +99,13 @@ def test_density_matrix_builds_one_state_per_ket_of_a_batch():
 @pytest.mark.parametrize("ket", [[1.0, 0.0, 0.0], [[1.0], [0.0]], np.eye(3), 1.0])
 def test_density_matrix_refuses_a_ket_that_is_not_two_amplitudes(ket):
     with pytest.raises(ValueError, match=r"^ket must be finite kets of two amplitudes"):
+        density_matrix(ket)
+
+
+# a ket must be normalized, as coin_state's amplitudes are: 4 |0><0| is no state
+@pytest.mark.parametrize("ket", [[2.0, 0.0], [[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]]])
+def test_density_matrix_refuses_a_ket_that_is_not_normalized(ket):
+    with pytest.raises(ValueError, match=r"^ket must be normalized kets"):
         density_matrix(ket)
 
 
@@ -390,9 +398,6 @@ _NOT_HERMITIAN = np.diag([1, 1 + 0.5j, 1, 1])
     (lambda: closed_form_p(0.3, 1, 1.0, math.inf), "b"),
     (lambda: closed_form_q(0.3, 3, _NAN, 0.0), "a"),
     (lambda: closed_form_q(0.3, 2, 1.0, _NAN), "b"),
-    (lambda: mixedness(np.eye(2) / 2, d=1), "d"),
-    (lambda: mixedness(np.eye(2) / 2, d=2.5), "d"),
-    (lambda: mixedness(np.eye(2) / 2, d=3), "d"),
     (lambda: joint_state(Lattice(5), [_NAN, 1.0]), "coin_amplitudes"),
     (lambda: Lattice(7.5), "size"),
     (lambda: joint_state(Lattice(5), [1, 0], 0.5), "x"),
@@ -425,15 +430,18 @@ _NOT_HERMITIAN = np.diag([1, 1 + 0.5j, 1, 1])
     (lambda: apply_superoperators(np.full((4, 4), _NAN), RHO_UP), "superops"),
     (lambda: apply_superoperators(np.eye(3), RHO_UP), "superops"),
     (lambda: apply_superoperators(np.eye(4), np.full((2, 2), _NAN)), "states"),
-    (lambda: repeated(np.full((4, 4), _NAN), RHO_UP, [3]), "superops"),
-    (lambda: repeated(np.eye(4), np.diag([_NAN, 1.0]), [3]), "states"),
+    (lambda: repeated([0.3], [3], np.diag([_NAN, 1.0])), "states"),
+    (lambda: concatenated_map(0.3, 3, np.diag([_NAN, 1.0])), "rho"),
     # a map must be completely positive as well as trace preserving
     (lambda: apply_superoperators(_TRANSPOSE, RHO_UP), "superops"),
     (lambda: apply_superoperators(_NOT_POSITIVE, RHO_UP), "superops"),
-    (lambda: repeated(_TRANSPOSE, RHO_UP, [3]), "superops"),
-    (lambda: repeated(_NOT_POSITIVE, RHO_UP, [3]), "superops"),
     (lambda: apply_superoperators(_NOT_HERMITIAN, RHO_UP), "superops"),
-    (lambda: repeated(_NOT_HERMITIAN, RHO_UP, [3]), "superops"),
+    # one such map refuses the whole batch it comes in
+    (lambda: apply_superoperators(np.stack([np.eye(4), np.full((4, 4), _NAN)]), RHO_UP),
+     "superops"),
+    (lambda: apply_superoperators(np.stack([np.eye(4), _TRANSPOSE]), RHO_UP), "superops"),
+    (lambda: apply_superoperators(np.stack([np.eye(4), _NOT_POSITIVE]), RHO_UP), "superops"),
+    (lambda: apply_superoperators(np.stack([np.eye(4), _NOT_HERMITIAN]), RHO_UP), "superops"),
     (lambda: density_matrix([_NAN, 1.0]), "ket"),
     (lambda: hermitian_eigenvalues(np.full((2, 2), _NAN)), "matrix"),
     # telegraph parameters serve only the composite series
@@ -482,36 +490,64 @@ def test_malformed_structures_are_refused(call, message):
 
 def test_completely_positive_maps_pass_the_positivity_gate():
     # full amplitude damping to |0> and the unitary sigma_z (Choi matrices of rank
-    # two and one), and walk channels: each is applied and repeated unchanged
+    # two and one), and walk channels: each is applied unchanged
     damping = superoperator_of([[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
     unitary = superoperator_of([np.diag([1, -1])])
     walks = superoperators([0.3, math.pi / 4, 2.0], [1, 7, 40])
     for superops in (damping, unitary, walks):
         assert np.array_equal(apply_superoperators(superops, RHO_UP),
                               channels._apply(superops, RHO_UP))
-        assert repeated(superops, RHO_UP, [2]).shape == superops.shape[:-2] + (1, 2, 2)
 
 
 def test_an_empty_batch_of_superoperators_is_applied_to_nothing():
     assert apply_superoperators(np.zeros((0, 4, 4)), RHO_UP).shape == (0, 2, 2)
-    assert repeated(np.zeros((0, 1, 4, 4)), RHO_UP, [1, 3]).shape == (0, 1, 2, 2, 2)
+    assert repeated([], [1, 3], RHO_UP).shape == (0, 2, 2, 2)
 
 
 def test_superoperators_are_checked_for_completeness_once_per_call(monkeypatch):
     leaky = 0.9 * np.eye(4)
     with pytest.raises(ValueError, match="incomplete"):
         apply_superoperators(leaky, RHO_UP)
-    with pytest.raises(ValueError, match="incomplete"):
-        repeated(leaky, RHO_UP, [1, 4])
     superop = superoperators([0.4], [1])[0, 0]
     expected = concatenated_map(0.4, 30, RHO_UP)
     gate, gated = channels._complete, []
     monkeypatch.setattr(channels, "_complete",
                         lambda superops: gated.append(superops) or gate(superops))
-    assert np.array_equal(repeated(superop, RHO_UP, [2, 5, 30])[-1], expected)
+    # the one-step channel passes the gate once, where superoperators builds it
+    assert np.array_equal(repeated([0.4], [2, 5, 30], RHO_UP)[0, -1], expected)
     assert len(gated) == 1
     apply_superoperators(superop, RHO_UP)
     assert len(gated) == 2
+
+
+def test_the_concat_series_gates_its_one_step_channels_once(monkeypatch):
+    gate, gated = channels._complete, []
+    monkeypatch.setattr(channels, "_complete",
+                        lambda superops: gated.append(superops.shape) or gate(superops))
+
+    def eigvalsh(matrices):
+        raise AssertionError("the library's own channels need no Choi eigenvalues")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert td_values([0.3, 1.1], range(1, 31), mode="concat").shape == (2, 30)
+    assert gated == [(2, 1, 4, 4)]
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+def test_repeated_images_are_the_one_step_channel_applied_n_times(shape):
+    rng = np.random.default_rng(17)
+    kets = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+    states = density_matrix(kets / np.linalg.norm(kets, axis=-1, keepdims=True))
+    thetas, steps = [0.3, math.pi / 4, 2.0], [1, 4, 9]
+    images = repeated(thetas, steps, states)
+    assert images.shape == (len(thetas), len(steps)) + states.shape
+    one_step = superoperators(thetas, [1])
+    for b in range(len(thetas)):
+        image = states
+        for n in range(1, steps[-1] + 1):
+            image = apply_superoperators(one_step[b, 0], image)
+            if n in steps:
+                assert image.tobytes() == images[b, steps.index(n)].tobytes()
 
 
 def test_superoperators_refuse_one_incomplete_set_that_is_not_first(monkeypatch):

@@ -1052,9 +1052,8 @@ _OVERSIZED = {
     # two inputs under 501 one-step channels, each kept at 10^4 step counts
     "trace-distance concat": (["trace-distance", "--theta-grid", "0:1:501", "--mode", "concat",
                                "--steps", "10000"],
-                              lambda: repeated(np.eye(4), np.broadcast_to(_HALF, (1001, 2, 2)),
-                                               range(1, 10_001)),
-                              "superops/states x steps"),
+                              lambda: repeated(np.zeros(501), range(1, 10_001), _ORTHOGONAL),
+                              "thetas x steps x states"),
 }
 
 

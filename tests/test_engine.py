@@ -9,7 +9,6 @@ import pytest
 import qwchannel.kraus as kraus
 from qwchannel.channels import (
     apply_kraus,
-    checked_superoperator,
     density_matrix,
     superoperators,
 )
@@ -306,10 +305,11 @@ def test_batched_superoperators_equal_the_cached_set_values():
 def test_batched_check_rejects_one_scaled_set_in_a_batch():
     operators = np.stack([np.array(extract_kraus_direct(theta, 4).operators())
                           for theta in BATCH_THETAS])
-    assert checked_superoperator(operators).shape == (len(BATCH_THETAS), 4, 4)
+    # a (B, m, 2, 2) array is a batch of sets, applied through one gate
+    assert apply_kraus(operators, np.eye(2) / 2).shape == (len(BATCH_THETAS), 2, 2)
     operators[3] *= 1.1
     with pytest.raises(ValueError, match="incomplete"):
-        checked_superoperator(operators)
+        apply_kraus(operators, np.eye(2) / 2)
 
 
 @pytest.mark.parametrize("steps", [[], [0], [3, -1]])

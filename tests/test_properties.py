@@ -22,7 +22,6 @@ from test_engine import (  # noqa: E402
 from qwchannel.channels import (  # noqa: E402
     RTNParams,
     apply_kraus,
-    checked_superoperator,
     composite_map,
     concatenated_map,
     n_step_map,
@@ -195,7 +194,7 @@ def test_the_completeness_gate_reads_sum_k_dag_k_and_refuses_a_scaled_operator(t
     with pytest.raises(ValueError, match="kraus set incomplete"):
         apply_kraus(scaled, np.eye(2) / 2)
     with pytest.raises(ValueError, match="kraus set incomplete"):
-        checked_superoperator(np.stack((np.array(kset.operators()), ops)))
+        apply_kraus(np.stack((np.array(kset.operators()), ops)), np.eye(2) / 2)
 
 
 def complete_sets(seed, shape, m):
