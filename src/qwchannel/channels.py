@@ -24,7 +24,7 @@ import numpy as np
 
 from .inputs import (
     count,
-    finite,
+    kets,
     matrices,
     nonnegative,
     number,
@@ -54,12 +54,8 @@ _ONE_STEP = step_list("steps", [1])
 # -- states -----------------------------------------------------------------
 
 def coin_state(a: complex, b: complex) -> np.ndarray:
-    """Normalized coin ket a|0> + b|1>."""
-    vec = np.array([number("a", a), number("b", b)])
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"coin amplitudes must be normalized, |.|^2 = {norm**2!r}")
-    return vec
+    """Coin ket a|0> + b|1>, one of :func:`~qwchannel.inputs.kets`."""
+    return kets("(a, b)", [number("a", a), number("b", b)])
 
 
 def coin_state_from_angle(delta: float) -> np.ndarray:
@@ -69,14 +65,10 @@ def coin_state_from_angle(delta: float) -> np.ndarray:
 
 
 def density_matrix(ket: np.ndarray) -> np.ndarray:
-    """Rank-one density matrices |ket><ket|: the last axis holds a ket's two
-    amplitudes, with ``|a|^2 + |b|^2`` (the trace) 1 within :func:`coin_state`'s
-    1e-12, and leading axes are a batch of kets."""
-    vec = finite("ket", ket, "finite kets of two amplitudes", lambda shape: shape[-1:] == (2,))
-    rho = vec[..., :, None] * vec[..., None, :].conj()
-    if not np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max(initial=0.0) <= 1e-12:
-        raise refuse("ket", "normalized kets, |a|^2 + |b|^2 = 1 within 1e-12", ket)
-    return rho
+    """Rank-one density matrices |ket><ket| of :func:`~qwchannel.inputs.kets`,
+    one per ket along the last axis; leading axes are a batch of kets."""
+    vec = kets("ket", ket)
+    return vec[..., :, None] * vec[..., None, :].conj()
 
 
 def _as_value(array):
@@ -101,10 +93,10 @@ def _eigenvalues(m: np.ndarray) -> tuple[float, float]:
     return _as_value(mean - radius), _as_value(mean + radius)
 
 
-def is_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> bool:
-    """One 2x2 matrix that :func:`qwchannel.inputs.states` accepts within tol."""
+def is_density_matrix(rho: np.ndarray) -> bool:
+    """One 2x2 matrix that :func:`qwchannel.inputs.states` accepts."""
     try:
-        return qubit_states("rho", rho, tol).shape == (2, 2)
+        return qubit_states("rho", rho).shape == (2, 2)
     except ValueError:
         return False
 
@@ -170,14 +162,16 @@ def channel_outputs(thetas: Iterable[float], steps: Iterable[int],
                     states: np.ndarray) -> np.ndarray:
     """Every state's image under every (angle, step count) channel.
 
-    ``states`` has shape ``(K, 2, 2)``; the result ``(B, S, K, 2, 2)``, with
-    the axes of :func:`superoperators`.  At most ``MAX_OUTPUTS`` outputs in
-    all, refused before any walk.
+    ``states`` are qubit states, leading axes a batch of them; the result has
+    shape ``(B, S) + states.shape``, with the axes of :func:`superoperators`.
+    At most ``MAX_OUTPUTS`` outputs in all, refused before any walk.
     """
     states, thetas = qubit_states("states", states), list(thetas)
     steps = step_list("steps", steps)
     outputs("thetas x steps x states", len(thetas), len(steps), math.prod(states.shape[:-2]))
-    return _apply(superoperators(thetas, steps)[..., None, :, :], states)
+    # each channel broadcast over the leading axes of states
+    return _apply(superoperators(thetas, steps).reshape(
+        (len(thetas), len(steps)) + (1,) * (states.ndim - 2) + (4, 4)), states)
 
 
 def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
@@ -240,7 +234,7 @@ def concatenated_map(theta: float, n: int, rho: np.ndarray) -> np.ndarray:
 def closed_form_p(theta: float, t: int, a: complex, b: complex) -> float:
     """Upper-left entry p_t of the t-step output for input a|0> + b|1> (t <= 3)."""
     th = canonical_angle(theta)
-    a, b = number("a", a), number("b", b)
+    a, b = coin_state(a, b).tolist()
     pa = abs(a) ** 2
     diff = pa - abs(b) ** 2
     kappa = a * np.conj(b) - np.conj(a) * b  # purely imaginary
@@ -266,7 +260,7 @@ def closed_form_q(theta: float, t: int, a: complex, b: complex) -> complex:
     """Upper-right coherence q_t of the t-step output (t <= 3); q_1 is 0."""
     th = canonical_angle(theta)
     c, s = math.cos(th), math.sin(th)
-    a, b = number("a", a), number("b", b)
+    a, b = coin_state(a, b).tolist()
     diff = abs(a) ** 2 - abs(b) ** 2
     if t == 1:
         return 0.0 + 0.0j
@@ -356,18 +350,18 @@ def rtn_lambda(params: RTNParams, elapsed) -> float | np.ndarray:
     return _as_value(np.clip(value, -1.0, 1.0))
 
 
-def rtn_kraus(lambda_val: float) -> list[np.ndarray]:
+def rtn_kraus(lambda_val) -> np.ndarray:
     """Dephasing operator pair sqrt((1+L)/2) I and sqrt((1-L)/2) sigma_z.
 
+    One kernel value L or an array of them gives shape ``L.shape + (2, 2, 2)``.
     Completeness is exact for any |L| <= 1; the channel scales coherences
     by L and leaves populations untouched.
     """
-    lam = real("lambda_val", lambda_val)
-    if abs(lam) > 1.0:
-        raise ValueError(f"kernel value must satisfy |L| <= 1, got {lam}")
-    r1 = math.sqrt(max(0.0, (1.0 + lam) / 2.0)) * np.eye(2, dtype=np.complex128)
-    r2 = math.sqrt(max(0.0, (1.0 - lam) / 2.0)) * SIGMA_Z
-    return [r1, r2]
+    lam = np.asarray(lambda_val)
+    if not (lam.dtype.kind in "iuf" and (np.abs(lam) <= 1.0).all()):  # NaN fails too
+        raise refuse("lambda_val", "kernel values in [-1, 1]", lambda_val)
+    weights = np.sqrt(np.stack([1.0 + lam, 1.0 - lam], axis=-1) / 2.0)
+    return weights[..., None, None] * np.array([np.eye(2), SIGMA_Z])
 
 
 def dephasers(params: RTNParams, steps: Iterable[int]) -> np.ndarray:
@@ -380,10 +374,7 @@ def dephasers(params: RTNParams, steps: Iterable[int]) -> np.ndarray:
     # the span of the longest time bounds every shorter one
     _check_kernel_span(params, steps[-1] * params.dt,
                        "max(gamma, 2a) * n * dt of a, gamma, dt and steps")
-    lam = rtn_lambda(params, np.array(steps) * params.dt)
-    # lam lies in [-1, 1], so both weights are real
-    weights = np.sqrt(np.stack([1.0 + lam, 1.0 - lam], axis=-1) / 2.0)
-    return _complete(superoperator_of(weights[..., None, None] * np.array([np.eye(2), SIGMA_Z])))
+    return _complete(superoperator_of(rtn_kraus(rtn_lambda(params, np.array(steps) * params.dt))))
 
 
 def composite_map(params: RTNParams, theta: float, n: int,

@@ -136,8 +136,6 @@ _OPTIONS = {
     "rtn_gamma": (positive, "telegraph fluctuation rate"),
     "rtn_dt": (positive, "time per walk step"),
     "rtn_a": (nonnegative, "amplitude of an extra custom series"),
-    "markovian_ratio": (nonnegative, "a / rtn_gamma of the markovian series"),
-    "nonmarkovian_ratio": (nonnegative, "a / rtn_gamma of the nonmarkovian series"),
     "split": (partial(_typed, bool, "true or false"),
               "extract the split-step set (one split step = two steps)"),
     "ensemble": (_ensemble, None),
@@ -324,11 +322,11 @@ def cmd_trace_distance(options: dict) -> tuple[list[str], list[np.ndarray]]:
 def cmd_rtn_composite(options: dict) -> tuple[list[str], list[np.ndarray]]:
     steps = options["steps"]
     gamma, dt = options["rtn_gamma"], options["rtn_dt"]
-    # the regime amplitudes, checked under the names of the options they come from
+    # the regime amplitudes a = 0.4 and 2.0 rtn_gamma (overdamped and oscillatory
+    # kernel), each checked under the name of the option it scales
     regimes = [("none", None)] + [
-        (name, RTNParams(a=real(f"{name}_ratio * rtn_gamma", options[f"{name}_ratio"] * gamma),
-                         gamma=gamma, dt=dt))
-        for name in ("markovian", "nonmarkovian")]
+        (name, RTNParams(a=real(f"{ratio} * rtn_gamma", ratio * gamma), gamma=gamma, dt=dt))
+        for name, ratio in (("markovian", 0.4), ("nonmarkovian", 2.0))]
     if options["rtn_a"] is not None:
         regimes.append(("custom", RTNParams(a=options["rtn_a"], gamma=gamma, dt=dt)))
 
@@ -388,8 +386,7 @@ COMMANDS = {
                        {**_THETAS, "steps": 20, "mode": "both", **_OUTPUT}),
     "rtn-composite": (cmd_rtn_composite, "trace distance under walk + telegraph noise",
                       {"theta": math.pi / 6, "steps": 20, "rtn_gamma": 1.0, "rtn_dt": 1.0,
-                       "rtn_a": None, "markovian_ratio": 0.4, "nonmarkovian_ratio": 2.0,
-                       **_OUTPUT}),
+                       "rtn_a": None, **_OUTPUT}),
     "purity": (cmd_purity, "output purity/mixedness sweep",
                {**_THETAS, "delta": None, "delta_grid": [0.0, math.pi, 33], "steps": 8,
                 **_OUTPUT}),

@@ -125,17 +125,27 @@ def matrices(name: str, value, size: int = 2) -> np.ndarray:
                   lambda shape: shape[-2:] == (size, size))
 
 
-def states(name: str, value, tol: float = 1e-12) -> np.ndarray:
-    """:func:`matrices` that are each a qubit state within ``tol``.
+def kets(name: str, value) -> np.ndarray:
+    """A complex array of finite kets: the last axis holds each ket's two
+    amplitudes, with ``|a|^2 + |b|^2`` 1 within 1e-12; leading axes are a batch."""
+    array = finite(name, value, "finite kets of two amplitudes", lambda shape: shape[-1:] == (2,))
+    norms = (array.real ** 2 + array.imag ** 2).sum(axis=-1)
+    if not np.abs(norms - 1.0).max(initial=0.0) <= 1e-12:
+        raise refuse(name, "normalized kets, |a|^2 + |b|^2 = 1 within 1e-12", value)
+    return array
 
-    Hermitian within ``tol``, trace 1 within ``tol`` and determinant
-    ``>= -tol``: with unit trace, the smaller eigenvalue is ``>= -tol`` to
-    first order in ``tol``.
+
+def states(name: str, value) -> np.ndarray:
+    """:func:`matrices` that are each a qubit state within 1e-12.
+
+    Hermitian within 1e-12, trace 1 within 1e-12 and determinant
+    ``>= -1e-12``: with unit trace, the smaller eigenvalue is ``>= -1e-12`` to
+    first order.
     """
     array = matrices(name, value)
     asymmetry = np.abs(array - array.conj().swapaxes(-1, -2)).max(initial=0.0)
     trace_error = np.abs(np.trace(array, axis1=-2, axis2=-1) - 1.0).max(initial=0.0)
     determinant = (array[..., 0, 0] * array[..., 1, 1]).real - np.abs(array[..., 0, 1]) ** 2
-    if not (asymmetry <= tol and trace_error <= tol and (determinant >= -tol).all()):
-        raise refuse(name, f"qubit states within {tol:g}", value)
+    if not (asymmetry <= 1e-12 and trace_error <= 1e-12 and (determinant >= -1e-12).all()):
+        raise refuse(name, "qubit states within 1e-12", value)
     return array

@@ -288,7 +288,7 @@ def iter_kraus_batches(thetas: Iterable[float], steps: Iterable[int]
     Yields ``(angles, t, operators)``: ``operators[b, j]`` is the operator
     at label ``-t + 2j`` for the angle ``thetas[angles][b]``, an array of
     shape ``(B, t + 1, 2, 2)``.  The angles are walked in lockstep, in
-    chunks of at most ``(MAX_COUNT + 1) // (t_max + 1)`` angles, so a chunk
+    chunks of at most ``(MAX_COUNT + 1) // (largest t + 1)`` angles, so a chunk
     holds no more labels than one angle walked to ``t = MAX_COUNT``; each
     chunk yields its step counts in ascending order.  Angles and step counts
     are checked when this is called.
@@ -407,14 +407,14 @@ def commutator_corrections(p: np.ndarray, q: np.ndarray, t: int) -> list[np.ndar
     return table
 
 
-def extract_kraus_binomial(theta: float, t: int, t_max: int = 8) -> KrausSet:
+def extract_kraus_binomial(theta: float, t: int) -> KrausSet:
     """Extract the t-step set through the expanded joint operator.
 
     Builds ``sum_k C(t,k) P^k Q^{t-k} + sum_k C(t,k) D_k Q^{t-k}`` as a
     dense joint-space matrix and projects it exactly like the direct route.
-    Dense operator products grow fast, hence the step cap.
+    Dense operator products grow fast, hence the step cap t <= 8.
     """
-    t = count("t", t, high=t_max)
+    t = count("t", t, high=8)
     theta = canonical_angle(theta)
     lattice = Lattice.for_steps(t)
     up, down = coin_projections(theta)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inputs import MAX_COUNT, count, finite, real
+from .inputs import MAX_COUNT, count, finite, kets, real, refuse
 
 TWO_PI = 2.0 * math.pi
 
@@ -125,8 +125,10 @@ def build_split_step_unitary(theta: float, lattice: Lattice) -> np.ndarray:
 
 
 def joint_state(lattice: Lattice, coin_amplitudes, x: int = 0) -> np.ndarray:
-    """Product state (coin amplitudes) x |x> as a coin-major 2L vector."""
-    amps = finite("coin_amplitudes", coin_amplitudes).reshape(2)
+    """Product state (coin amplitudes, one ket of shape (2,)) x |x> as a coin-major 2L vector."""
+    amps = kets("coin_amplitudes", coin_amplitudes)
+    if amps.shape != (2,):
+        raise refuse("coin_amplitudes", "one ket of two amplitudes", coin_amplitudes)
     psi = np.zeros((2, lattice.size), dtype=np.complex128)
     psi[:, lattice.index_of(x)] = amps
     return psi.reshape(-1)

@@ -1,5 +1,8 @@
 """Shared test settings: one bounded, reproducible hypothesis profile."""
 
+# first, before anything imports numpy: the session gets the package's one-thread OpenBLAS pool
+import qwchannel  # noqa: F401
+
 try:
     from hypothesis import settings
 except ImportError:  # the property tests skip themselves without hypothesis

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from qwchannel.channels import (
     RTNParams,
     apply_kraus,
     apply_superoperators,
+    channel_outputs,
     closed_form_p,
     closed_form_q,
     coin_state,
@@ -25,9 +27,11 @@ from qwchannel.channels import (
     rtn_lambda,
     superoperators,
 )
+from qwchannel.inputs import kets, states
 from qwchannel.kraus import (
     KrausSet,
     commutator_corrections,
+    extract_kraus_binomial,
     extract_kraus_direct,
     iter_kraus_batches,
     iter_kraus_steps,
@@ -107,6 +111,33 @@ def test_density_matrix_refuses_a_ket_that_is_not_two_amplitudes(ket):
 def test_density_matrix_refuses_a_ket_that_is_not_normalized(ket):
     with pytest.raises(ValueError, match=r"^ket must be normalized kets"):
         density_matrix(ket)
+
+
+def test_kets_refuse_a_batch_for_its_one_unnormalized_ket():
+    batch = np.array([[1.0, 0.0], [0.6, 0.8j], [0.6, 0.8 + 1e-11], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^psi must be normalized kets"):
+        kets("psi", batch)
+    kept = np.delete(batch, 2, axis=0)
+    assert kets("psi", kept).tobytes() == kept.tobytes()
+
+
+def test_no_setting_loosens_an_input_rule():
+    assert "tol" not in inspect.signature(states).parameters
+    assert "tol" not in inspect.signature(is_density_matrix).parameters
+    assert "t_max" not in inspect.signature(extract_kraus_binomial).parameters
+
+
+# a batch of input states of any shape: each state meets every channel
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+def test_channel_outputs_apply_every_channel_to_every_state_of_a_batch(batch):
+    deltas = np.linspace(0.2, 2.9, math.prod(batch)).reshape(batch)
+    rhos = density_matrix(np.stack([np.cos(deltas / 2), np.sin(deltas / 2)], axis=-1))
+    thetas, steps = [0.3, 0.5], [1, 2, 3]
+    outputs = channel_outputs(thetas, steps, rhos)
+    assert outputs.shape == (2, 3) + batch + (2, 2)
+    for b, s, *k in np.ndindex(outputs.shape[:-2]):
+        expected = n_step_map(thetas[b], steps[s], rhos[tuple(k)])
+        assert np.abs(outputs[(b, s, *k)] - expected).max() <= 1e-15
 
 
 def test_density_matrix_validator():
@@ -304,6 +335,14 @@ def test_rtn_kraus_limits():
         rtn_kraus(1.0001)
 
 
+def test_rtn_kraus_of_an_array_is_the_pair_of_each_value():
+    lams = np.array([[-1.0, -0.3], [0.0, 1.0]])
+    pairs = rtn_kraus(lams)
+    assert pairs.shape == (2, 2, 2, 2, 2)
+    for k in np.ndindex(lams.shape):
+        assert pairs[k].tobytes() == rtn_kraus(float(lams[k])).tobytes()
+
+
 def test_rtn_kraus_completeness_exact():
     for lam in (-1.0, -0.3, 0.0, 0.7, 1.0):
         ops = rtn_kraus(lam)
@@ -390,70 +429,111 @@ _NOT_POSITIVE = np.eye(4) + np.array([[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], 
 _NOT_HERMITIAN = np.diag([1, 1 + 0.5j, 1, 1])
 
 
+# each row's id is fixed, so adding or deleting a row renames no other; the
+# "<lambda>-" ids are the ones pytest generated before the rows carried ids
 @pytest.mark.parametrize("call, name", [
-    (lambda: coin_state(_NAN, 0.0), "a"),
-    (lambda: coin_state(1.0, complex(0.0, math.inf)), "b"),
-    (lambda: coin_state("up", 0.0), "a"),
-    (lambda: closed_form_p(0.3, 2, _NAN, 0.0), "a"),
-    (lambda: closed_form_p(0.3, 1, 1.0, math.inf), "b"),
-    (lambda: closed_form_q(0.3, 3, _NAN, 0.0), "a"),
-    (lambda: closed_form_q(0.3, 2, 1.0, _NAN), "b"),
-    (lambda: joint_state(Lattice(5), [_NAN, 1.0]), "coin_amplitudes"),
-    (lambda: Lattice(7.5), "size"),
-    (lambda: joint_state(Lattice(5), [1, 0], 0.5), "x"),
-    (lambda: joint_state(Lattice(5), [1, 0], x=True), "x"),
-    (lambda: commutator_corrections(np.eye(2), np.eye(2), -1), "t"),
-    (lambda: commutator_corrections(np.eye(2), np.eye(2), 2.5), "t"),
-    (lambda: evolve(np.array([_NAN] + [0.0] * 9), 0.3, 1), "psi0"),
+    pytest.param(lambda: coin_state(_NAN, 0.0), "a", id="<lambda>-a0"),
+    pytest.param(lambda: coin_state(1.0, complex(0.0, math.inf)), "b", id="<lambda>-b0"),
+    pytest.param(lambda: coin_state("up", 0.0), "a", id="<lambda>-a1"),
+    pytest.param(lambda: closed_form_p(0.3, 2, _NAN, 0.0), "a", id="<lambda>-a2"),
+    pytest.param(lambda: closed_form_p(0.3, 1, 1.0, math.inf), "b", id="<lambda>-b1"),
+    pytest.param(lambda: closed_form_q(0.3, 3, _NAN, 0.0), "a", id="<lambda>-a3"),
+    pytest.param(lambda: closed_form_q(0.3, 2, 1.0, _NAN), "b", id="<lambda>-b2"),
+    pytest.param(lambda: joint_state(Lattice(5), [_NAN, 1.0]), "coin_amplitudes",
+                 id="<lambda>-coin_amplitudes"),
+    pytest.param(lambda: Lattice(7.5), "size", id="<lambda>-size"),
+    pytest.param(lambda: joint_state(Lattice(5), [1, 0], 0.5), "x", id="<lambda>-x0"),
+    pytest.param(lambda: joint_state(Lattice(5), [1, 0], x=True), "x", id="<lambda>-x1"),
+    pytest.param(lambda: commutator_corrections(np.eye(2), np.eye(2), -1), "t", id="<lambda>-t0"),
+    pytest.param(lambda: commutator_corrections(np.eye(2), np.eye(2), 2.5), "t", id="<lambda>-t1"),
+    pytest.param(lambda: evolve(np.array([_NAN] + [0.0] * 9), 0.3, 1), "psi0", id="<lambda>-psi0"),
     # the kernel's arguments overflow: gamma t, and the oscillation 2a t
-    (lambda: dephasers(RTNParams(a=0.4, gamma=1e200, dt=1e200), [1, 3]), _KERNEL),
-    (lambda: dephasers(RTNParams(a=0.4, gamma=1.0, dt=1e308), [3]), _KERNEL),
-    (lambda: composite_map(RTNParams(a=1e150, gamma=1.0, dt=1e160), 0.4, 3, RHO_UP),
-     _KERNEL),
+    pytest.param(lambda: dephasers(RTNParams(a=0.4, gamma=1e200, dt=1e200), [1, 3]), _KERNEL,
+                 id="<lambda>-max(gamma, 2a) * n * dt of a, gamma, dt and steps0"),
+    pytest.param(lambda: dephasers(RTNParams(a=0.4, gamma=1.0, dt=1e308), [3]), _KERNEL,
+                 id="<lambda>-max(gamma, 2a) * n * dt of a, gamma, dt and steps1"),
+    pytest.param(lambda: composite_map(RTNParams(a=1e150, gamma=1.0, dt=1e160), 0.4, 3, RHO_UP),
+                 _KERNEL, id="<lambda>-max(gamma, 2a) * n * dt of a, gamma, dt and steps2"),
     # the same two overflows at one elapsed time: cos(inf), and 0 * inf clamped to -1
-    (lambda: rtn_lambda(RTNParams(1e150, 1.0, 1.0), 1e160), _ELAPSED),
-    (lambda: rtn_lambda(RTNParams(0.4, 1e200), 1e200), _ELAPSED),
+    pytest.param(lambda: rtn_lambda(RTNParams(1e150, 1.0, 1.0), 1e160), _ELAPSED,
+                 id="<lambda>-max(gamma, 2a) * elapsed of a, gamma and elapsed0"),
+    pytest.param(lambda: rtn_lambda(RTNParams(0.4, 1e200), 1e200), _ELAPSED,
+                 id="<lambda>-max(gamma, 2a) * elapsed of a, gamma and elapsed1"),
     # the measures turn no NaN or infinity into a plausible number
-    (lambda: von_neumann_entropy(np.full((2, 2), _NAN)), "rho"),
-    (lambda: von_neumann_entropy(np.diag([math.inf, 0.0])), "rho"),
-    (lambda: holevo([(0.5, RHO_UP), (0.5, RHO_DOWN)], lambda rho: np.full((2, 2), _NAN)),
-     "channel output"),
-    (lambda: purity(np.full((2, 2), _NAN)), "rho"),
-    (lambda: mixedness(np.full((2, 2), _NAN)), "rho"),
-    (lambda: trace_distance(RHO_UP, np.full((2, 2), _NAN)), "sigma"),
+    pytest.param(lambda: von_neumann_entropy(np.full((2, 2), _NAN)), "rho", id="<lambda>-rho0"),
+    pytest.param(lambda: von_neumann_entropy(np.diag([math.inf, 0.0])), "rho", id="<lambda>-rho1"),
+    pytest.param(lambda: holevo([(0.5, RHO_UP), (0.5, RHO_DOWN)],
+                                lambda rho: np.full((2, 2), _NAN)),
+                 "channel output", id="<lambda>-channel output"),
+    pytest.param(lambda: purity(np.full((2, 2), _NAN)), "rho", id="<lambda>-rho2"),
+    pytest.param(lambda: mixedness(np.full((2, 2), _NAN)), "rho", id="<lambda>-rho3"),
+    pytest.param(lambda: trace_distance(RHO_UP, np.full((2, 2), _NAN)), "sigma",
+                 id="<lambda>-sigma"),
     # finite non-states whose difference, or its eigenvalues, overflow
-    (lambda: trace_distance(np.diag([1e308, 0.0]), np.diag([-1e308, 0.0])), "rho - sigma"),
-    (lambda: trace_distance(np.diag([1e308, 0.0]), np.diag([0.0, 1e308])), "rho - sigma"),
-    (lambda: nonmonotonicity([0.5, _NAN, 0.3]), "series"),
-    (lambda: position_distribution(np.full(10, _NAN)), "psi"),
+    pytest.param(lambda: trace_distance(np.diag([1e308, 0.0]), np.diag([-1e308, 0.0])),
+                 "rho - sigma", id="<lambda>-rho - sigma0"),
+    pytest.param(lambda: trace_distance(np.diag([1e308, 0.0]), np.diag([0.0, 1e308])),
+                 "rho - sigma", id="<lambda>-rho - sigma1"),
+    pytest.param(lambda: nonmonotonicity([0.5, _NAN, 0.3]), "series", id="<lambda>-series"),
+    pytest.param(lambda: position_distribution(np.full(10, _NAN)), "psi", id="<lambda>-psi"),
     # the channel layer applies nothing non-finite
-    (lambda: apply_superoperators(np.full((4, 4), _NAN), RHO_UP), "superops"),
-    (lambda: apply_superoperators(np.eye(3), RHO_UP), "superops"),
-    (lambda: apply_superoperators(np.eye(4), np.full((2, 2), _NAN)), "states"),
-    (lambda: repeated([0.3], [3], np.diag([_NAN, 1.0])), "states"),
-    (lambda: concatenated_map(0.3, 3, np.diag([_NAN, 1.0])), "rho"),
+    pytest.param(lambda: apply_superoperators(np.full((4, 4), _NAN), RHO_UP), "superops",
+                 id="<lambda>-superops0"),
+    pytest.param(lambda: apply_superoperators(np.eye(3), RHO_UP), "superops",
+                 id="<lambda>-superops1"),
+    pytest.param(lambda: apply_superoperators(np.eye(4), np.full((2, 2), _NAN)), "states",
+                 id="<lambda>-states0"),
+    pytest.param(lambda: repeated([0.3], [3], np.diag([_NAN, 1.0])), "states",
+                 id="<lambda>-states1"),
+    pytest.param(lambda: concatenated_map(0.3, 3, np.diag([_NAN, 1.0])), "rho",
+                 id="<lambda>-rho4"),
     # a map must be completely positive as well as trace preserving
-    (lambda: apply_superoperators(_TRANSPOSE, RHO_UP), "superops"),
-    (lambda: apply_superoperators(_NOT_POSITIVE, RHO_UP), "superops"),
-    (lambda: apply_superoperators(_NOT_HERMITIAN, RHO_UP), "superops"),
+    pytest.param(lambda: apply_superoperators(_TRANSPOSE, RHO_UP), "superops",
+                 id="<lambda>-superops2"),
+    pytest.param(lambda: apply_superoperators(_NOT_POSITIVE, RHO_UP), "superops",
+                 id="<lambda>-superops3"),
+    pytest.param(lambda: apply_superoperators(_NOT_HERMITIAN, RHO_UP), "superops",
+                 id="<lambda>-superops4"),
     # one such map refuses the whole batch it comes in
-    (lambda: apply_superoperators(np.stack([np.eye(4), np.full((4, 4), _NAN)]), RHO_UP),
-     "superops"),
-    (lambda: apply_superoperators(np.stack([np.eye(4), _TRANSPOSE]), RHO_UP), "superops"),
-    (lambda: apply_superoperators(np.stack([np.eye(4), _NOT_POSITIVE]), RHO_UP), "superops"),
-    (lambda: apply_superoperators(np.stack([np.eye(4), _NOT_HERMITIAN]), RHO_UP), "superops"),
-    (lambda: density_matrix([_NAN, 1.0]), "ket"),
-    (lambda: hermitian_eigenvalues(np.full((2, 2), _NAN)), "matrix"),
+    pytest.param(lambda: apply_superoperators(
+                     np.stack([np.eye(4), np.full((4, 4), _NAN)]), RHO_UP),
+                 "superops", id="<lambda>-superops5"),
+    pytest.param(lambda: apply_superoperators(np.stack([np.eye(4), _TRANSPOSE]), RHO_UP),
+                 "superops", id="<lambda>-superops6"),
+    pytest.param(lambda: apply_superoperators(np.stack([np.eye(4), _NOT_POSITIVE]), RHO_UP),
+                 "superops", id="<lambda>-superops7"),
+    pytest.param(lambda: apply_superoperators(np.stack([np.eye(4), _NOT_HERMITIAN]), RHO_UP),
+                 "superops", id="<lambda>-superops8"),
+    pytest.param(lambda: density_matrix([_NAN, 1.0]), "ket", id="<lambda>-ket"),
+    pytest.param(lambda: hermitian_eigenvalues(np.full((2, 2), _NAN)), "matrix",
+                 id="<lambda>-matrix"),
     # telegraph parameters serve only the composite series
-    (lambda: td_series(0.5, 5, mode="nstep", rtn=RTNParams(a=2.0, gamma=1.0)), "rtn"),
-    (lambda: td_values([0.5], [5], mode="concat", rtn=RTNParams(a=2.0, gamma=1.0)), "rtn"),
+    pytest.param(lambda: td_series(0.5, 5, mode="nstep", rtn=RTNParams(a=2.0, gamma=1.0)), "rtn",
+                 id="<lambda>-rtn0"),
+    pytest.param(lambda: td_values([0.5], [5], mode="concat", rtn=RTNParams(a=2.0, gamma=1.0)),
+                 "rtn", id="<lambda>-rtn1"),
     # a step list is a list of counts: neither text nor a bare count
-    (lambda: superoperators([0.5], "12"), "steps"),
-    (lambda: iter_kraus_steps(0.5, "31"), "steps"),
-    (lambda: iter_kraus_steps(0.5, b"31"), "steps"),
-    (lambda: td_values([0.5], 5), "steps"),
-    (lambda: superoperators([0.5], 8), "steps"),
-    (lambda: superoperators([0.5], np.array(8)), "steps"),
+    pytest.param(lambda: superoperators([0.5], "12"), "steps", id="<lambda>-steps0"),
+    pytest.param(lambda: iter_kraus_steps(0.5, "31"), "steps", id="<lambda>-steps1"),
+    pytest.param(lambda: iter_kraus_steps(0.5, b"31"), "steps", id="<lambda>-steps2"),
+    pytest.param(lambda: td_values([0.5], 5), "steps", id="<lambda>-steps3"),
+    pytest.param(lambda: superoperators([0.5], 8), "steps", id="<lambda>-steps4"),
+    pytest.param(lambda: superoperators([0.5], np.array(8)), "steps", id="<lambda>-steps5"),
+    # every ket door takes normalized amplitudes only
+    pytest.param(lambda: coin_state(2.0, 0.0), "(a, b)", id="coin_state-unnormalized"),
+    pytest.param(lambda: closed_form_p(0.3, 1, 2, 0), "(a, b)", id="closed_form_p-unnormalized"),
+    pytest.param(lambda: closed_form_q(0.3, 2, 2, 0), "(a, b)", id="closed_form_q-unnormalized"),
+    pytest.param(lambda: joint_state(Lattice(5), [2, 0]), "coin_amplitudes",
+                 id="joint_state-unnormalized"),
+    # joint_state takes one ket: neither a column nor a batch of one
+    pytest.param(lambda: joint_state(Lattice(5), [[1.0], [0.0]]), "coin_amplitudes",
+                 id="joint_state-column"),
+    pytest.param(lambda: joint_state(Lattice(5), [[1.0, 0.0]]), "coin_amplitudes",
+                 id="joint_state-batch"),
+    # a kernel value is a real number in [-1, 1]
+    pytest.param(lambda: rtn_kraus(1.0001), "lambda_val", id="rtn_kraus-above-1"),
+    pytest.param(lambda: rtn_kraus(np.array([0.5, _NAN])), "lambda_val", id="rtn_kraus-nan"),
+    pytest.param(lambda: rtn_kraus(True), "lambda_val", id="rtn_kraus-bool"),
 ])
 def test_library_arguments_are_refused_by_name(call, name):
     with pytest.raises(ValueError) as info:

@@ -548,58 +548,79 @@ def test_the_writer_spells_each_value_as_str_in_csv_and_json_dumps_in_json(capsy
 _STATE = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 
 
+# each row's id is fixed, so adding or deleting a row renames no other; the
+# numbered ids are the ones pytest generated before the rows carried ids
 @pytest.mark.parametrize("argv, config, named", [
-    (["probability"], {"theta_grid": 5}, ["theta_grid"]),
-    (["probability"], {"theta_grid": [0, 1]}, ["theta_grid"]),
-    (["probability", "--steps", "2"], {"format": "xml"}, ["format"]),
-    (["kraus"], {"theta": 0.4, "t": 2.9}, ["t must be a whole number"]),
-    (["kraus"], {"theta": 0.4, "t": 2, "split": "no"}, ["split"]),
-    (["kraus", "--theta", "nan", "--t", "2"], None, ["theta must be finite"]),
-    (["probability", "--steps", "2"], {"theta": "abc"}, ["theta"]),
-    (["rtn-composite", "--steps", "2"], {"markovian_ratio": -1}, ["markovian_ratio"]),
-    (["holevo", "--theta", "0.4", "--steps", "1"], {"ensemble": {"rho2": _STATE}},
-     ["ensemble"]),
+    pytest.param(["probability"], {"theta_grid": 5}, ["theta_grid"], id="argv0-config0-named0"),
+    pytest.param(["probability"], {"theta_grid": [0, 1]}, ["theta_grid"],
+                 id="argv1-config1-named1"),
+    pytest.param(["probability", "--steps", "2"], {"format": "xml"}, ["format"],
+                 id="argv2-config2-named2"),
+    pytest.param(["kraus"], {"theta": 0.4, "t": 2.9}, ["t must be a whole number"],
+                 id="argv3-config3-named3"),
+    pytest.param(["kraus"], {"theta": 0.4, "t": 2, "split": "no"}, ["split"],
+                 id="argv4-config4-named4"),
+    pytest.param(["kraus", "--theta", "nan", "--t", "2"], None, ["theta must be finite"],
+                 id="argv5-None-named5"),
+    pytest.param(["probability", "--steps", "2"], {"theta": "abc"}, ["theta"],
+                 id="argv6-config6-named6"),
+    pytest.param(["rtn-composite", "--steps", "2"], {"rtn_a": -1}, ["rtn_a must be >= 0"],
+                 id="argv7-config7-named7"),
+    # the regimes are fixed: their old ratio keys are no option of any subcommand
+    pytest.param(["rtn-composite", "--steps", "2"], {"markovian_ratio": 0.4},
+                 ["config key 'markovian_ratio' is not an option"], id="config-markovian-ratio"),
+    pytest.param(["holevo", "--theta", "0.4", "--steps", "1"], {"ensemble": {"rho2": _STATE}},
+                 ["ensemble"], id="argv8-config8-named8"),
     # a config sets both sides of a scalar/grid pair
-    (["probability", "--steps", "2"], {"theta": 0.3, "theta_grid": [0, 1, 3]},
-     ["both theta and theta_grid"]),
-    (["purity", "--theta", "0.4", "--steps", "2"], {"delta": 0.3, "delta_grid": [0, 1, 3]},
-     ["both delta and delta_grid"]),
+    pytest.param(["probability", "--steps", "2"], {"theta": 0.3, "theta_grid": [0, 1, 3]},
+                 ["both theta and theta_grid"], id="argv9-config9-named9"),
+    pytest.param(["purity", "--theta", "0.4", "--steps", "2"],
+                 {"delta": 0.3, "delta_grid": [0, 1, 3]}, ["both delta and delta_grid"],
+                 id="argv10-config10-named10"),
     # counts above MAX_COUNT, refused before any work
-    (["holevo", "--theta", "0.4", "--steps", "1"], {"grid_size": 100_001}, ["grid_size"]),
-    (["probability", "--theta", "0.4", "--steps", "1"], {"delta_grid": [0, 1, 100_001]},
-     ["delta_grid"]),
-    (["probability", "--theta", "0.4", "--steps", "1", "--delta-grid", "0:1:100001"], None,
-     ["delta_grid"]),
-    (["trace-distance", "--theta", "0.4", "--mode", "concat", "--steps", "100001"], None,
-     ["steps"]),
-    (["kraus", "--theta", "0.4", "--t", "100001"], None, ["t must be a whole number"]),
+    pytest.param(["holevo", "--theta", "0.4", "--steps", "1"], {"grid_size": 100_001},
+                 ["grid_size"], id="argv11-config11-named11"),
+    pytest.param(["probability", "--theta", "0.4", "--steps", "1"],
+                 {"delta_grid": [0, 1, 100_001]}, ["delta_grid"], id="argv12-config12-named12"),
+    pytest.param(["probability", "--theta", "0.4", "--steps", "1", "--delta-grid", "0:1:100001"],
+                 None, ["delta_grid"], id="argv13-None-named13"),
+    pytest.param(["trace-distance", "--theta", "0.4", "--mode", "concat", "--steps", "100001"],
+                 None, ["steps"], id="argv14-None-named14"),
+    pytest.param(["kraus", "--theta", "0.4", "--t", "100001"], None, ["t must be a whole number"],
+                 id="argv15-None-named15"),
     # argparse checks no values: each flag's text reaches only its option's check
-    (["probability", "--steps", "2", "--format", "xml"], None,
-     ["format must be one of csv, json"]),
-    (["trace-distance", "--theta", "0.4", "--mode", "sideways"], None,
-     ["mode must be one of nstep, concat, both"]),
-    (["probability", "--theta-grid", "bad"], None, ["theta_grid must be start:stop:count"]),
-    (["probability"], {"theta_grid": {"a": 0, "b": 1, "c": 3}},
-     ["theta_grid must be start:stop:count"]),
-    (["probability", "--theta", "0.4", "--theta-grid", "0:1:3"], None,
-     ["both theta and theta_grid"]),
-    # a regime amplitude that overflows names the options it is made of
-    (["rtn-composite", "--markovian-ratio", "1e200", "--rtn-gamma", "1e200"], None,
-     ["markovian_ratio * rtn_gamma must be finite"]),
+    pytest.param(["probability", "--steps", "2", "--format", "xml"], None,
+                 ["format must be one of csv, json"], id="argv16-None-named16"),
+    pytest.param(["trace-distance", "--theta", "0.4", "--mode", "sideways"], None,
+                 ["mode must be one of nstep, concat, both"], id="argv17-None-named17"),
+    pytest.param(["probability", "--theta-grid", "bad"], None,
+                 ["theta_grid must be start:stop:count"], id="argv18-None-named18"),
+    pytest.param(["probability"], {"theta_grid": {"a": 0, "b": 1, "c": 3}},
+                 ["theta_grid must be start:stop:count"], id="argv19-config19-named19"),
+    pytest.param(["probability", "--theta", "0.4", "--theta-grid", "0:1:3"], None,
+                 ["both theta and theta_grid"], id="argv20-None-named20"),
+    # a regime amplitude that overflows names the option it scales
+    pytest.param(["rtn-composite", "--rtn-gamma", "1e308"], None,
+                 ["2.0 * rtn_gamma must be finite"], id="argv21-None-named21"),
     # a value may start with "-"; it reaches its option's check
-    (["probability", "--theta", "-inf", "--steps", "2"], None, ["theta must be finite"]),
+    pytest.param(["probability", "--theta", "-inf", "--steps", "2"], None,
+                 ["theta must be finite"], id="argv22-None-named22"),
     # an int beyond the float range
-    (["kraus", "--theta", "0.4"], {"t": 10**400}, ["t must be finite"]),
-    (["holevo", "--theta", "0.4", "--steps", "1"],
-     {"ensemble": {"rho1": [[[0.5, 0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
-                   "rho2": _STATE}},
-     ["ensemble must be rho1 and rho2 as [re, im] pairs"]),
+    pytest.param(["kraus", "--theta", "0.4"], {"t": 10**400}, ["t must be finite"],
+                 id="argv23-config23-named23"),
+    pytest.param(["holevo", "--theta", "0.4", "--steps", "1"],
+                 {"ensemble": {"rho1": [[[0.5, 0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+                               "rho2": _STATE}},
+                 ["ensemble must be rho1 and rho2 as [re, im] pairs"],
+                 id="argv24-config24-named24"),
 
     # finite grid ends whose span stop - start overflows, as a flag and in a config
-    (["probability", "--theta-grid", "1e308:-1e308:3", "--steps", "1"], None,
-     ["theta_grid must be start:stop:count with a finite span"]),
-    (["purity", "--theta", "0.4", "--steps", "1"], {"delta_grid": [-1e308, 1e308, 3]},
-     ["delta_grid must be start:stop:count with a finite span"]),
+    pytest.param(["probability", "--theta-grid", "1e308:-1e308:3", "--steps", "1"], None,
+                 ["theta_grid must be start:stop:count with a finite span"],
+                 id="argv25-None-named25"),
+    pytest.param(["purity", "--theta", "0.4", "--steps", "1"], {"delta_grid": [-1e308, 1e308, 3]},
+                 ["delta_grid must be start:stop:count with a finite span"],
+                 id="argv26-config26-named26"),
 ])
 def test_every_option_is_checked_by_name_whatever_its_source(tmp_path, capsys, argv,
                                                              config, named):

@@ -85,7 +85,6 @@ def test_binomial_matches_direct():
 def test_binomial_step_cap():
     with pytest.raises(ValueError):
         extract_kraus_binomial(0.5, 9)
-    extract_kraus_binomial(0.5, 9, t_max=9)  # raising the cap is allowed
 
 
 def test_commutator_corrections_start_at_zero():
