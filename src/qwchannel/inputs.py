@@ -135,6 +135,15 @@ def kets(name: str, value) -> np.ndarray:
     return array
 
 
+def normalized(name: str, value) -> np.ndarray:
+    """A complex array of finite amplitudes whose squared norm ``sum |x|^2`` is
+    1 within 1e-12: one state, whatever its shape."""
+    array = finite(name, value, "finite amplitudes")
+    if not abs((array.real ** 2 + array.imag ** 2).sum() - 1.0) <= 1e-12:
+        raise refuse(name, "a normalized state, sum |x|^2 = 1 within 1e-12", value)
+    return array
+
+
 def states(name: str, value) -> np.ndarray:
     """:func:`matrices` that are each a qubit state within 1e-12.
 

@@ -9,11 +9,10 @@ provided:
   position lattice, by ``K_mu(n + 1) = C_up K_{mu-1}(n) + C_down
   K_{mu+1}(n)`` from ``K_0(0) = I``, for a batch of angles in lockstep,
   streaming the sets of every requested step count from a single walk.  It
-  walks only the labels ``mu >= 0``, in 128 (t // 2 + 2) bytes per angle
-  (half the 128 (t + 1) of walking every label), and flips out the rest by
-  the mirror below when a set is yielded; :func:`iter_kraus_steps` is its
-  one-angle case and :func:`extract_kraus_direct` its one-angle, single-step
-  case (ground truth),
+  walks every label in float64, in the coin's real frame, in 64 (t + 2)
+  bytes per angle; :func:`iter_kraus_steps` is its one-angle case and
+  :func:`extract_kraus_direct` its one-angle, single-step case (ground
+  truth),
 * :func:`extract_kraus_binomial` rebuilds the t-step joint operator on a
   guarded lattice from the ordered binomial expansion of ``(P + Q)^t`` plus
   commutator correction terms, then gathers each site's block (validator).
@@ -25,9 +24,10 @@ negated lattice coordinate of the walker's site.  This keeps the sets
 aligned with the closed-form first term
 (:func:`kraus_closed_form_first_term`).  The coin satisfies ``J C J = C`` and
 ``J C_up J = C_down`` for ``J`` the Pauli X, so conjugating the recursion by
-``J`` and inducting from ``K_0 = I`` gives the exact mirror
+``J`` and inducting from ``K_0 = I`` gives the mirror
 ``K_{-mu} = J K_mu J = minor_map(K_mu)`` for every label, step and angle:
-the parity symmetry of the symmetric coined walk.
+the parity symmetry of the symmetric coined walk.  The engine walks both
+labels, so the mirror holds to rounding and is checked, not used.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ from . import inputs
 from .inputs import MAX_COUNT, count, real, step_list
 from .walk import (
     Lattice,
-    build_coin,
     build_shifts,
     canonical_angle,
     coin_projections,
+    coin_rotation,
 )
 
 # amplitude below which a wrong-parity site of a dense projection is empty
@@ -55,16 +55,6 @@ ZERO_SITE_TOL = 1e-14
 
 # the identity as a row-major vec
 _VEC_EYE = np.eye(2).reshape(4)
-
-# K_0 before the first step, broadcast over the angles by the first product
-_EYE = np.eye(2, dtype=np.complex128)
-_EYE.flags.writeable = False
-
-# column tile of one step's product: the package loads OpenBLAS with one thread,
-# but a session that imported numpy first or set its own thread count keeps a
-# larger pool, which runs a complex product of more than 16 384 columns on
-# several threads and costs more CPU time than it saves
-_TILE = 8192
 
 STANDARD = "standard"
 SPLIT_STEP = "split_step"
@@ -257,9 +247,8 @@ def minor_map(matrix: np.ndarray) -> np.ndarray:
 
     The involution ``M -> J M J`` with ``J`` the Pauli X.  It maps every
     operator of a standard set to the one at the opposite label,
-    ``K_{-mu} = minor_map(K_mu)``: the extraction engine walks only
-    ``mu >= 0`` and builds the negative labels by this flip.  Leading axes
-    are a batch of matrices.
+    ``K_{-mu} = minor_map(K_mu)``, up to the rounding of the walk, which
+    walks both labels.  Leading axes are a batch of matrices.
     """
     m = np.asarray(matrix)
     if m.shape[-2:] != (2, 2):
@@ -286,8 +275,10 @@ def iter_kraus_batches(thetas: Iterable[float], steps: Iterable[int]
     """Stream the operator sets of many angles and step counts as arrays.
 
     Yields ``(angles, t, operators)``: ``operators[b, j]`` is the operator
-    at label ``-t + 2j`` for the angle ``thetas[angles][b]``, an array of
-    shape ``(B, t + 1, 2, 2)``.  The angles are walked in lockstep, in
+    at label ``-t + 2j`` for the angle ``thetas[angles][b]``, a C-contiguous
+    complex128 array of shape ``(B, t + 1, 2, 2)`` whose diagonal entries
+    have imaginary parts exactly 0 and whose off-diagonal entries have real
+    parts exactly 0.  The angles are walked in lockstep, in
     chunks of at most ``(MAX_COUNT + 1) // (largest t + 1)`` angles, so a chunk
     holds no more labels than one angle walked to ``t = MAX_COUNT``; each
     chunk yields its step counts in ascending order.  Angles and step counts
@@ -311,70 +302,49 @@ def _walk_chunks(angles: list[float], wanted: list[int]
 def _walk_sets(angles: list[float], wanted: list[int]) -> Iterator[tuple[int, np.ndarray]]:
     """Walk ``K_mu(n + 1) = C_up K_{mu-1}(n) + C_down K_{mu+1}(n)`` for B angles.
 
-    Only the labels ``mu >= 0`` are walked: the rest follow from the exact
-    mirror ``K_{-mu} = J K_mu J`` (:func:`minor_map`).  The half sets live in
-    two ``(B, 2, 2 (t // 2 + 2))`` buffers used in turn, 128 B (t // 2 + 2)
-    bytes in all, half of what walking every label takes.  Each step is one
-    stacked ``(B, 2, 2)`` coin product over the live labels, in column tiles
-    of at most ``_TILE``, that writes the next half set straight into the
-    other buffer, already shifted; label 0's upper row, which comes from
-    ``K_{-1}``, is rebuilt from its own lower row.  A yielded set is one
-    C-contiguous ``(B, t + 1, 2, 2)`` array with the negative labels flipped
-    out, gathered from its half set in one ``np.take``.
+    The walk runs in the coin's real frame, ``K_mu = D R_mu D^-1`` with ``D =
+    diag(1, i)`` and ``R_mu`` walked by the rotation ``A = D^-1 C D``
+    (:func:`~qwchannel.walk.coin_rotation`), every label ``-n..n`` and no
+    mirror.  Each input column of every angle is a batch item of one stacked
+    float64 ``np.matmul`` per step: column 0 is walked with ``A`` and holds
+    ``(K00.re, K10.im)``, column 1 with ``A^T`` and holds ``(K01.im,
+    K11.re)``, exactly the nonzero parts of ``K`` with their signs.  The sets
+    live in two ``(B, 2, 2, t + 2)`` buffers used in turn, 64 (t + 2) bytes
+    per angle.  A yielded set is one C-contiguous ``(B, t + 1, 2, 2)`` array,
+    gathered from the float buffer by one ``np.take`` and viewed as
+    complex128; its zero parts come from a spare cell that is never written.
     """
-    coins = np.array([build_coin(theta) for theta in angles])
-    # room for the t // 2 + 1 half labels of the longest walk plus one spare label
-    size = 2 * (wanted[-1] // 2 + 2)
-    buffers = np.zeros((2, len(angles), 2 * size), dtype=np.complex128)
-    # sets[b, :, c, 2j + s] is entry (c, s) of the operator at label n % 2 + 2j
-    sets = buffers.reshape(2, len(angles), 2, size)
-    # the product's rows land size - 2 apart.  From step n even (buffer 0) the
-    # upper row goes in place (label mu + 1) and the lower row one label down
-    # (mu - 1), the lower row of label -1 into the upper row's spare label;
-    # from n odd (buffer 1) the upper row goes one label up, the lower in
-    # place.  Cells beyond the live labels, the structural zeros of K_{+t},
-    # are never written and stay +0.0
-    shifted = [buffers[0, :, :2 * size - 4].reshape(len(angles), 2, size - 2),
-               buffers[1, :, 2:2 * size - 2].reshape(len(angles), 2, size - 2)]
-    # K_0 = J K_0 J: its upper row is its lower row reversed, the same
-    # products summed in the other order, so the same bits
-    zero_upper, zero_lower = sets[1, :, 0, :2], sets[1, :, 1, 1::-1]
-    # the gather index of the largest set of each parity, 32 (t + 1) bytes; a
-    # smaller set of that parity takes its middle labels
-    last = {t % 2: t for t in wanted}
-    index = {parity: _unfold_index(top, size) for parity, top in last.items()}
-    ops = _EYE
+    rotations = np.array([coin_rotation(theta) for theta in angles])
+    coins = np.stack([rotations, rotations.swapaxes(-1, -2)], axis=1)
+    # buffers[p, b, k, j, i]: row j of stored column k at slot i, label -n + 2i
+    # at step n; room for the t + 1 labels of the longest walk and a spare
+    size = wanted[-1] + 2
+    buffers = np.zeros((2, len(angles), 2, 2, size))
+    cells = buffers.reshape(2, len(angles), 2, 2 * size)
+    # the product's rows land size - 1 apart: the upper row one label up, the
+    # lower row in place.  The upper row's slot 0 and the lower row's slots
+    # past the live labels, the structural zeros of K_{-n} and K_{+n}, are
+    # never written and stay +0.0; so is the spare, a column's last cell
+    shifted = cells[..., 1:2 * size - 1].reshape(2, len(angles), 2, 2, size - 1)
+    # entry [i, j, k, part] of the largest set: its nonzero part (re on the
+    # diagonal, im off it) from cell (2k + j) size + i, the other from the spare
+    index = np.full((wanted[-1] + 1, 2, 2, 2), 4 * size - 1, dtype=np.intp)
+    for j, k in np.ndindex(2, 2):
+        index[:, j, k, (j + k) % 2] = (2 * k + j) * size + np.arange(wanted[-1] + 1)
+    ops = np.eye(2)[:, :, None]  # K_0 = I: column k is e_k, for every angle
     done = 0
     for t in wanted:
         for n in range(done, t):
-            width = 2 * (n // 2) + 2
-            out = shifted[n % 2]
-            for start in range(0, width, _TILE):
-                stop = min(start + _TILE, width)
-                np.matmul(coins, ops[..., start:stop], out=out[..., start:stop])
-            ops = sets[n % 2]
-            if n % 2:
-                zero_upper[...] = zero_lower
+            # untiled: under a two-thread pool (numpy imported first) OpenBLAS
+            # ran a float64 product of 100 001 columns on one thread, and tiles
+            # of 8192 columns cost CPU time: 0.183 vs 0.173 s at t = 10^4, 1.10
+            # vs 0.98 s at 2 * 10^4 (medians of 8, 2-vCPU x86-64)
+            np.matmul(coins, ops[..., :n + 1], out=shifted[n % 2][..., :n + 1])
+            ops = buffers[n % 2]
         done = t
-        middle = (last[t % 2] - t) // 2
-        yield t, np.take(buffers[(t - 1) % 2], index[t % 2][middle:middle + t + 1], axis=1)
-
-
-def _unfold_index(t: int, size: int) -> np.ndarray:
-    """Where each entry ``[j, c, s]`` of a full set of ``t`` steps sits in a half buffer.
-
-    A half buffer keeps entry (c, s) of label ``t % 2 + 2j`` at ``c * size +
-    2j + s``.  The labels ``mu >= 0`` are read from there; each label ``-mu <
-    0`` is ``K_mu[::-1, ::-1]`` and the labels run in the opposite order, so
-    the row-major head of the index is its own tail reversed.
-    """
-    labels = t // 2 + 1
-    negative = t + 1 - labels
-    index = np.empty((t + 1, 2, 2), dtype=np.intp)
-    index[negative:] = np.arange(2 * size).reshape(2, size // 2, 2)[:, :labels].transpose(1, 0, 2)
-    flat = index.reshape(4 * (t + 1))
-    flat[4 * negative - 1::-1] = flat[4 * labels:]
-    return index
+        flat = cells[(t - 1) % 2].reshape(len(angles), 4 * size)
+        operators = np.take(flat, index[:t + 1], axis=1)
+        yield t, operators.view(np.complex128).reshape(len(angles), t + 1, 2, 2)
 
 
 def extract_kraus_direct(theta: float, t: int) -> KrausSet:

@@ -17,6 +17,10 @@ Joint states are stored coin-major: a vector of length ``2L`` whose first
 ``L`` entries are the position amplitudes of coin ``|0>`` and whose last
 ``L`` entries belong to coin ``|1>``.  Position label ``x`` lives at storage
 index ``origin_index + x``.
+
+:func:`evolve` walks in the coin's real frame (:func:`coin_rotation`), as
+the extraction engine of :mod:`qwchannel.kraus` does, so both apply the coin
+as the same float64 product.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inputs import MAX_COUNT, count, finite, kets, real, refuse
+from .inputs import MAX_COUNT, count, finite, kets, normalized, real, refuse
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,9 +85,16 @@ class Lattice:
 
 def build_coin(theta: float) -> np.ndarray:
     """2x2 coin rotation [[cos t, -i sin t], [-i sin t, cos t]]."""
+    (c, s), _ = coin_rotation(theta)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+
+
+def coin_rotation(theta: float) -> np.ndarray:
+    """The coin in its real frame, ``D^-1 C D = [[cos t, sin t], [-sin t, cos t]]``
+    for ``D = diag(1, i)``, which commutes with the shifts: a float64 rotation."""
     th = canonical_angle(theta)
     c, s = math.cos(th), math.sin(th)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+    return np.array([[c, s], [-s, c]])
 
 
 def coin_projections(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -134,35 +145,41 @@ def joint_state(lattice: Lattice, coin_amplitudes, x: int = 0) -> np.ndarray:
     return psi.reshape(-1)
 
 
-def _lattice_of(psi: np.ndarray) -> Lattice:
-    n = psi.shape[0]
+def _joint_state(name: str, psi) -> tuple[np.ndarray, Lattice]:
+    """A joint state and its lattice: finite, of length 2L, then normalized."""
+    n = finite(name, psi).shape[0]
     if n % 2 != 0:
         raise ValueError(f"joint state length must be 2L, got {n}")
-    return Lattice(n // 2)
+    return normalized(name, psi), Lattice(n // 2)
 
 
 def evolve(psi0: np.ndarray, theta: float, t: int) -> np.ndarray:
     """Apply ``t`` walk steps to a normalized joint state.
 
-    The unitary is applied step by step (coin rotation on the (2, L) block,
-    then the upper component rolls one site left and the lower one right);
-    the dense 2L x 2L power is never formed.
+    The unitary is applied step by step in the coin's real frame: the lower
+    coin component is multiplied by ``-1j`` (exact); each step rotates the
+    ``(2, 2L)`` float64 view of the real and imaginary parts by
+    :func:`coin_rotation`, then rolls the upper component one site left and
+    the lower one right; the lower component is multiplied back by ``1j``.
+    The dense 2L x 2L power is never formed.
     Requires the guard band ``L >= 2t + 3`` so no amplitude can wrap.
     """
     t = count("t", t, low=0)
-    psi0 = finite("psi0", psi0)
-    lattice = _lattice_of(psi0)
+    psi0, lattice = _joint_state("psi0", psi0)
     if t > lattice.max_steps:
         raise ValueError(
             f"lattice of size {lattice.size} supports at most "
             f"{lattice.max_steps} wrap-free steps, requested {t}"
         )
     psi = np.array(psi0, dtype=np.complex128).reshape(2, lattice.size)
-    coin = build_coin(theta)
+    psi[1] *= -1j
+    parts = psi.view(np.float64)
+    rotation = coin_rotation(theta)
     for _ in range(t):
-        psi[:] = coin @ psi
+        parts[:] = rotation @ parts
         psi[0] = np.roll(psi[0], -1)
         psi[1] = np.roll(psi[1], +1)
+    psi[1] *= 1j
     return psi.reshape(-1)
 
 
@@ -173,8 +190,7 @@ def position_distribution(psi: np.ndarray) -> dict[int, float]:
     a t-step walk from the origin is contained in {-t..t} with the parity
     of t.
     """
-    psi = finite("psi", psi)
-    lattice = _lattice_of(psi)
+    psi, lattice = _joint_state("psi", psi)
     block = psi.reshape(2, lattice.size)
     probs = np.abs(block[0]) ** 2 + np.abs(block[1]) ** 2
     return {

@@ -530,6 +530,12 @@ _NOT_HERMITIAN = np.diag([1, 1 + 0.5j, 1, 1])
                  id="joint_state-column"),
     pytest.param(lambda: joint_state(Lattice(5), [[1.0, 0.0]]), "coin_amplitudes",
                  id="joint_state-batch"),
+    # a joint state is normalized: a doubled state, and the zero vector
+    pytest.param(lambda: evolve(2 * joint_state(Lattice(7), [1, 0]), 0.3, 2), "psi0",
+                 id="evolve-unnormalized"),
+    pytest.param(lambda: evolve(np.zeros(14), 0.3, 2), "psi0", id="evolve-zero"),
+    pytest.param(lambda: position_distribution(2 * joint_state(Lattice(7), [1, 0])), "psi",
+                 id="position_distribution-unnormalized"),
     # a kernel value is a real number in [-1, 1]
     pytest.param(lambda: rtn_kraus(1.0001), "lambda_val", id="rtn_kraus-above-1"),
     pytest.param(lambda: rtn_kraus(np.array([0.5, _NAN])), "lambda_val", id="rtn_kraus-nan"),

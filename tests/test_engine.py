@@ -18,6 +18,7 @@ from qwchannel.kraus import (
     extract_kraus_direct,
     iter_kraus_batches,
     iter_kraus_steps,
+    minor_map,
 )
 from qwchannel.walk import Lattice, coin_projections, evolve, joint_state
 
@@ -193,6 +194,24 @@ def walk_errors(theta, t):
 # channel alike.  Measured 8.9e-16 and 2.4e-15 at t = 601 over eight angles,
 # 0.7 % and 1.8 % of the bound
 WALK_ERROR_PER_STEP = np.finfo(np.float64).eps
+
+def assert_real_frame_and_mirror(theta, t):
+    """Every walked operator's zero parts are exact zeros, as the real frame of
+    the coin makes them: imaginary on the diagonal, real off it; and
+    ``K_{-mu}``, walked on its own, is within ``eps * (t + 1)`` of
+    ``minor_map(K_mu)``."""
+    (_, _, operators), = iter_kraus_batches([theta], [t])
+    operators = operators[0]
+    assert not operators[:, [0, 1], [0, 1]].imag.any()
+    assert not operators[:, [0, 1], [1, 0]].real.any()
+    mirror = np.abs(operators[::-1] - minor_map(operators)).max()
+    assert mirror <= WALK_ERROR_PER_STEP * (t + 1)
+
+
+@pytest.mark.parametrize("theta", [0.5047, 1.3, 2.9])
+def test_a_long_walk_has_exact_zero_parts_and_its_mirror(theta):
+    assert_real_frame_and_mirror(theta, 2000)
+
 
 needs_long_double = pytest.mark.skipif(
     np.finfo(np.longdouble).eps > 1e-18, reason="np.longdouble is no wider than float64")

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from test_cli import _cell_value  # noqa: E402
 from test_engine import (  # noqa: E402
     WALK_ERROR_PER_STEP,
+    assert_real_frame_and_mirror,
     momentum_oracle,
     needs_long_double,
     traced_operators,
@@ -62,6 +63,11 @@ finite_angles = st.floats(0.0, 2 * math.pi, exclude_max=True)
 @given(theta=finite_angles, t=st.integers(1, 60))
 def test_every_walk_keeps_the_error_law(theta, t):
     assert max(walk_errors(theta, t)) <= WALK_ERROR_PER_STEP * (t + 1)
+
+
+@given(theta=finite_angles, t=st.integers(1, 60))
+def test_every_walk_has_exact_zero_parts_and_its_mirror(theta, t):
+    assert_real_frame_and_mirror(theta, t)
 
 
 # 8 seeded points exp(2 pi i k / 2^20) of the unit circle
