@@ -2,7 +2,7 @@
 
 The ensemble mixes rho_1 = diag(1/4, 3/4) with rho_2, a 1/6 : 5/6 mixture of
 the +-x projectors.  For every coin angle the Holevo quantity is maximized
-over the binary weight p_1 (coarse grid plus golden-section refinement).
+over the binary weight p_1, at the root of its derivative in p_1 (bisection).
 Averaged over angles, odd step counts retain visibly less information than
 their even neighbours.
 """

@@ -28,9 +28,9 @@ A config key that belongs to another subcommand is ignored, so one file can
 serve several commands; a key that no subcommand takes exits 2 naming it.
 Each option's one check (the rules of :mod:`qwchannel.inputs`) is applied
 once to the merged value whatever its source: numbers must be finite,
-counts (``t``, ``grid_size``, step and grid counts) whole numbers up to
-``MAX_COUNT``, ``format`` and ``mode`` one of their choices.  A refused value
-exits 2 with a message naming the option.
+counts (``t``, step and grid counts) whole numbers up to ``MAX_COUNT``,
+``format`` and ``mode`` one of their choices.  A refused value exits 2 with
+a message naming the option.
 
 Each sweep is one batched walk of all its coin angles
 (:func:`~qwchannel.channels.channel_outputs`); the ``concat`` rows of
@@ -132,7 +132,6 @@ _OPTIONS = {
     "delta_grid": (_grid, "input-state angle grid start:stop:count"),
     "t": (count, "number of walk steps"),
     "steps": (_steps, "max step count N (runs 1..N) or comma list"),
-    "grid_size": (partial(count, low=3), "coarse grid points for the weight search"),
     "rtn_gamma": (positive, "telegraph fluctuation rate"),
     "rtn_dt": (positive, "time per walk step"),
     "rtn_a": (nonnegative, "amplitude of an extra custom series"),
@@ -352,8 +351,7 @@ def cmd_holevo(options: dict) -> tuple[list[str], list[np.ndarray]]:
     thetas, steps = _sweep_values(options, "theta"), options["steps"]
     ensemble = np.array(options["ensemble"] or _default_ensemble_pair())
     outputs = channel_outputs(thetas, steps, ensemble)
-    chi, p_star = holevo_max_batch(outputs[..., 0, :, :], outputs[..., 1, :, :],
-                                   grid_size=options["grid_size"])
+    chi, p_star = holevo_max_batch(outputs[..., 0, :, :], outputs[..., 1, :, :])
     return ["theta", "step", "chi_max", "p1_star"], [
         *np.meshgrid(thetas, steps, indexing="ij", sparse=True), chi, p_star]
 
@@ -391,7 +389,7 @@ COMMANDS = {
                {**_THETAS, "delta": None, "delta_grid": [0.0, math.pi, 33], "steps": 8,
                 **_OUTPUT}),
     "holevo": (cmd_holevo, "maximized Holevo quantity sweep",
-               {**_THETAS, "steps": 8, "grid_size": 33, "ensemble": None, **_OUTPUT}),
+               {**_THETAS, "steps": 8, "ensemble": None, **_OUTPUT}),
 }
 
 

@@ -35,7 +35,7 @@ from .channels import (
     dephasers,
     repeated,
 )
-from .inputs import MAX_COUNT, count, matrices, real, refuse, states, step_list, weights
+from .inputs import count, matrices, real, refuse, states, step_list, weights
 from .walk import canonical_angle
 
 MODE_NSTEP = "nstep"
@@ -194,89 +194,60 @@ def holevo(ensemble, channel) -> float:
     return von_neumann_entropy(average) - conditional
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section_max(fn, lo: np.ndarray, hi: np.ndarray, xtol: float) -> np.ndarray:
-    """Argmax of unimodal functions on [lo, hi] to within xtol, one per element.
-
-    All searches step in lockstep; each keeps its own bracket and stops
-    narrowing once that bracket is within ``xtol``.
-    """
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while (active := hi - lo > xtol).any():
-        # right: the maximum lies beyond x1 (lo moves up); left: below x2
-        right = active & (f1 < f2)
-        left = active & ~right
-        lo = np.where(right, x1, lo)
-        hi = np.where(left, x2, hi)
-        probe = np.where(right, lo + _INV_GOLDEN * (hi - lo), hi - _INV_GOLDEN * (hi - lo))
-        f_probe = fn(probe)
-        x1, x2 = (np.where(right, x2, np.where(left, probe, x1)),
-                  np.where(right, probe, np.where(left, x1, x2)))
-        f1, f2 = (np.where(right, f2, np.where(left, f_probe, f1)),
-                  np.where(right, f_probe, np.where(left, f1, f2)))
-    return 0.5 * (lo + hi)
-
-
-def holevo_max(rho1: np.ndarray, rho2: np.ndarray, channel,
-               grid_size: int = 33) -> tuple[float, float]:
+def holevo_max(rho1: np.ndarray, rho2: np.ndarray, channel) -> tuple[float, float]:
     """Maximize the two-state Holevo quantity over the first weight.
 
-    Scans p1 over {0, 1/(g-1), ..., (g-2)/(g-1)}, then refines around the
-    best grid point by golden-section search to 1e-6 in p1.  Returns the
-    maximum and its argmax.  The objective is concave in p1 (entropy of the
-    average is concave, the conditional term linear), so the refinement is
-    reliable.  The one-channel case of :func:`holevo_max_batch`.
+    Returns the maximum and its argmax p1.  The outputs ``channel(rho1)``
+    and ``channel(rho2)`` must be qubit states.  The one-channel case of
+    :func:`holevo_max_batch`, which says how the argmax is found.
     """
     out1, out2 = channel(states("rho1", rho1)), channel(states("rho2", rho2))
-    chi, p_star = holevo_max_batch(out1, out2, grid_size)
+    chi, p_star = holevo_max_batch(out1, out2)
     return float(chi), float(p_star)
 
 
-def holevo_max_batch(out1: np.ndarray, out2: np.ndarray,
-                     grid_size: int = 33) -> tuple[np.ndarray, np.ndarray]:
+# 64 halvings narrow [0, 1] to 2^-64, below the float spacing of any weight
+# above 2^-11; a mix's Bloch length is held to the largest float below 1, where
+# atanh is finite
+_HALVINGS = 64
+_BELOW_ONE = 1.0 - 2.0 ** -53
+
+
+def holevo_max_batch(out1: np.ndarray, out2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`holevo_max` for many channels at once, from their two outputs.
 
-    ``out1`` and ``out2`` are the images of the two ensemble states, with
-    shape ``(..., 2, 2)``; the leading axes index the channels.  The coarse
-    grid and the golden-section refinement run for all of them in lockstep.
-    Returns the maxima and their argmaxes, each of the leading shape.
+    ``out1`` and ``out2`` are the images of the two ensemble states, qubit
+    states of shape ``(..., 2, 2)``; the leading axes index the channels.
+    With Bloch vectors r1, r2 and ``r = p r1 + (1 - p) r2``, the objective
+    ``chi(p) = S(mix) - p S1 - (1 - p) S2`` is concave with
+    ``chi(0) = chi(1) = 0``, so its maximum is the root of
+    ``chi'(p) = -(atanh|r| / |r|) r.(r1 - r2) / ln 2 - S1 + S2``,
+    found by bisecting [0, 1] for all channels in lockstep.  Equal outputs
+    (chi = 0 at every p) give p1 = 0.  Returns the maxima and their argmaxes,
+    each of the leading shape.
     """
-    grid_size = count("grid_size", grid_size, low=3)
     out1, out2 = np.broadcast_arrays(matrices("out1", out1), matrices("out2", out2))
-    shape = out1.shape[:-2]
-    # one channel per row, with an axis for the weights tried at once
-    out1, out2 = out1.reshape(-1, 1, 2, 2), out2.reshape(-1, 1, 2, 2)
-    s1 = von_neumann_entropy(out1)
-    s2 = von_neumann_entropy(out2)
+    s1, s2 = von_neumann_entropy(out1), von_neumann_entropy(out2)
+    gap = (out1 - out2).conj()
 
-    def chi(p1: np.ndarray) -> np.ndarray:
-        # p1 has shape (channels, points); returns the objective at each point
+    def mix(p1: np.ndarray) -> np.ndarray:
         weight = p1[..., None, None]
-        mix = weight * out1 + (1.0 - weight) * out2
-        return von_neumann_entropy(mix) - p1 * s1 - (1.0 - p1) * s2
+        return weight * out1 + (1.0 - weight) * out2
 
-    spacing = 1.0 / (grid_size - 1)
-    grid = np.arange(grid_size - 1) * spacing
-    # the coarse scan, in chunks of at most (MAX_COUNT + 1) // channels points so
-    # that a chunk holds no more mixes than MAX_COUNT + 1 whatever the grid size;
-    # a later chunk wins only with a larger value, so ties keep the first point
-    size = max(1, (MAX_COUNT + 1) // max(1, len(s1)))
-    best, top = np.zeros(len(s1)), np.full(len(s1), -np.inf)
-    for start in range(0, grid.size, size):
-        points = grid[start:start + size]
-        values = chi(np.broadcast_to(points, (len(s1), points.size)))
-        peak = values.max(axis=1)
-        better = peak > top
-        best = np.where(better, points[values.argmax(axis=1)], best)
-        top = np.where(better, peak, top)
-    lo = np.maximum(0.0, best - spacing)[:, None]
-    hi = np.minimum(1.0, best + spacing)[:, None]
-    p_star = _golden_section_max(chi, lo, hi, 1e-6)
-    return chi(p_star).reshape(shape), p_star.reshape(shape)
+    lo, hi = np.zeros(out1.shape[:-2]), np.ones(out1.shape[:-2])
+    for _ in range(_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        mixed = mix(mid)
+        low, high = _eigenvalues(mixed)
+        length = np.minimum(high - low, _BELOW_ONE)
+        # atanh(x) / x tends to 1 where the mix is maximally mixed
+        ratio = np.divide(np.arctanh(length), length, out=np.ones_like(length),
+                          where=length > 0.0)
+        # r.(r1 - r2) = 2 Re Tr(mix (out1 - out2)), the outputs being Hermitian
+        along = 2.0 * (mixed * gap).real.sum(axis=(-2, -1))
+        rising = -ratio * along / math.log(2.0) - s1 + s2 > 0.0
+        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
+    return von_neumann_entropy(mix(lo)) - lo * s1 - (1.0 - lo) * s2, lo
 
 
 __all__ = [

@@ -44,7 +44,6 @@ from qwchannel.kraus import (
 from qwchannel.walk import build_shifts, coin_projections, evolve
 from qwchannel.witnesses import (
     holevo_max,
-    holevo_max_batch,
     purity,
     td_series,
     trace_distance,
@@ -220,8 +219,7 @@ def test_holevo_degenerate_ensemble(tmp_path, capsys):
 
 
 def test_holevo_half_pi_even_step_equals_identity_channel(capsys):
-    code, out = run_cli(capsys, "holevo", "--theta", str(PI / 2),
-                        "--steps", "2", "--grid-size", "33")
+    code, out = run_cli(capsys, "holevo", "--theta", str(PI / 2), "--steps", "2")
     assert code == 0
     rows = {int(r["step"]): float(r["chi_max"]) for r in parse_csv(out)}
     from qwchannel.cli import _default_ensemble_pair
@@ -577,9 +575,10 @@ _STATE = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
     pytest.param(["purity", "--theta", "0.4", "--steps", "2"],
                  {"delta": 0.3, "delta_grid": [0, 1, 3]}, ["both delta and delta_grid"],
                  id="argv10-config10-named10"),
+    # the weight search has no grid: its old key is no option of any subcommand
+    pytest.param(["holevo", "--theta", "0.4", "--steps", "1"], {"grid_size": 33},
+                 ["config key 'grid_size' is not an option"], id="argv11-config11-named11"),
     # counts above MAX_COUNT, refused before any work
-    pytest.param(["holevo", "--theta", "0.4", "--steps", "1"], {"grid_size": 100_001},
-                 ["grid_size"], id="argv11-config11-named11"),
     pytest.param(["probability", "--theta", "0.4", "--steps", "1"],
                  {"delta_grid": [0, 1, 100_001]}, ["delta_grid"], id="argv12-config12-named12"),
     pytest.param(["probability", "--theta", "0.4", "--steps", "1", "--delta-grid", "0:1:100001"],
@@ -659,7 +658,7 @@ def test_a_flag_in_a_value_position_is_still_a_missing_value(capsys):
 
 @pytest.mark.parametrize("argv, config", [
     (["rtn-composite", "--steps", "3"], {"rtn_gamma": None, "rtn_a": None}),
-    (["holevo", "--theta", "0.4", "--steps", "2"], {"grid_size": None, "ensemble": None}),
+    (["holevo", "--theta", "0.4", "--steps", "2"], {"ensemble": None}),
     (["probability", "--steps", "2"], {"theta": None, "delta": None, "format": None}),
 ])
 def test_config_null_is_the_same_as_leaving_the_key_out(tmp_path, capsys, argv, config):
@@ -738,9 +737,9 @@ def test_holevo_rows_equal_the_per_row_reference(capsys):
     rho1, rho2 = _default_ensemble_pair()
     thetas = [float(v) for v in np.linspace(3, 0, 5)]
     expected = sorted(
-        (theta, kset.t, *holevo_max(rho1, rho2, partial(apply_kraus, kset), grid_size=9))
+        (theta, kset.t, *holevo_max(rho1, rho2, partial(apply_kraus, kset)))
         for theta, kset in _reference_sets(thetas, [1, 4]))
-    argv = ["holevo", *DESCENDING, "--steps", "1,4", "--grid-size", "9"]
+    argv = ["holevo", *DESCENDING, "--steps", "1,4"]
     code, out = run_cli(capsys, *argv)
     assert code == 0
     _assert_rows_match(out, expected, keys=2)
@@ -808,7 +807,7 @@ def test_a_repeated_grid_point_repeats_its_block_of_rows(capsys):
 @pytest.mark.parametrize("argv", [
     ["probability", "--theta-grid", "0:3:7", "--delta-grid", "0:3:3", "--steps", "9"],
     ["purity", "--theta-grid", "3:0:7", "--steps", "2,9"],
-    ["holevo", "--theta-grid", "0:3:7", "--steps", "9", "--grid-size", "5"],
+    ["holevo", "--theta-grid", "0:3:7", "--steps", "9"],
     ["trace-distance", "--theta-grid", "0:3:7", "--steps", "9"],
 ])
 def test_a_sweep_split_into_chunks_prints_the_same_rows(capsys, monkeypatch, argv):
@@ -828,8 +827,8 @@ def test_unknown_config_keys_exit_2_and_other_commands_keys_are_ignored(tmp_path
     assert code == 2
     assert captured.out == ""
     assert "thetta" in captured.err
-    # rtn_a and grid_size belong to rtn-composite and holevo, not to probability
-    path.write_text(json.dumps({"theta": 0.4, "steps": 2, "rtn_a": 0.3, "grid_size": 9}))
+    # rtn_a and ensemble belong to rtn-composite and holevo, not to probability
+    path.write_text(json.dumps({"theta": 0.4, "steps": 2, "rtn_a": 0.3, "ensemble": None}))
     code, out = run_cli(capsys, "probability", "--config", str(path))
     assert code == 0
     assert (0, out) == run_cli(capsys, "probability", "--theta", "0.4", "--steps", "2")
@@ -874,9 +873,6 @@ _REFUSALS = {
                 {"ensemble": {"rho1": _pairs(_NAN), "rho2": _pairs(_HALF)}},
                 "rho1", lambda: apply_kraus([np.eye(2)], _NAN), "rho",
                 "must be finite 2x2 matrices"),
-    "grid_size 3.9": (["holevo", "--theta", "0.4", "--steps", "2"], {"grid_size": 3.9},
-                      "grid_size", lambda: holevo_max_batch(_HALF, _HALF, grid_size=3.9),
-                      "grid_size", "must be a whole number in [3, 100000]"),
     "rtn a 1e200": (["rtn-composite", "--steps", "3", "--rtn-a", "1e200"], None, _RTN,
                     lambda: RTNParams(a=1e200, gamma=1.0), _RTN, "must be finite"),
     "rtn gamma 1e-300": (["rtn-composite", "--steps", "3", "--rtn-gamma", "1e-300",
@@ -898,9 +894,6 @@ _REFUSALS = {
                 lambda: extract_kraus_direct(0.4, "three"), "t", "must be a number"),
     "rtn_gamma fast": (["rtn-composite", "--rtn-gamma", "fast"], None, "rtn_gamma",
                        lambda: RTNParams(a=0.4, gamma="fast"), "gamma", "must be a number"),
-    "grid_size 2.5 flag": (["holevo", "--theta", "0.4", "--grid-size", "2.5"], None,
-                           "grid_size", lambda: holevo_max_batch(_HALF, _HALF, grid_size="2.5"),
-                           "grid_size", "must be a whole number in [3, 100000]"),
 }
 
 
@@ -941,8 +934,7 @@ def test_a_vanishing_telegraph_rate_leaves_the_walk_series(capsys):
 
 @pytest.mark.parametrize("argv, config", [
     (["kraus", "--theta", "0.4", "--t", "3.0"], {"theta": 0.4, "t": 3.0}),
-    (["holevo", "--theta", "0.4", "--steps", "2", "--grid-size", "9.0"],
-     {"theta": 0.4, "steps": 2, "grid_size": 9.0}),
+    (["holevo", "--theta", "0.4", "--steps", "2.0"], {"theta": 0.4, "steps": 2.0}),
     (["rtn-composite", "--steps", "3", "--rtn-a", "1e0"], {"steps": 3, "rtn_a": 1}),
 ])
 def test_a_flag_and_its_config_key_pass_the_same_check(tmp_path, capsys, argv, config):

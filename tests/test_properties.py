@@ -126,14 +126,13 @@ def test_trace_distance_contracts_under_a_walk_channel(theta, t, rho, sigma):
     assert after <= before + 1e-14
 
 
-@given(pairs=st.lists(st.tuples(bloch_points, bloch_points), min_size=1, max_size=6),
-       grid_size=st.integers(3, 40))
-def test_batched_holevo_max_equals_the_scalar_search(pairs, grid_size):
+@given(pairs=st.lists(st.tuples(bloch_points, bloch_points), min_size=1, max_size=6))
+def test_batched_holevo_max_equals_the_scalar_search(pairs):
     out1 = np.array([rho1 for rho1, _ in pairs])
     out2 = np.array([rho2 for _, rho2 in pairs])
-    chi, p_star = holevo_max_batch(out1, out2, grid_size)
+    chi, p_star = holevo_max_batch(out1, out2)
     for k, (rho1, rho2) in enumerate(pairs):
-        expected = holevo_max(rho1, rho2, lambda rho: rho, grid_size)
+        expected = holevo_max(rho1, rho2, lambda rho: rho)
         assert (chi[k], p_star[k]) == pytest.approx(expected, abs=1e-14)
 
 
@@ -251,8 +250,7 @@ def test_sweep_rows_run_in_c_order_over_the_sorted_grid_points(
     if "delta" in keys:
         grids["delta_grid"] = delta_grid
     # a trailing comma makes even one step count a list, not a count N
-    argv = [command, "--steps", ",".join(map(str, steps)) + ",",
-            *(["--grid-size", "3"] if command == "holevo" else [])]
+    argv = [command, "--steps", ",".join(map(str, steps)) + ","]
     if from_config:
         path = tmp_path_factory.mktemp("grids") / "run.json"
         path.write_text(json.dumps({key: list(spec) for key, spec in grids.items()}))

@@ -6,12 +6,14 @@ import pytest
 from qwchannel.channels import (
     RTNParams,
     apply_kraus,
+    channel_outputs,
     coin_state,
     density_matrix,
     hermitian_eigenvalues,
     n_step_map,
 )
 from qwchannel.kraus import extract_kraus_direct
+from test_engine import needs_long_double
 from qwchannel.witnesses import (
     TDSeries,
     holevo,
@@ -241,11 +243,6 @@ def test_holevo_max_equal_states_is_zero():
     assert abs(chi) <= 1e-12
 
 
-def test_holevo_max_grid_size_validation():
-    with pytest.raises(ValueError):
-        holevo_max(RHO_UP, RHO_DOWN, lambda rho: rho, grid_size=2)
-
-
 def test_holevo_max_stays_in_unit_interval():
     rng = np.random.default_rng(6)
     rho1, rho2 = example_ensemble_pair()
@@ -268,26 +265,68 @@ def test_trace_distance_contracts_under_fixed_maps():
         assert after <= before + 1e-12
 
 
-def test_holevo_scan_in_chunks_holds_few_mixes_and_keeps_the_first_maximum(monkeypatch):
-    import qwchannel.witnesses as witnesses
-    rng = np.random.default_rng(7)
-    # a zero "channel output" ties every grid point, so the first point must win
-    out1 = np.array([random_state(rng) for _ in range(5)] + [np.zeros((2, 2))])
-    out2 = np.array([random_state(rng) for _ in range(5)] + [np.zeros((2, 2))])
-    whole = holevo_max_batch(out1, out2, grid_size=40)
-    mixes = []
+PLUS, MINUS = density_matrix(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))
+MIXED = 0.4 * RHO_UP + 0.6 * RHO_DOWN
 
-    def counted(rho):
-        mixes.append(math.prod(np.shape(rho)[:-2]))
-        return von_neumann_entropy(rho)
 
-    # (13 + 1) // 6 = 2 grid points a chunk, so the 39 points take 20 chunks
-    monkeypatch.setattr(witnesses, "MAX_COUNT", 13)
-    monkeypatch.setattr(witnesses, "von_neumann_entropy", counted)
-    chunked = holevo_max_batch(out1, out2, grid_size=40)
-    assert np.array_equal(chunked[0], whole[0]) and np.array_equal(chunked[1], whole[1])
-    assert max(mixes) <= 14
-    assert whole[1][-1] == pytest.approx(0.0, abs=1e-6)
+@pytest.mark.parametrize("out1, out2, chi, p1, tol", [
+    # r1 = r2: chi is 0 at every weight, and the search keeps p1 = 0
+    (MIXED, MIXED, 0.0, 0.0, 0.0),
+    (FLAT, FLAT, 0.0, 0.0, 0.0),
+    # |r| = 1 at every weight, where atanh(|r|) * 0 would be NaN
+    (PLUS, PLUS, 0.0, 0.0, 0.0),
+    (RHO_UP, RHO_UP, 0.0, 0.0, 0.0),
+    (RHO_UP, RHO_DOWN, 1.0, 0.5, 1e-15),
+    (PLUS, MINUS, 1.0, 0.5, 1e-15),
+    # the mix is maximally mixed (|r| = 0) at p1 = 1/2: chi = 1 - h(3/4)
+    (np.diag([0.75, 0.25]), np.diag([0.25, 0.75]), 0.75 * math.log2(3.0) - 1.0, 0.5, 1e-15),
+], ids=["equal mixed", "equal maximally mixed", "equal pure plus", "equal pure up",
+        "orthogonal up down", "orthogonal plus minus", "through the maximally mixed"])
+def test_holevo_max_finds_the_exact_maximum_of_each_edge_case(out1, out2, chi, p1, tol):
+    found_chi, found_p1 = holevo_max_batch(out1, out2)
+    assert abs(found_chi - chi) <= tol
+    assert abs(found_p1 - p1) <= tol
+
+
+def longdouble_holevo_max(out1: np.ndarray, out2: np.ndarray):
+    """``(chi_max, p1_star)`` of each output pair, chi' bisected in ``np.longdouble``.
+
+    Works on the Bloch vectors: ``chi(p) = h(|r|) - p h(|r1|) - (1 - p) h(|r2|)``
+    with ``r = p r1 + (1 - p) r2`` and h the entropy of ``(1 +- |r|) / 2``.
+    The outputs must be mixed states whose mixes never reach ``r = 0``.
+    """
+    def bloch(m):
+        re, im = m.real.astype(np.longdouble), m.imag.astype(np.longdouble)
+        return np.stack([2 * re[..., 0, 1], -2 * im[..., 0, 1], re[..., 0, 0] - re[..., 1, 1]])
+
+    def entropy(r):
+        length = np.sqrt((r * r).sum(axis=0))
+        plus, minus = (1 + length) / 2, (1 - length) / 2
+        return -(plus * np.log2(plus) + minus * np.log2(minus)), length
+
+    r1, r2 = bloch(out1), bloch(out2)
+    s1, s2 = entropy(r1)[0], entropy(r2)[0]
+    lo, hi = np.zeros(r1.shape[1:], np.longdouble), np.ones(r1.shape[1:], np.longdouble)
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        r = mid * r1 + (1 - mid) * r2
+        length = entropy(r)[1]
+        slope = (-np.arctanh(length) / length * (r * (r1 - r2)).sum(axis=0)
+                 / np.log(np.longdouble(2)) - s1 + s2)
+        lo, hi = np.where(slope > 0, mid, lo), np.where(slope > 0, hi, mid)
+    return entropy(lo * r1 + (1 - lo) * r2)[0] - lo * s1 - (1 - lo) * s2, lo
+
+
+@needs_long_double
+def test_holevo_max_is_the_long_double_root_of_its_derivative():
+    # the default sweep's ensemble; a search to 1e-6 in p1 misses by ~1e-7
+    outputs = channel_outputs([0.4, 0.8, 1.3, 2.9], range(1, 9),
+                              np.array(example_ensemble_pair()))
+    out1, out2 = outputs[..., 0, :, :], outputs[..., 1, :, :]
+    chi, p_star = holevo_max_batch(out1, out2)
+    chi_ld, p_ld = longdouble_holevo_max(out1, out2)
+    assert np.abs(p_star - p_ld).max() <= 1e-10
+    assert np.abs(chi - chi_ld).max() <= 1e-15
 
 
 @pytest.mark.parametrize("mode, rtn", [("nstep", None), ("concat", None),
