@@ -12,16 +12,23 @@ verify          run the named consistency checks and report pass/fail
 
 Each option is declared once, in ``_OPTIONS``: its check and its flag help.
 Each subcommand is declared once, in ``COMMANDS``: its handler, its help line
-and its option defaults.  The parser and its help text are made from the two
-tables; a run builds only the flags of the subcommand it invokes, and names
-the others.  :func:`main` merges the command's options once (``_effective``),
-passes them to the handler, and writes what the handler returns: a header
-and its columns, or a finished document (``kraus --format json``).
+and its option defaults.  The command line is read against the two tables
+(``_parse``), and ``--help`` is printed from them.  :func:`main` merges the
+command's options once (``_effective``), passes them to the handler, and
+writes what the handler returns: a header and its columns, or a finished
+document (``kraus --format json``).
 
-Every flag is plain text, and argparse checks no value: a value flag takes
-the next token whatever it starts with (``_attached``).  Options may also
-come from a JSON config file (``--config``): flags win, and a config
-``null`` is the same as leaving the key out.  Only one side of
+Every flag is plain text, and the parser checks no value.  The first token
+names the command.  A value flag takes ``--flag=value``, or else the next
+token whatever it starts with, unless that token is one of the command's
+flags (``-h`` included), which leaves the value missing.  A boolean flag is
+bare.  A repeated flag keeps its last value, and there are no abbreviations.
+``-h``/``--help`` anywhere else prints the help and exits 0.  Unknown tokens
+are refused together after the scan.  A parser error raises
+``SystemExit(2)``, with the same message on every Python from 3.10 to 3.13.
+
+Options may also come from a JSON config file (``--config``): flags win,
+and a config ``null`` is the same as leaving the key out.  Only one side of
 ``theta``/``theta_grid`` and of ``delta``/``delta_grid`` may be set, by the
 flags or by the config; a flag on one side silences the config's other side.
 A config key that belongs to another subcommand is ignored, so one file can
@@ -51,7 +58,6 @@ axes come as open grids, so each of their points is formatted once.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import itertools
 import json
@@ -162,20 +168,18 @@ def _load_config(path: str) -> dict:
 _EXCLUSIVE_PAIRS = (("theta", "theta_grid"), ("delta", "delta_grid"))
 
 
-def _effective(args: argparse.Namespace) -> dict:
-    """Merge the command's defaults <- config file <- explicit flags, then check each value.
+def _effective(command: str, config_path: str | None, flags: dict) -> dict:
+    """Merge the command's defaults <- config file <- given flags, then check each value.
 
-    ``None`` (a config ``null``, a flag not given) leaves the value below it.
+    ``None`` (a config ``null``) leaves the value below it.
     """
-    defaults = COMMANDS[args.command][2]
-    config = _load_config(args.config) if args.config else {}
+    defaults = COMMANDS[command][2]
+    config = _load_config(config_path) if config_path else {}
     for key in config:
         if key not in _OPTIONS:
             raise ValueError(f"config key {key!r} is not an option of any subcommand")
     given = {key: value for key, value in config.items()
              if key in defaults and value is not None}
-    flags = {key: getattr(args, key) for key in defaults
-             if getattr(args, key, None) is not None}
     merged = dict(defaults)
     for pair in _EXCLUSIVE_PAIRS:
         if any(key in flags for key in pair):
@@ -405,61 +409,90 @@ def _flags(defaults: dict):
             yield "--" + key.replace("_", "-"), key, default
 
 
-def _attached(argv: list[str]) -> list[str]:
-    """``argv`` with each value flag joined to the token after it, ``--flag=value``.
+_HELP = ("-h", "--help")
 
-    argparse takes a token that starts with ``-`` for a flag unless it reads as
-    a negative number by its own rule, which differs between Python versions;
-    joined, every value reaches its option's check.  A token that is one of the
-    command's flags is left to argparse, so a missing value is still reported.
+
+def _usage(command: str | None) -> str:
+    return f"usage: qwchannel {command or 'COMMAND'} [options]\n"
+
+
+def _help(command: str | None):
+    """Print the help of ``command``, or of the program, from the two tables; exit 0."""
+    if command is None:
+        heading, indent = ("\nReduced coin dynamics of a discrete-time quantum walk as an "
+                           "explicit quantum channel.\n\ncommands:\n"), "    "
+        entries = [*((name, summary) for name, (_, summary, _) in COMMANDS.items()),
+                   ("verify", "run the consistency check suite")]
+    else:
+        heading, indent = "\noptions:\n", "  "
+        entries = [("-h, --help", "show this help message and exit")]
+    if command in COMMANDS:
+        entries.append(("--config CONFIG", "JSON config file (flags win on conflict)"))
+        for flag, key, default in _flags(COMMANDS[command][2]):
+            text = _OPTIONS[key][1] + ("" if default is None else f" (default: {_shown(default)})")
+            entries.append((flag if isinstance(default, bool) else f"{flag} {key.upper()}", text))
+    width = max(len(spec) for spec, _ in entries) + 2
+    print(_usage(command) + heading, *(f"{indent}{spec:<{width}}{text}\n"
+                                       for spec, text in entries), sep="", end="")
+    raise SystemExit(0)
+
+
+def _fail(command: str | None, message: str):
+    """Exit 2 with a usage error."""
+    prog = f"qwchannel {command}" if command else "qwchannel"
+    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _parse(argv: list[str]) -> tuple[str, str | None, dict]:
+    """The command that ``argv`` names, its ``--config`` path and its given flags.
+
+    The flags map each option key to its text, or to True for a boolean
+    flag; the rules are those of the module docstring.
     """
-    if not argv or argv[0] not in COMMANDS:
-        return argv
-    takes_value = {flag: not isinstance(default, bool)
-                   for flag, _, default in _flags(COMMANDS[argv[0]][2])}
-    takes_value.update({"--config": True, "-h": False, "--help": False})
-    joined = argv[:1]
-    for token in argv[1:]:
-        if takes_value.get(joined[-1]) and token not in takes_value:
-            joined[-1] += f"={token}"
-        else:
-            joined.append(token)
-    return joined
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Every subcommand's parser, with flags only for ``command``, the one a run parses."""
-    parser = argparse.ArgumentParser(
-        prog="qwchannel",
-        description="Reduced coin dynamics of a discrete-time quantum walk "
-                    "as an explicit quantum channel.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, summary, defaults) in COMMANDS.items():
-        # no abbreviations: a flag has one spelling
-        p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        if name != command:
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    command = argv[0]
+    if command in _HELP:
+        _help(None)
+    if command not in COMMANDS and command != "verify":
+        choices = ", ".join(repr(name) for name in [*COMMANDS, "verify"])
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    # flag -> (option key, whether it takes a value); verify takes only -h
+    options = dict.fromkeys(_HELP, ("help", False))
+    if command != "verify":
+        options["--config"] = ("config", True)
+        options.update((flag, (key, not isinstance(default, bool)))
+                       for flag, key, default in _flags(COMMANDS[command][2]))
+    given, unknown = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, attached, value = token.partition("=")
+        if flag not in options:
+            unknown.append(token)
             continue
-        p.add_argument("--config", help="JSON config file (flags win on conflict)")
-        for flag, key, default in _flags(defaults):
-            help_text = _OPTIONS[key][1]
-            text = help_text if default is None else f"{help_text} (default: {_shown(default)})"
-            if isinstance(default, bool):
-                p.add_argument(flag, action="store_true", default=None, help=text)
-            else:
-                p.add_argument(flag, help=text)
-    sub.add_parser("verify", help="run the consistency check suite")
-    return parser
+        key, takes_value = options[flag]
+        if attached and not takes_value:
+            _fail(command, f"argument {flag}: ignored explicit argument {value!r}")
+        if key == "help":
+            _help(command)
+        if takes_value and not attached:
+            value = next(tokens, None)
+            if value is None or value in options:
+                _fail(command, f"argument {flag}: expected one argument")
+        given[key] = value if takes_value else True
+    if unknown:
+        _fail(command, f"unrecognized arguments: {' '.join(unknown)}")
+    return command, given.pop("config", None), given
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(_attached(argv))
+    command, config_path, flags = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        if args.command == "verify":
+        if command == "verify":
             return cmd_verify()
-        options = _effective(args)
-        output = COMMANDS[args.command][0](options)
+        options = _effective(command, config_path, flags)
+        output = COMMANDS[command][0](options)
         if isinstance(output, str):
             _write([output], options["out"])
         else:

@@ -1020,6 +1020,63 @@ def test_a_sweep_takes_its_step_count_only_as_steps(capsys, command):
     assert "unrecognized arguments: --t 5" in capsys.readouterr().err
 
 
+# one row per rule of the parser: argv, its exit code, and either the argv whose
+# output it must print or a text its stderr must hold; the directory holds the
+# config file "a=b"
+@pytest.mark.parametrize("argv, code, same_as, err", [
+    pytest.param(["probability", "--theta", "0.4", "--steps", "2", "--steps", "3"], 0,
+                 ["probability", "--theta", "0.4", "--steps", "3"], "", id="last-value-wins"),
+    pytest.param(["kraus", "--theta", "0.4", "--t", "2", "--split=true"], 2, None,
+                 "argument --split", id="bare-boolean"),
+    pytest.param(["probability", "--"], 2, None, "unrecognized arguments: --", id="bare-dashes"),
+    pytest.param(["probability", "--steps", "1", "--theta"], 2, None,
+                 "argument --theta: expected one argument", id="trailing-value-flag"),
+    pytest.param([], 2, None, "command", id="no-command"),
+    pytest.param(["probability", "--bogus", "-h"], 0, ["probability", "--help"], "",
+                 id="help-anywhere"),
+    pytest.param(["probability", "--config=a=b", "--steps", "1"], 0,
+                 ["probability", "--theta", "0.4", "--steps", "1"], "", id="config-equals"),
+    pytest.param(["probability", "--the", "0.4"], 2, None, "unrecognized arguments: --the 0.4",
+                 id="no-abbreviation"),
+    pytest.param(["verify", "extra"], 2, None, "unrecognized arguments: extra",
+                 id="verify-takes-nothing"),
+])
+def test_each_parser_rule(tmp_path, monkeypatch, capsys, argv, code, same_as, err):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a=b").write_text(json.dumps({"theta": 0.4}))
+
+    def run(args):
+        try:
+            status = main(args)
+        except SystemExit as exit_:
+            status = exit_.code
+        return status, *capsys.readouterr()
+
+    status, out, stderr = run(argv)
+    assert status == code
+    assert err in stderr
+    assert out == (run(same_as)[1] if same_as else "")
+
+
+# the CLI in a fresh interpreter: which of argparse's modules one run leaves loaded
+PARSE_ALONE = """
+import sys
+import qwchannel.cli
+code = qwchannel.cli.main(["probability", "--theta", "0.4", "--steps", "1"])
+print(code, [name for name in ("argparse", "gettext", "locale") if name in sys.modules])
+"""
+
+
+def test_a_run_loads_neither_argparse_nor_gettext_nor_locale():
+    environ = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", PARSE_ALONE], env=environ,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
 @pytest.mark.parametrize("value, steps", [("20", tuple(range(1, 21))), ("8,3,8", (3, 8)),
                                           ([8, 3], (3, 8)), (2, (1, 2))])
 def test_every_step_list_from_the_command_line_is_checked_once(value, steps):

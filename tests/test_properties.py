@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from qwchannel.channels import (  # noqa: E402
     rtn_lambda,
     superoperators,
 )
-from qwchannel.cli import _emit, main  # noqa: E402
+from qwchannel.cli import COMMANDS, _emit, _flags, main  # noqa: E402
 from qwchannel.kraus import (  # noqa: E402
     KrausSet,
     extract_kraus_direct,
@@ -310,3 +312,56 @@ def test_open_grid_keys_emit_the_bytes_of_their_materialized_grids(axes, seed, r
         header, open_grid, dense = header[::-1], open_grid[::-1], dense[::-1]
     for fmt in ("csv", "json"):
         assert _emitted(header, open_grid, fmt) == _emitted(header, dense, fmt)
+
+
+# a value from a small pool: a count of at most 3, a finite or non-finite
+# number, a grid of those, junk text, another flag of the command, or an
+# unknown flag; counts and finite numbers come twice as often, so that many
+# argv run
+def _values(flags):
+    counts, numbers = st.integers(0, 3).map(str), st.floats(-10.0, 10.0).map(repr)
+    grids = st.tuples(numbers, numbers, counts).map(":".join)
+    return st.one_of(counts, counts, numbers, numbers, grids,
+                     st.sampled_from(["1e308", "-1e308", "5e-324", "nan", "inf", "-inf"]),
+                     st.text(alphabet="ab:,-=. ", max_size=6), st.sampled_from(flags),
+                     st.just("--bogus"))
+
+
+@st.composite
+def cli_argv(draw):
+    """A command and up to four of its flags, each with a value (a boolean flag mostly bare)."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    defaults = COMMANDS[command][2]
+    flags = {flag: isinstance(default, bool) for flag, _, default in _flags(defaults)}
+    argv = [command]
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(list(flags)))
+        if flags[flag] and draw(st.integers(0, 3)):
+            argv.append(flag)
+            continue
+        value = draw(_values(list(flags)))
+        argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    return argv
+
+
+@settings(max_examples=60)
+@given(argv=cli_argv())
+def test_every_argv_exits_0_or_2_and_prints_no_non_finite_value(tmp_path_factory, argv):
+    # in an empty directory, so that an --out file is read back and left nowhere else
+    out, err, here = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("argv"))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+        written = "".join(path.read_text() for path in pathlib.Path().iterdir())
+    finally:
+        os.chdir(here)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue()
+    else:
+        text = (out.getvalue() + written).lower()
+        assert "nan" not in text and "inf" not in text
