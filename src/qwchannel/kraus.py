@@ -9,7 +9,7 @@ provided:
   position lattice, by ``K_mu(n + 1) = C_up K_{mu-1}(n) + C_down
   K_{mu+1}(n)`` from ``K_0(0) = I``, for a batch of angles in lockstep,
   streaming the sets of every requested step count from a single walk.  It
-  walks every label in float64, in the coin's real frame, in 64 (t + 2)
+  walks every label in float64, in the coin's real frame, in 64 (t + 1)
   bytes per angle; :func:`iter_kraus_steps` is its one-angle case and
   :func:`extract_kraus_direct` its one-angle, single-step case (ground
   truth),
@@ -58,12 +58,6 @@ _VEC_EYE = np.eye(2).reshape(4)
 
 STANDARD = "standard"
 SPLIT_STEP = "split_step"
-
-# one entry of the indent=2 dump, laid out by the indenting encoder itself, with
-# a %s slot for its label and for each number of its matrix's [re, im] pairs
-_ENTRY_JSON = "    " + json.dumps(
-    {"mu": "%s", "matrix": [[["%s"] * 2] * 2] * 2}, indent=2,
-).replace('"%s"', "%s").replace("\n", "\n    ")
 
 
 class _Entries(Sequence):
@@ -168,17 +162,13 @@ class KrausSet:
         a read-only float64 view of the set's operators, not a copy."""
         return self._operators.view(np.float64).reshape(self._operators.shape + (2,))
 
-    def pairs(self) -> list:
-        """Every operator as nested ``[re, im]`` lists, in label order."""
-        return self.pair_array().tolist()
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
             "theta": self.theta,
             "t": self.t,
             "entries": [{"mu": mu, "matrix": matrix}
-                        for mu, matrix in zip(self.labels(), self.pairs())],
+                        for mu, matrix in zip(self.labels(), self.pair_array().tolist())],
         }
 
     @classmethod
@@ -188,20 +178,25 @@ class KrausSet:
         return cls(theta=payload["theta"], t=payload["t"], entries=entries,
                    kind=payload.get("kind", STANDARD))
 
-    def to_json(self, indent: int | None = None) -> str:
+    def to_json(self, indent: int | str | None = None) -> str:
         """``json.dumps(self.to_dict(), indent=indent)``, the same text.
 
-        ``indent=2`` fills a fixed per-entry template instead of running the
-        pure-Python indenting encoder: one C-encoder call spells all the
+        The encoder lays out the head, the separator and the tail around two
+        placeholder entries, and one entry with a ``%s`` slot for its label and
+        for each number of its matrix, whose line breaks take the indent that
+        follows the separator's comma.  One C-encoder call spells all the
         labels, and one all the numbers, exactly as the encoder would.
         """
-        if indent != 2:
-            return json.dumps(self.to_dict(), indent=indent)
+        head, separator, tail = json.dumps(
+            {"kind": self.kind, "theta": self.theta, "t": self.t, "entries": ["%s"] * 2},
+            indent=indent).split('"%s"')
+        # the indent is laid out as text: a % in it is escaped, not a slot
+        entry = json.dumps({"mu": "%s", "matrix": [[["%s"] * 2] * 2] * 2}, indent=indent)
+        entry = entry.replace("\n", separator[1:]).replace("%", "%%").replace('"%%s"', "%s")
         labels = json.dumps(self.labels())[1:-1].split(", ")
         numbers = json.dumps(self.pair_array().ravel().tolist())[1:-1].split(", ")
-        entries = map(_ENTRY_JSON.__mod__, zip(labels, *(numbers[k::8] for k in range(8))))
-        head = json.dumps({"kind": self.kind, "theta": self.theta, "t": self.t}, indent=2)
-        return head[:-2] + ',\n  "entries": [\n' + ",\n".join(entries) + "\n  ]\n}"
+        entries = map(entry.__mod__, zip(labels, *(numbers[k::8] for k in range(8))))
+        return head + separator.join(entries) + tail
 
     @classmethod
     def from_json(cls, text: str) -> "KrausSet":
@@ -209,7 +204,7 @@ class KrausSet:
 
 
 def matrix_from_pairs(rows) -> np.ndarray:
-    """One matrix of :meth:`KrausSet.pairs` back as a complex array."""
+    """One ``matrix`` of :meth:`KrausSet.to_dict` back as a complex array."""
     return np.array([[complex(re, im) for re, im in row] for row in rows],
                     dtype=np.complex128)
 
@@ -277,12 +272,12 @@ def iter_kraus_batches(thetas: Iterable[float], steps: Iterable[int]
     Yields ``(angles, t, operators)``: ``operators[b, j]`` is the operator
     at label ``-t + 2j`` for the angle ``thetas[angles][b]``, a C-contiguous
     complex128 array of shape ``(B, t + 1, 2, 2)`` whose diagonal entries
-    have imaginary parts exactly 0 and whose off-diagonal entries have real
-    parts exactly 0.  The angles are walked in lockstep, in
-    chunks of at most ``(MAX_COUNT + 1) // (largest t + 1)`` angles, so a chunk
-    holds no more labels than one angle walked to ``t = MAX_COUNT``; each
-    chunk yields its step counts in ascending order.  Angles and step counts
-    are checked when this is called.
+    have imaginary parts +0.0 and whose off-diagonal entries have real parts
+    +0.0.  The angles are walked in lockstep, in chunks of at most
+    ``(MAX_COUNT + 1) // (largest t + 1)`` angles, so a chunk holds no more
+    labels than one angle walked to ``t = MAX_COUNT``; each chunk yields its
+    step counts in ascending order.  Angles and step counts are checked when
+    this is called.
     """
     angles = [canonical_angle(theta) for theta in thetas]
     return _walk_chunks(angles, step_list("steps", steps))
@@ -309,28 +304,24 @@ def _walk_sets(angles: list[float], wanted: list[int]) -> Iterator[tuple[int, np
     float64 ``np.matmul`` per step: column 0 is walked with ``A`` and holds
     ``(K00.re, K10.im)``, column 1 with ``A^T`` and holds ``(K01.im,
     K11.re)``, exactly the nonzero parts of ``K`` with their signs.  The sets
-    live in two ``(B, 2, 2, t + 2)`` buffers used in turn, 64 (t + 2) bytes
-    per angle.  A yielded set is one C-contiguous ``(B, t + 1, 2, 2)`` array,
-    gathered from the float buffer by one ``np.take`` and viewed as
-    complex128; its zero parts come from a spare cell that is never written.
+    live in two ``(B, 2, 2, t + 1)`` buffers used in turn, 64 (t + 1) bytes
+    per angle.  A yielded set is one zeroed C-contiguous complex128 ``(B, t +
+    1, 2, 2)`` array, filled by four slice assignments from the buffer read in
+    the set's own axes: the real part on the diagonal, the imaginary part off
+    it, so every zero part is +0.0.
     """
     rotations = np.array([coin_rotation(theta) for theta in angles])
     coins = np.stack([rotations, rotations.swapaxes(-1, -2)], axis=1)
     # buffers[p, b, k, j, i]: row j of stored column k at slot i, label -n + 2i
-    # at step n; room for the t + 1 labels of the longest walk and a spare
-    size = wanted[-1] + 2
+    # at step n; room for the t + 1 labels of the longest walk
+    size = wanted[-1] + 1
     buffers = np.zeros((2, len(angles), 2, 2, size))
-    cells = buffers.reshape(2, len(angles), 2, 2 * size)
     # the product's rows land size - 1 apart: the upper row one label up, the
     # lower row in place.  The upper row's slot 0 and the lower row's slots
     # past the live labels, the structural zeros of K_{-n} and K_{+n}, are
-    # never written and stay +0.0; so is the spare, a column's last cell
-    shifted = cells[..., 1:2 * size - 1].reshape(2, len(angles), 2, 2, size - 1)
-    # entry [i, j, k, part] of the largest set: its nonzero part (re on the
-    # diagonal, im off it) from cell (2k + j) size + i, the other from the spare
-    index = np.full((wanted[-1] + 1, 2, 2, 2), 4 * size - 1, dtype=np.intp)
-    for j, k in np.ndindex(2, 2):
-        index[:, j, k, (j + k) % 2] = (2 * k + j) * size + np.arange(wanted[-1] + 1)
+    # never written and stay +0.0
+    shifted = buffers.reshape(2, len(angles), 2, 2 * size)[..., 1:2 * size - 1].reshape(
+        2, len(angles), 2, 2, size - 1)
     ops = np.eye(2)[:, :, None]  # K_0 = I: column k is e_k, for every angle
     done = 0
     for t in wanted:
@@ -342,9 +333,15 @@ def _walk_sets(angles: list[float], wanted: list[int]) -> Iterator[tuple[int, np
             np.matmul(coins, ops[..., :n + 1], out=shifted[n % 2][..., :n + 1])
             ops = buffers[n % 2]
         done = t
-        flat = cells[(t - 1) % 2].reshape(len(angles), 4 * size)
-        operators = np.take(flat, index[:t + 1], axis=1)
-        yield t, operators.view(np.complex128).reshape(len(angles), t + 1, 2, 2)
+        # parts[b, i, j, k]: the nonzero part of entry [j, k] of the operator at
+        # label -t + 2i
+        parts = buffers[(t - 1) % 2][..., :t + 1].transpose(0, 3, 2, 1)
+        operators = np.zeros((len(angles), t + 1, 2, 2), dtype=np.complex128)
+        operators.real[..., 0, 0] = parts[..., 0, 0]
+        operators.real[..., 1, 1] = parts[..., 1, 1]
+        operators.imag[..., 0, 1] = parts[..., 0, 1]
+        operators.imag[..., 1, 0] = parts[..., 1, 0]
+        yield t, operators
 
 
 def extract_kraus_direct(theta: float, t: int) -> KrausSet:

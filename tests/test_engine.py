@@ -197,13 +197,14 @@ WALK_ERROR_PER_STEP = np.finfo(np.float64).eps
 
 def assert_real_frame_and_mirror(theta, t):
     """Every walked operator's zero parts are exact zeros, as the real frame of
-    the coin makes them: imaginary on the diagonal, real off it; and
-    ``K_{-mu}``, walked on its own, is within ``eps * (t + 1)`` of
-    ``minor_map(K_mu)``."""
+    the coin makes them: imaginary on the diagonal, real off it, each +0.0 so
+    that no dump prints ``-0.0``; and ``K_{-mu}``, walked on its own, is within
+    ``eps * (t + 1)`` of ``minor_map(K_mu)``."""
     (_, _, operators), = iter_kraus_batches([theta], [t])
     operators = operators[0]
-    assert not operators[:, [0, 1], [0, 1]].imag.any()
-    assert not operators[:, [0, 1], [1, 0]].real.any()
+    for zeros in (operators[:, [0, 1], [0, 1]].imag, operators[:, [0, 1], [1, 0]].real):
+        assert not zeros.any()
+        assert not np.signbit(zeros).any()
     mirror = np.abs(operators[::-1] - minor_map(operators)).max()
     assert mirror <= WALK_ERROR_PER_STEP * (t + 1)
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -217,6 +218,12 @@ def test_serialization_round_trip_exact():
         assert clone.labels() == kset.labels()
         for mu in kset.labels():
             assert np.array_equal(clone.operator(mu), kset.operator(mu))
+
+
+@pytest.mark.parametrize("indent", [-1, "ab", "%", "%s"])
+def test_a_dump_is_the_encoders_text_for_an_indent_that_is_not_whitespace(indent):
+    kset = extract_kraus_direct(0.5, 3)
+    assert kset.to_json(indent=indent) == json.dumps(kset.to_dict(), indent=indent)
 
 
 def test_kraus_set_validation():

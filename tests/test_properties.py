@@ -168,11 +168,13 @@ def test_the_scalar_maps_and_the_batched_series_are_one_definition(theta, n, rtn
 dump_angles = st.one_of(finite_angles, st.sampled_from([0.0, math.pi / 2, 2.9, 4.4]))
 
 
-@given(theta=dump_angles, t=st.integers(1, 60), split=st.booleans())
-def test_the_kraus_dumps_are_the_per_value_texts_and_round_trip_every_bit(theta, t, split):
+@given(theta=dump_angles, t=st.integers(1, 60), split=st.booleans(),
+       indent=st.sampled_from([None, 0, 2, 4, "\t"]))
+def test_the_kraus_dumps_are_the_per_value_texts_and_round_trip_every_bit(
+        theta, t, split, indent):
     kset = extract_kraus_split_step(theta, t) if split else extract_kraus_direct(theta, t)
-    text = kset.to_json(indent=2)
-    assert text == json.dumps(kset.to_dict(), indent=2)
+    text = kset.to_json(indent=indent)
+    assert text == json.dumps(kset.to_dict(), indent=indent)
     clone = KrausSet.from_json(text)
     assert (clone.kind, clone.theta, clone.t, clone.labels()) == (
         kset.kind, kset.theta, kset.t, kset.labels())
