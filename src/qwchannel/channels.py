@@ -5,10 +5,12 @@ whole angle/step batches from one walk as 4x4 arrays: the single n-step walk
 channel (:func:`superoperators`), the n-fold repetition of the one-step
 channel (:func:`repeated`; not the same map once the walk remembers its
 position register), and telegraph dephasing at time ``n * dt``
-(:func:`dephasers`) to chain after the walk.  Each family passes the
-completeness gate once, where it is built; a raw 4x4 map enters only through
-:func:`apply_superoperators`, an operator set through :func:`apply_kraus`.  The
-scalar maps are the one-matrix case.  Closed forms validate the first three steps.
+(:func:`dephasers`) to chain after the walk.  The walk channels pass the
+completeness gate once, where they are built; the dephasers are taken in
+closed form, ``diag(1, L, L, 1)``, complete by construction and never gated.
+A raw 4x4 map enters only through :func:`apply_superoperators`, an operator
+set through :func:`apply_kraus`.  The scalar maps are the one-matrix case.
+Closed forms validate the first three steps.
 
 Basis convention: ``|0>`` is the upper coin state ``(1, 0)^T`` and carries
 ``sigma_z = +1``.
@@ -354,8 +356,8 @@ def rtn_kraus(lambda_val) -> np.ndarray:
     """Dephasing operator pair sqrt((1+L)/2) I and sqrt((1-L)/2) sigma_z.
 
     One kernel value L or an array of them gives shape ``L.shape + (2, 2, 2)``.
-    Completeness is exact for any |L| <= 1; the channel scales coherences
-    by L and leaves populations untouched.
+    Completeness holds to rounding for any |L| <= 1; the channel scales
+    coherences by L and leaves populations untouched.
     """
     lam = np.asarray(lambda_val)
     if not (lam.dtype.kind in "iuf" and (np.abs(lam) <= 1.0).all()):  # NaN fails too
@@ -368,13 +370,19 @@ def dephasers(params: RTNParams, steps: Iterable[int]) -> np.ndarray:
     """Telegraph dephasing at time ``n * dt`` per step count, ``(S, 4, 4)``, ascending in n.
 
     The kernel's arguments, at most ``max(gamma, 2a) * n * dt``, must be finite.
-    Each channel is :func:`rtn_kraus`'s pair at that time's kernel value.
+    Each channel is ``diag(1, L, L, 1)`` on row-major ``vec(rho)``, with L the
+    kernel value :func:`rtn_lambda` at that time: the map of :func:`rtn_kraus`'s
+    pair, taken in closed form.  It is complete by construction, so it needs no
+    gate, and it leaves populations untouched to the bit.
     """
     steps = step_list("steps", steps)
     # the span of the longest time bounds every shorter one
     _check_kernel_span(params, steps[-1] * params.dt,
                        "max(gamma, 2a) * n * dt of a, gamma, dt and steps")
-    return _complete(superoperator_of(rtn_kraus(rtn_lambda(params, np.array(steps) * params.dt))))
+    # the identity, with the coherences scaled by the kernel
+    superops = np.tile(np.eye(4, dtype=np.complex128), (len(steps), 1, 1))
+    superops[:, 1, 1] = superops[:, 2, 2] = rtn_lambda(params, np.array(steps) * params.dt)
+    return superops
 
 
 def composite_map(params: RTNParams, theta: float, n: int,

@@ -81,7 +81,7 @@ from .kraus import (
     matrix_from_pairs,
 )
 from .verification import run_checks
-from .witnesses import holevo_max_batch, purity, td_regimes, td_values
+from .witnesses import holevo_max_batch, mixedness, purity, td_regimes, td_values
 
 # -- option checks --------------------------------------------------------------
 # A check returns the value in its working type, or raises ValueError with a
@@ -339,15 +339,9 @@ def cmd_rtn_composite(options: dict) -> tuple[list[str], list[np.ndarray]]:
     return ["step", "regime", "d"], [step, regime, values[:, 0]]
 
 
-def _purity_and_mixedness(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the qubit case of witnesses.mixedness, from the one purity evaluation
-    p = purity(outputs)
-    return p, 2.0 * (1.0 - p)
-
-
 def cmd_purity(options: dict) -> tuple[list[str], list[np.ndarray]]:
     columns = _input_sweep(_sweep_values(options, "theta"), _sweep_values(options, "delta"),
-                           options["steps"], _purity_and_mixedness)
+                           options["steps"], lambda outputs: (purity(outputs), mixedness(outputs)))
     return ["theta", "delta", "step", "purity", "mixedness"], columns
 
 

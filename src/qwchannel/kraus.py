@@ -59,6 +59,9 @@ _VEC_EYE = np.eye(2).reshape(4)
 STANDARD = "standard"
 SPLIT_STEP = "split_step"
 
+# a bool equals 0 or 1, but it is no label, as it is no number to inputs.real
+_BOOLS = (bool, np.bool_)
+
 
 class _Entries(Sequence):
     """A set's ``(mu, operator)`` pairs, each made when it is read: ``mu`` an
@@ -90,10 +93,11 @@ class KrausSet:
     The labels follow from ``kind`` and ``t``: a standard set of ``t`` steps
     has the ``t + 1`` labels ``-t, -t + 2, .., t``; a split-step set of ``t``
     split steps has the ``2t + 1`` labels ``-t..t``.  ``entries`` is given
-    either as ``(mu, matrix)`` pairs, whose labels must be exactly those, or
-    as the operator array alone, in label order; it is kept as a read-only
-    sequence of ``(mu, row)`` pairs over the set's array, with ``mu`` an
-    int, each pair made when it is read.  Sets compare and hash by identity.
+    either as ``(mu, matrix)`` pairs, whose labels must be exactly those
+    (a bool is none), or as the operator array alone, in label order; it is
+    kept as a read-only sequence of ``(mu, row)`` pairs over the set's array,
+    with ``mu`` an int, each pair made when it is read.  Sets compare and
+    hash by identity.
     """
 
     theta: float
@@ -110,7 +114,7 @@ class KrausSet:
         operators = self.entries
         if not isinstance(operators, np.ndarray):
             labels = [mu for mu, _ in operators]
-            if labels != list(expected):
+            if labels != list(expected) or any(isinstance(mu, _BOOLS) for mu in labels):
                 raise ValueError(f"{self.kind} set of {self.t} steps needs labels "
                                  f"{list(expected)}, got {labels}")
             operators = [matrix for _, matrix in operators]
@@ -138,10 +142,10 @@ class KrausSet:
         return list(self._operators)
 
     def operator(self, mu: int) -> np.ndarray:
-        try:
-            return self._operators[self._label_range().index(mu)]
-        except ValueError:
-            raise KeyError(f"no operator with label {mu}") from None
+        labels = self._label_range()
+        if isinstance(mu, _BOOLS) or mu not in labels:
+            raise KeyError(f"no operator with label {mu}")
+        return self._operators[labels.index(mu)]
 
     def completeness_residual(self) -> float:
         """Max-entry deviation of sum K^dag K from I, read off :attr:`superoperator`."""

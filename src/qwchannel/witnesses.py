@@ -134,7 +134,7 @@ def td_regimes(thetas: Iterable[float], steps: Iterable[int],
     outputs = channel_outputs(thetas, steps, density_matrix(np.eye(2)))
     values = []
     for superops in chained:
-        # dephasers and outputs were both checked when they were built
+        # the dephasers are complete by construction, the outputs gated when built
         pair = outputs if superops is None else _apply(superops, outputs)
         values.append(trace_distance(pair[..., 0, :, :], pair[..., 1, :, :]))
     return _check_distances(np.array(values).reshape((len(values),) + outputs.shape[:2]))
@@ -156,9 +156,9 @@ def nonmonotonicity(series) -> float:
 # -- purity and entropy -------------------------------------------------------
 
 def purity(rho: np.ndarray) -> float:
-    """Tr rho^2; 1 for pure states, 1/2 for the maximally mixed qubit."""
+    """Tr rho^2 = sum_ij rho_ij rho_ji; 1 for pure states, 1/2 for the maximally mixed qubit."""
     m = matrices("rho", rho)
-    return _as_value(np.trace(m @ m, axis1=-2, axis2=-1).real)
+    return _as_value(np.einsum("...ij,...ji->...", m, m).real)
 
 
 def mixedness(rho: np.ndarray) -> float:

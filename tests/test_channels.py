@@ -350,6 +350,25 @@ def test_rtn_kraus_completeness_exact():
         assert np.abs(total - np.eye(2)).max() <= 1e-15
 
 
+# the overdamped and oscillatory regimes, and the critical ratio a / gamma = 1/2
+_REGIMES = [RTNParams(a=0.4, gamma=1.0), RTNParams(a=2.0, gamma=1.0, dt=0.7),
+            RTNParams(a=0.55, gamma=1.1, dt=1.3)]
+
+
+@pytest.mark.parametrize("params", _REGIMES, ids=["overdamped", "oscillatory", "critical"])
+def test_dephasers_are_complete_exactly(params):
+    superops = dephasers(params, range(1, 301))
+    assert superops.shape == (300, 4, 4) and superops.dtype == np.complex128
+    assert np.all(residual_of(superops) == 0.0)
+
+
+@pytest.mark.parametrize("params", _REGIMES, ids=["overdamped", "oscillatory", "critical"])
+def test_dephasers_are_the_maps_of_the_telegraph_pair(params):
+    steps = range(1, 301)
+    lam = rtn_lambda(params, np.array(steps) * params.dt)
+    assert np.abs(dephasers(params, steps) - superoperator_of(rtn_kraus(lam))).max() <= 1e-15
+
+
 def test_composite_with_zero_amplitude_equals_walk_channel():
     params = RTNParams(a=0.0, gamma=1.0)
     rho = density_matrix(coin_state_from_angle(0.8))

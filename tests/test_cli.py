@@ -44,6 +44,7 @@ from qwchannel.kraus import (
 from qwchannel.walk import build_shifts, coin_projections, evolve
 from qwchannel.witnesses import (
     holevo_max,
+    mixedness,
     purity,
     td_series,
     trace_distance,
@@ -728,6 +729,19 @@ def test_probability_and_purity_rows_equal_the_per_row_reference(capsys):
     assert code == 0
     _assert_rows_match(out, sorted(purities, key=lambda r: r[:3]), keys=3)
     _assert_json_dumps_the_rows(capsys, ["purity", *flags], out)
+
+
+def test_the_purity_columns_are_the_witnesses_of_the_same_outputs(capsys):
+    thetas, deltas, steps = np.linspace(0, 3, 4), np.linspace(0, 6, 5), [1, 4, 9]
+    kets = np.array([coin_state_from_angle(delta) for delta in deltas])
+    outputs = channel_outputs(thetas, steps, density_matrix(kets)).swapaxes(1, 2)
+    code, out = run_cli(capsys, "purity", "--theta-grid", "0:3:4", "--delta-grid", "0:6:5",
+                        "--steps", "1,4,9")
+    assert code == 0
+    rows = parse_csv(out)
+    assert [row["purity"] for row in rows] == [repr(v) for v in purity(outputs).ravel().tolist()]
+    assert [row["mixedness"] for row in rows] == [
+        repr(v) for v in mixedness(outputs).ravel().tolist()]
 
 
 def test_holevo_rows_equal_the_per_row_reference(capsys):

@@ -240,6 +240,22 @@ def test_kraus_set_validation():
         extract_kraus_direct(0.5, 2).operator(1)
 
 
+@pytest.mark.parametrize("label", [True, False, np.True_, np.False_],
+                         ids=["True", "False", "np.True_", "np.False_"])
+def test_a_bool_is_no_label(label):
+    kset = extract_kraus_split_step(0.3, 1)  # labels -1, 0 and 1
+    with pytest.raises(KeyError, match="no operator with label"):
+        kset.operator(label)
+    labels = [-1, 0, 1]
+    labels[int(label) + 1] = label
+    with pytest.raises(ValueError, match=r"split_step set of 1 steps needs labels \[-1, 0, 1\]"):
+        KrausSet(theta=0.3, t=1, kind="split_step", entries=tuple(zip(labels, kset.operators())))
+    if isinstance(label, bool):
+        text = kset.to_json().replace(f'"mu": {int(label)}', f'"mu": {json.dumps(label)}')
+        with pytest.raises(ValueError, match="needs labels"):
+            KrausSet.from_json(text)
+
+
 def test_sets_compare_and_hash_by_identity():
     a, b = extract_kraus_direct(0.5, 3), extract_kraus_direct(0.5, 3)
     assert a != b
@@ -254,6 +270,8 @@ def test_labels_are_ints_whatever_the_given_labels():
         kset = KrausSet(theta=0.4, t=3, entries=tuple(zip(labels, ops)))
         assert kset.labels() == [-3, -1, 1, 3]
         assert all(type(mu) is int for mu in kset.labels())
+        # a label is found by its value, whatever its type
+        assert all(np.array_equal(kset.operator(mu), op) for mu, op in zip(labels, ops))
         assert kset.to_json(indent=2) == given.to_json(indent=2)
         assert kset.to_json() == given.to_json()
 

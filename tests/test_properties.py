@@ -164,6 +164,12 @@ def test_the_scalar_maps_and_the_batched_series_are_one_definition(theta, n, rtn
         assert trace_distance(channel(_UP), channel(_DOWN)) == series.values[-1]
 
 
+@given(theta=finite_angles, n=st.integers(1, 40), rtn=rtn_params, rho=bloch_points)
+def test_telegraph_dephasing_leaves_the_walks_populations_untouched(theta, n, rtn, rho):
+    composite, walked = composite_map(rtn, theta, n, rho), n_step_map(theta, n, rho)
+    assert np.array_equal(composite.diagonal(), walked.diagonal())
+
+
 # the pinned angles leave signed zeros in their sets
 dump_angles = st.one_of(finite_angles, st.sampled_from([0.0, math.pi / 2, 2.9, 4.4]))
 

@@ -124,6 +124,18 @@ def test_purity_and_mixedness():
         assert abs(mixedness(rho) - 2 * (1 - purity(rho))) <= 1e-14
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+def test_purity_is_the_trace_of_the_square_of_any_matrix(shape):
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        m = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+        expected = np.trace(m @ m, axis1=-2, axis2=-1).real
+        # each sum of products rounds relative to the squared Frobenius norm
+        scale = (np.abs(m) ** 2).sum(axis=(-2, -1))
+        assert np.all(np.abs(purity(m) - expected) <= 4 * np.finfo(float).eps * scale)
+    assert type(purity(m[(0,) * len(shape)])) is float
+
+
 def test_fully_dephasing_channel_halves_purity_of_plus():
     plus = density_matrix(coin_state(1 / math.sqrt(2), 1 / math.sqrt(2)))
     assert abs(purity(n_step_map(0.0, 1, plus)) - 0.5) <= 1e-14
