@@ -39,9 +39,9 @@ from .inputs import (
 from .inputs import states as qubit_states
 from .kraus import (
     KrausSet,
-    iter_kraus_batches,
     residual_of,
     superoperator_of,
+    walk_superoperators,
 )
 from .walk import canonical_angle
 
@@ -145,19 +145,15 @@ def superoperators(thetas: Iterable[float], steps: Iterable[int]) -> np.ndarray:
     """The channel of every coin angle and step count, shape ``(B, S, 4, 4)``.
 
     The step axis runs over the distinct step counts in ascending order.
-    All angles are walked together (:func:`~qwchannel.kraus.iter_kraus_batches`),
-    each set becomes its channel by one Gram product
-    (:func:`~qwchannel.kraus.superoperator_of`), and the whole array passes
-    the completeness gate once.  At most ``MAX_OUTPUTS`` channels, refused
-    before any walk.
+    All angles are walked together, and each set's channel is one float64
+    Gram product taken straight from the walk's buffer
+    (:func:`~qwchannel.kraus.walk_superoperators`); the whole array passes the
+    completeness gate once.  At most ``MAX_OUTPUTS`` channels, refused before
+    any walk.
     """
     thetas, steps = list(thetas), step_list("steps", steps)
     outputs("thetas x steps", len(thetas), len(steps))
-    column = {t: k for k, t in enumerate(steps)}
-    out = np.empty((len(thetas), len(steps), 4, 4), dtype=np.complex128)
-    for angles, t, operators in iter_kraus_batches(thetas, steps):
-        out[angles, column[t]] = superoperator_of(operators)
-    return _complete(out)
+    return _complete(walk_superoperators(thetas, steps))
 
 
 def channel_outputs(thetas: Iterable[float], steps: Iterable[int],

@@ -18,14 +18,17 @@ MAX_COUNT = 100_000
 # most channel outputs (angles x step counts x input states) one call may ask for
 MAX_OUTPUTS = 100 * MAX_COUNT
 
+# a bool, Python's or numpy's, equals 0 or 1, but it is no number and no label
+BOOLS = (bool, np.bool_)
+
 
 def refuse(name: str, expected: str, value) -> ValueError:
     return ValueError(f"{name} must be {expected}, got {value!r}")
 
 
 def real(name: str, value) -> float:
-    """A finite real number; a bool is not one."""
-    if isinstance(value, bool):
+    """A finite real number; a bool (:data:`BOOLS`) is not one."""
+    if isinstance(value, BOOLS):
         raise refuse(name, "a number", value)
     try:
         number = float(value)

@@ -12,7 +12,8 @@ provided:
   walks every label in float64, in the coin's real frame, in 64 (t + 1)
   bytes per angle; :func:`iter_kraus_steps` is its one-angle case and
   :func:`extract_kraus_direct` its one-angle, single-step case (ground
-  truth),
+  truth).  :func:`walk_superoperators` takes the channels of the same walk
+  straight from its float64 buffer, with no complex set,
 * :func:`extract_kraus_binomial` rebuilds the t-step joint operator on a
   guarded lattice from the ordered binomial expansion of ``(P + Q)^t`` plus
   commutator correction terms, then gathers each site's block (validator).
@@ -41,7 +42,7 @@ from math import comb
 import numpy as np
 
 from . import inputs
-from .inputs import MAX_COUNT, count, real, step_list
+from .inputs import BOOLS, MAX_COUNT, count, real, step_list
 from .walk import (
     Lattice,
     build_shifts,
@@ -58,9 +59,6 @@ _VEC_EYE = np.eye(2).reshape(4)
 
 STANDARD = "standard"
 SPLIT_STEP = "split_step"
-
-# a bool equals 0 or 1, but it is no label, as it is no number to inputs.real
-_BOOLS = (bool, np.bool_)
 
 
 class _Entries(Sequence):
@@ -114,7 +112,7 @@ class KrausSet:
         operators = self.entries
         if not isinstance(operators, np.ndarray):
             labels = [mu for mu, _ in operators]
-            if labels != list(expected) or any(isinstance(mu, _BOOLS) for mu in labels):
+            if labels != list(expected) or any(isinstance(mu, BOOLS) for mu in labels):
                 raise ValueError(f"{self.kind} set of {self.t} steps needs labels "
                                  f"{list(expected)}, got {labels}")
             operators = [matrix for _, matrix in operators]
@@ -143,7 +141,7 @@ class KrausSet:
 
     def operator(self, mu: int) -> np.ndarray:
         labels = self._label_range()
-        if isinstance(mu, _BOOLS) or mu not in labels:
+        if isinstance(mu, BOOLS) or mu not in labels:
             raise KeyError(f"no operator with label {mu}")
         return self._operators[labels.index(mu)]
 
@@ -232,7 +230,9 @@ def superoperator_of(operators) -> np.ndarray:
     ``(4, m) @ (m, 4)`` product ``G[(i, j), (k, l)] = sum_mu K_mu[i, j]
     conj(K_mu[k, l])``, and ``S`` is ``G`` with its axes ``(i, j, k, l)``
     permuted to ``(i, k, j, l)``.  Leading axes of ``operators`` (before
-    ``(label, 2, 2)``) are a batch of sets and give one 4x4 matrix each.
+    ``(label, 2, 2)``) are a batch of sets and give one 4x4 matrix each.  The
+    general route, for any operators; the walk's channels are taken from its
+    float64 buffer by :func:`walk_superoperators`.
     """
     ops = np.asarray(operators, dtype=np.complex128)
     batch = ops.shape[:-3]
@@ -284,7 +284,69 @@ def iter_kraus_batches(thetas: Iterable[float], steps: Iterable[int]
     this is called.
     """
     angles = [canonical_angle(theta) for theta in thetas]
-    return _walk_chunks(angles, step_list("steps", steps))
+    return ((chunk, t, _operators(rows))
+            for chunk, t, rows in _walk_chunks(angles, step_list("steps", steps)))
+
+
+def walk_superoperators(thetas: Iterable[float], steps: Iterable[int]) -> np.ndarray:
+    """The channel of every angle and step count, shape ``(B, S, 4, 4)``.
+
+    The same walk as :func:`iter_kraus_batches`, in the same chunks, but each
+    set's channel is taken straight from the walk's float64 buffer: one
+    ``(4, t + 1) @ (t + 1, 4)`` Gram product of its rows, mapped onto the
+    complex 4x4 by :data:`_GRAM_TO_CHANNEL`, with no complex set and no complex
+    product.  The step axis runs over the distinct step counts, ascending.
+    Angles and step counts are checked; completeness is not.
+    """
+    angles = [canonical_angle(theta) for theta in thetas]
+    steps = step_list("steps", steps)
+    column = {t: k for k, t in enumerate(steps)}
+    superops = np.empty((len(angles), len(steps), 4, 4), dtype=np.complex128)
+    # each channel as the 32 float64 of its row-major complex entries
+    floats = superops.view(np.float64).reshape(len(angles), len(steps), 32)
+    for chunk, t, rows in _walk_chunks(angles, steps):
+        gram = np.matmul(rows, rows.swapaxes(-1, -2)).reshape(-1, 16)
+        np.matmul(gram, _GRAM_TO_CHANNEL, out=floats[chunk, column[t]])
+    return superops
+
+
+def _gram_to_channel() -> np.ndarray:
+    """The ``(16, 32)`` map from a set's buffer Gram ``g`` to its channel's floats.
+
+    A buffer row is ``x_mu = (K00.re, K10.im, K01.im, K11.re)``, so ``vec(K_mu)
+    = Phi Pi x_mu`` with ``Phi = diag(1, i, i, 1)`` and ``Pi`` the swap of
+    entries 1 and 2.  So :func:`superoperator_of`'s ``G[(i, j), (k, l)]`` is
+    ``phase * g[Pi (i, j), Pi (k, l)]``, with ``phase = Phi_ij conj(Phi_kl)``
+    one of 1, i and -i, and the channel is ``G`` with its axes permuted to
+    ``(i, k, j, l)``.  Row ``4 p + q`` of the map puts ``g[p, q]`` times each
+    such phase's real and imaginary part into the channel's floats.  Every
+    entry is 0, 1 or -1 and each float takes one entry of ``g``, so the product
+    moves each value exactly; a zero part sums ``0 * g[0, 0] = +0.0`` among its
+    terms, and is +0.0.
+    """
+    phases, order = (1, 1j, 1j, 1), (0, 2, 1, 3)
+    table = np.zeros((4, 4, 4, 4, 2))
+    for i, j, k, l in np.ndindex(2, 2, 2, 2):
+        phase = phases[2 * i + j] * phases[2 * k + l].conjugate()
+        table[order[2 * i + j], order[2 * k + l], 2 * i + k, 2 * j + l] = (phase.real,
+                                                                          phase.imag)
+    return table.reshape(16, 32)
+
+
+_GRAM_TO_CHANNEL = _gram_to_channel()
+
+
+def _operators(rows: np.ndarray) -> np.ndarray:
+    """The sets of buffer rows ``(B, 4, t + 1)`` as a zeroed C-contiguous complex128
+    ``(B, t + 1, 2, 2)`` array, filled by four slice assignments: the real part
+    on the diagonal, the imaginary part off it, so every zero part is +0.0."""
+    parts = rows.swapaxes(-1, -2)
+    operators = np.zeros(parts.shape[:-1] + (2, 2), dtype=np.complex128)
+    operators.real[..., 0, 0] = parts[..., 0]
+    operators.imag[..., 1, 0] = parts[..., 1]
+    operators.imag[..., 0, 1] = parts[..., 2]
+    operators.real[..., 1, 1] = parts[..., 3]
+    return operators
 
 
 def _walk_chunks(angles: list[float], wanted: list[int]
@@ -294,8 +356,8 @@ def _walk_chunks(angles: list[float], wanted: list[int]
     size = max(1, (MAX_COUNT + 1) // (wanted[-1] + 1))
     for start in range(0, len(angles), size):
         chunk = slice(start, min(start + size, len(angles)))
-        for t, ops in _walk_sets(angles[chunk], wanted):
-            yield chunk, t, ops
+        for t, rows in _walk_sets(angles[chunk], wanted):
+            yield chunk, t, rows
 
 
 def _walk_sets(angles: list[float], wanted: list[int]) -> Iterator[tuple[int, np.ndarray]]:
@@ -309,10 +371,9 @@ def _walk_sets(angles: list[float], wanted: list[int]) -> Iterator[tuple[int, np
     ``(K00.re, K10.im)``, column 1 with ``A^T`` and holds ``(K01.im,
     K11.re)``, exactly the nonzero parts of ``K`` with their signs.  The sets
     live in two ``(B, 2, 2, t + 1)`` buffers used in turn, 64 (t + 1) bytes
-    per angle.  A yielded set is one zeroed C-contiguous complex128 ``(B, t +
-    1, 2, 2)`` array, filled by four slice assignments from the buffer read in
-    the set's own axes: the real part on the diagonal, the imaginary part off
-    it, so every zero part is +0.0.
+    per angle.  A yielded set is a read of the buffer, not a copy: the float64
+    ``(B, 4, t + 1)`` view whose row ``x`` at label ``-t + 2i`` is ``rows[:, :,
+    i] = (K00.re, K10.im, K01.im, K11.re)``, valid until the next set is walked.
     """
     rotations = np.array([coin_rotation(theta) for theta in angles])
     coins = np.stack([rotations, rotations.swapaxes(-1, -2)], axis=1)
@@ -337,15 +398,8 @@ def _walk_sets(angles: list[float], wanted: list[int]) -> Iterator[tuple[int, np
             np.matmul(coins, ops[..., :n + 1], out=shifted[n % 2][..., :n + 1])
             ops = buffers[n % 2]
         done = t
-        # parts[b, i, j, k]: the nonzero part of entry [j, k] of the operator at
-        # label -t + 2i
-        parts = buffers[(t - 1) % 2][..., :t + 1].transpose(0, 3, 2, 1)
-        operators = np.zeros((len(angles), t + 1, 2, 2), dtype=np.complex128)
-        operators.real[..., 0, 0] = parts[..., 0, 0]
-        operators.real[..., 1, 1] = parts[..., 1, 1]
-        operators.imag[..., 0, 1] = parts[..., 0, 1]
-        operators.imag[..., 1, 0] = parts[..., 1, 0]
-        yield t, operators
+        # the stored columns k and rows j merge into one axis of four rows 2k + j
+        yield t, buffers[(t - 1) % 2].reshape(len(angles), 4, size)[..., :t + 1]
 
 
 def extract_kraus_direct(theta: float, t: int) -> KrausSet:

@@ -26,6 +26,7 @@ from .channels import (
     closed_form_q,
     density_matrix,
     rtn_lambda,
+    superoperators,
 )
 from .kraus import (
     extract_kraus_binomial,
@@ -33,6 +34,7 @@ from .kraus import (
     extract_kraus_split_step,
     iter_kraus_batches,
     minor_map,
+    superoperator_of,
 )
 from .walk import Lattice, build_shifts, coin_projections, evolve, joint_state
 from .witnesses import td_series
@@ -68,14 +70,18 @@ def _seeded_points(seed: int, size: int) -> tuple[np.ndarray, list[float]]:
 def check_completeness() -> tuple[bool, str]:
     # every (angle, step) set from one batched walk, summing K^dag K label by
     # label, and the library's own gate (the partial trace of the superoperator)
-    # on the single-set route (the one ``kraus`` dumps) at the longest walk
+    # on the single-set route (the one ``kraus`` dumps) at the longest walk; and
+    # the sweeps' channels, taken from the walk's float buffer, against the
+    # complex Gram product of the same sets
     thetas = np.linspace(0.05, 2 * math.pi - 0.05, 16)
     steps = range(1, 26)
     worst = max(extract_kraus_direct(theta, steps[-1]).completeness_residual()
                 for theta in thetas)
-    for _, _, operators in iter_kraus_batches(thetas, steps):
+    superops = superoperators(thetas, steps)
+    for angles, t, operators in iter_kraus_batches(thetas, steps):
         gram = np.einsum("...mji,...mjk->...ik", operators.conj(), operators)
-        worst = max(worst, float(np.abs(gram - np.eye(2)).max()))
+        gap = np.abs(superops[angles, steps.index(t)] - superoperator_of(operators))
+        worst = max(worst, float(np.abs(gram - np.eye(2)).max()), float(gap.max()))
     return _result(worst, 1e-10)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qwchannel.channels as channels
+import qwchannel.kraus as kraus
 from qwchannel import reference
 from qwchannel.channels import (
     RTNParams,
@@ -559,6 +560,13 @@ _NOT_HERMITIAN = np.diag([1, 1 + 0.5j, 1, 1])
     pytest.param(lambda: rtn_kraus(1.0001), "lambda_val", id="rtn_kraus-above-1"),
     pytest.param(lambda: rtn_kraus(np.array([0.5, _NAN])), "lambda_val", id="rtn_kraus-nan"),
     pytest.param(lambda: rtn_kraus(True), "lambda_val", id="rtn_kraus-bool"),
+    # a numpy bool is no number, as a Python bool is none
+    pytest.param(lambda: extract_kraus_direct(0.3, np.True_), "t",
+                 id="extract_kraus_direct-numpy-bool"),
+    pytest.param(lambda: td_series(0.5, np.True_), "n_max", id="td_series-numpy-bool"),
+    pytest.param(lambda: RTNParams(a=np.True_, gamma=1.0), "a", id="RTNParams-numpy-bool"),
+    pytest.param(lambda: coin_state_from_angle(np.False_), "delta",
+                 id="coin_state_from_angle-numpy-bool"),
 ])
 def test_library_arguments_are_refused_by_name(call, name):
     with pytest.raises(ValueError) as info:
@@ -656,15 +664,15 @@ def test_repeated_images_are_the_one_step_channel_applied_n_times(shape):
 
 
 def test_superoperators_refuse_one_incomplete_set_that_is_not_first(monkeypatch):
-    scaled = []
+    walk_sets = kraus._walk_sets
 
-    def leaky_batches(thetas, steps):
-        for angles, t, operators in iter_kraus_batches(thetas, steps):
+    def leaky_sets(angles, wanted):
+        # the t = 5 set of angle 1 with its operator at label index 2 scaled
+        for t, rows in walk_sets(angles, wanted):
             if t == 5:
-                operators = operators.copy()
-                operators[1, 2] *= 1 + 1e-3
-                scaled.append(operators[1])
-            yield angles, t, operators
+                rows = rows.copy()
+                rows[1, :, 2] *= 1 + 1e-3
+            yield t, rows
 
     thetas, steps = [0.2, 0.9, 1.4], [1, 3, 5, 8]
     clean = superoperators(thetas, steps)
@@ -674,9 +682,11 @@ def test_superoperators_refuse_one_incomplete_set_that_is_not_first(monkeypatch)
     assert np.array_equal(superoperators(thetas, steps), clean)
     # one gate per call, over the whole (angle, step) array
     assert gated == [(3, 4, 4, 4)]
-    monkeypatch.setattr(channels, "iter_kraus_batches", leaky_batches)
+    (_, _, scaled), = iter_kraus_batches([thetas[1]], [5])
+    scaled[0, 2] *= 1 + 1e-3
+    monkeypatch.setattr(kraus, "_walk_sets", leaky_sets)
     with pytest.raises(ValueError, match="kraus set incomplete: residual") as info:
         superoperators(thetas, steps)
-    worst = float(residual_of(superoperator_of(scaled[-1])))
+    worst = float(residual_of(superoperator_of(scaled[0])))
     assert worst > 1e-4
     assert str(info.value) == f"kraus set incomplete: residual {worst:.3e}"

@@ -1,6 +1,7 @@
 """The streaming extraction engine and the cached channel values of a set."""
 
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -19,6 +20,7 @@ from qwchannel.kraus import (
     iter_kraus_batches,
     iter_kraus_steps,
     minor_map,
+    superoperator_of,
 )
 from qwchannel.walk import Lattice, coin_projections, evolve, joint_state
 
@@ -320,6 +322,33 @@ def test_batched_superoperators_equal_the_cached_set_values():
         for k, t in enumerate(steps):
             expected = extract_kraus_direct(theta, t).superoperator
             assert np.array_equal(superops[b, k], expected)
+
+
+@pytest.mark.parametrize("thetas, steps", [((0.5047,), range(1, 301)), ((1.3, 2.9), [4000])])
+def test_sweep_channels_equal_the_gram_product_of_the_walked_sets(thetas, steps):
+    # the float64 Gram product of the walk's buffer against the complex one of
+    # the same sets: the two sum the same products, each in its own order
+    superops = superoperators(thetas, steps)
+    for angles, t, operators in iter_kraus_batches(thetas, steps):
+        gap = np.abs(superops[angles, steps.index(t)] - superoperator_of(operators)).max()
+        assert gap <= 4e-16 * (t + 2)
+
+
+def test_no_sweep_channel_entry_is_negative_zero():
+    # theta = 0 leaves whole parts of the channels zero
+    parts = superoperators(np.linspace(0, 3.14159, 64), range(1, 21)).view(np.float64)
+    assert not np.signbit(parts[parts == 0]).any()
+
+
+def test_sweep_channels_hold_little_more_than_the_result():
+    # the walk's buffers and one set's Gram product at a time, beside the result
+    tracemalloc.start()
+    try:
+        superops = superoperators(np.linspace(0, 1, 200), range(1, 501))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * superops.nbytes
 
 
 def test_batched_check_rejects_one_scaled_set_in_a_batch():
