@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inputs import (
+    batches,
     count,
     kets,
     matrices,
@@ -138,7 +139,7 @@ def apply_superoperators(superops: np.ndarray, states: np.ndarray) -> np.ndarray
     if not (np.abs(choi - choi.conj().swapaxes(-1, -2)).max(initial=0.0) <= COMPLETENESS_TOL
             and np.linalg.eigvalsh(choi).min(initial=0.0) >= -COMPLETENESS_TOL):
         raise refuse("superops", "completely positive maps", superops)
-    return _apply(superops, matrices("states", states))
+    return _apply(*batches("superops and states", superops, matrices("states", states)))
 
 
 def superoperators(thetas: Iterable[float], steps: Iterable[int]) -> np.ndarray:

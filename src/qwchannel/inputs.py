@@ -27,8 +27,8 @@ def refuse(name: str, expected: str, value) -> ValueError:
 
 
 def real(name: str, value) -> float:
-    """A finite real number; a bool (:data:`BOOLS`) is not one."""
-    if isinstance(value, BOOLS):
+    """A finite real number; a bool (:data:`BOOLS`), bare or as a 0-d array, is not one."""
+    if isinstance(value.item() if getattr(value, "ndim", None) == 0 else value, BOOLS):
         raise refuse(name, "a number", value)
     try:
         number = float(value)
@@ -126,6 +126,16 @@ def matrices(name: str, value, size: int = 2) -> np.ndarray:
     """A complex array of finite ``size`` x ``size`` matrices; leading axes are a batch of them."""
     return finite(name, value, f"finite {size}x{size} matrices",
                   lambda shape: shape[-2:] == (size, size))
+
+
+def batches(names: str, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, once the leading axes of their matrices broadcast together."""
+    try:
+        np.broadcast_shapes(*(array.shape[:-2] for array in arrays))
+    except ValueError:
+        raise refuse(names, "matrices whose leading axes broadcast together",
+                     tuple(array.shape for array in arrays)) from None
+    return arrays
 
 
 def kets(name: str, value) -> np.ndarray:

@@ -14,9 +14,9 @@ provided:
   :func:`extract_kraus_direct` its one-angle, single-step case (ground
   truth).  :func:`walk_superoperators` takes the channels of the same walk
   straight from its float64 buffer, with no complex set,
-* :func:`extract_kraus_binomial` rebuilds the t-step joint operator on a
-  guarded lattice from the ordered binomial expansion of ``(P + Q)^t`` plus
-  commutator correction terms, then gathers each site's block (validator).
+* :func:`extract_kraus_binomial` applies the ordered binomial expansion of
+  ``(P + Q)^t`` plus commutator correction terms to the two origin inputs
+  on a guarded lattice, then gathers each site's block (validator).
 
 Label convention: ``mu = +t`` tags the branch on which the upper coin block
 acts at every step, so ``K_{+t} = C_up^t`` and ``K_{-t} = C_down^t``.
@@ -435,8 +435,8 @@ def commutator_corrections(p: np.ndarray, q: np.ndarray, t: int) -> list[np.ndar
 def extract_kraus_binomial(theta: float, t: int) -> KrausSet:
     """Extract the t-step set through the expanded joint operator.
 
-    Builds ``sum_k C(t,k) P^k Q^{t-k} + sum_k C(t,k) D_k Q^{t-k}`` as a
-    dense joint-space matrix and projects it exactly like the direct route.
+    Applies ``sum_k C(t,k) (P^k + D_k) Q^{t-k}`` to the two origin inputs,
+    ``Q^j`` as two columns, and projects them exactly like the direct route.
     Dense operator products grow fast, hence the step cap t <= 8.
     """
     t = count("t", t, high=8)
@@ -447,34 +447,25 @@ def extract_kraus_binomial(theta: float, t: int) -> KrausSet:
     p = np.kron(up, s_left)
     q = np.kron(down, s_right)
 
-    dim = 2 * lattice.size
-    p_pow = [np.eye(dim, dtype=np.complex128)]
-    q_pow = [np.eye(dim, dtype=np.complex128)]
+    origin, eye = lattice.origin_index, np.eye(2 * lattice.size, dtype=np.complex128)
+    columns = [eye[:, [origin, lattice.size + origin]]]  # Q^j e_s at the origin, j = 0..t
     for _ in range(t):
-        p_pow.append(p_pow[-1] @ p)
-        q_pow.append(q_pow[-1] @ q)
-    corrections = commutator_corrections(p, q, t)
-
-    joint = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(t + 1):
-        weight = comb(t, k)
-        joint += weight * (p_pow[k] @ q_pow[t - k])
-        joint += weight * (corrections[k] @ q_pow[t - k])
+        columns.append(q @ columns[-1])
+    outputs, p_pow = 0, eye
+    for k, d_k in enumerate(commutator_corrections(p, q, t)):
+        outputs = outputs + comb(t, k) * ((p_pow + d_k) @ columns[t - k])
+        p_pow = p_pow @ p
 
     # outputs[c, j, s]: the coin-c amplitude input e_s leaves on storage site
     # j; the block at label mu sits on site x = -mu, and the sites of the
     # wrong parity must be empty
-    origin = lattice.origin_index
-    outputs = joint[:, [origin, lattice.size + origin]].reshape(2, lattice.size, 2)
+    outputs = outputs.reshape(2, lattice.size, 2)
     wrong = np.arange(-t + 1, t, 2)  # the same set as sites x and as labels
-    if wrong.size:
-        amplitude = np.abs(outputs[:, origin + wrong]).max(axis=(0, 2))
-        loud = np.flatnonzero(amplitude >= ZERO_SITE_TOL)
-        if loud.size:
-            raise ValueError(
-                f"site {wrong[loud[0]]} of wrong parity carries amplitude "
-                f"{amplitude[loud[0]]:.3e}; extraction is inconsistent"
-            )
+    amplitude = np.abs(outputs[:, origin + wrong]).max(axis=(0, 2))
+    loud = np.flatnonzero(amplitude >= ZERO_SITE_TOL)
+    if loud.size:
+        raise ValueError(f"site {wrong[loud[0]]} of wrong parity carries amplitude "
+                         f"{amplitude[loud[0]]:.3e}; extraction is inconsistent")
     # the blocks in label order, from site x = t down to x = -t
     blocks = outputs[:, origin + np.arange(t, -t - 1, -2)].transpose(1, 0, 2)
     return KrausSet(theta=theta, t=t, entries=blocks)

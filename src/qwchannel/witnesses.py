@@ -14,7 +14,8 @@ with telegraph dephasing.  All 2x2 eigenvalue problems are solved in closed
 form (trace/determinant), never iteratively.  Every measure also takes a
 batch of matrices along leading axes; a sweep evaluates whole arrays
 (:func:`td_values`, :func:`td_regimes`, :func:`holevo_max_batch`), and each
-scalar call is the one-matrix case of the same code.
+scalar call is the one-matrix case of the same code.  The pair's images in
+the n-step series are read off columns 0 and 3 of the channels.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from .channels import (
     _apply,
     _as_value,
     _eigenvalues,
-    channel_outputs,
     density_matrix,
     dephasers,
     repeated,
+    superoperators,
 )
-from .inputs import count, matrices, real, refuse, states, step_list, weights
+from .inputs import batches, count, matrices, outputs, real, refuse, states, step_list, weights
 from .walk import canonical_angle
 
 MODE_NSTEP = "nstep"
@@ -45,7 +46,7 @@ MODE_COMPOSITE = "composite"
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the absolute eigenvalue sum of rho - sigma; in [0, 1] for states."""
-    rho, sigma = matrices("rho", rho), matrices("sigma", sigma)
+    rho, sigma = batches("rho and sigma", matrices("rho", rho), matrices("sigma", sigma))
     # two finite non-states can still overflow the difference or its eigenvalues
     with np.errstate(over="ignore", invalid="ignore"):
         difference = rho - sigma
@@ -124,20 +125,22 @@ def td_regimes(thetas: Iterable[float], steps: Iterable[int],
 
     ``regimes`` lists :class:`~qwchannel.channels.RTNParams` (dephasing at
     time ``n * dt`` chained after the n-step channel) or ``None`` (the
-    n-step channel alone).  The images of |0><0| and |1><1| come from one
-    batched walk and are shared by every regime.
+    n-step channel alone).  The images of |0><0| and |1><1|, at most
+    ``MAX_OUTPUTS``, are columns 0 and 3 of one batched walk's channels.
     """
-    steps = step_list("steps", steps)
+    steps, thetas = step_list("steps", steps), list(thetas)
     # every regime's dephasers are checked before the walk starts
     chained = [None if params is None else dephasers(params, steps)[:, None]
                for params in regimes]
-    outputs = channel_outputs(thetas, steps, density_matrix(np.eye(2)))
+    outputs("thetas x steps x states", len(thetas), len(steps), 2)
+    columns = superoperators(thetas, steps)[..., ::3]  # columns 0 and 3: the pair's images
+    images = columns.swapaxes(-1, -2).reshape(columns.shape[:2] + (2, 2, 2))
     values = []
     for superops in chained:
-        # the dephasers are complete by construction, the outputs gated when built
-        pair = outputs if superops is None else _apply(superops, outputs)
+        # the dephasers are complete by construction, the walk channels gated when built
+        pair = images if superops is None else _apply(superops, images)
         values.append(trace_distance(pair[..., 0, :, :], pair[..., 1, :, :]))
-    return _check_distances(np.array(values).reshape((len(values),) + outputs.shape[:2]))
+    return _check_distances(np.array(values).reshape((len(values),) + images.shape[:2]))
 
 
 def nonmonotonicity(series) -> float:
@@ -226,7 +229,7 @@ def holevo_max_batch(out1: np.ndarray, out2: np.ndarray) -> tuple[np.ndarray, np
     (chi = 0 at every p) give p1 = 0.  Returns the maxima and their argmaxes,
     each of the leading shape.
     """
-    out1, out2 = np.broadcast_arrays(matrices("out1", out1), matrices("out2", out2))
+    out1, out2 = batches("out1 and out2", matrices("out1", out1), matrices("out2", out2))
     s1, s2 = von_neumann_entropy(out1), von_neumann_entropy(out2)
     gap = (out1 - out2).conj()
 
@@ -234,7 +237,7 @@ def holevo_max_batch(out1: np.ndarray, out2: np.ndarray) -> tuple[np.ndarray, np
         weight = p1[..., None, None]
         return weight * out1 + (1.0 - weight) * out2
 
-    lo, hi = np.zeros(out1.shape[:-2]), np.ones(out1.shape[:-2])
+    lo, hi = np.zeros(gap.shape[:-2]), np.ones(gap.shape[:-2])
     for _ in range(_HALVINGS):
         mid = 0.5 * (lo + hi)
         mixed = mix(mid)

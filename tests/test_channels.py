@@ -28,7 +28,7 @@ from qwchannel.channels import (
     rtn_lambda,
     superoperators,
 )
-from qwchannel.inputs import kets, states
+from qwchannel.inputs import kets, real, states
 from qwchannel.kraus import (
     KrausSet,
     commutator_corrections,
@@ -42,6 +42,7 @@ from qwchannel.kraus import (
 from qwchannel.walk import Lattice, evolve, joint_state, position_distribution
 from qwchannel.witnesses import (
     holevo,
+    holevo_max_batch,
     mixedness,
     nonmonotonicity,
     purity,
@@ -567,6 +568,24 @@ _NOT_HERMITIAN = np.diag([1, 1 + 0.5j, 1, 1])
     pytest.param(lambda: RTNParams(a=np.True_, gamma=1.0), "a", id="RTNParams-numpy-bool"),
     pytest.param(lambda: coin_state_from_angle(np.False_), "delta",
                  id="coin_state_from_angle-numpy-bool"),
+    # nor is a bool held in a 0-d array, of dtype bool or object
+    pytest.param(lambda: extract_kraus_direct(0.3, np.array(True)), "t",
+                 id="extract_kraus_direct-0d-bool-array"),
+    pytest.param(lambda: td_series(0.3, np.array(True)), "n_max", id="td_series-0d-bool-array"),
+    pytest.param(lambda: RTNParams(a=np.array(True), gamma=1.0), "a",
+                 id="RTNParams-0d-bool-array"),
+    pytest.param(lambda: KrausSet(theta=np.array(False), t=1, entries=np.zeros((2, 2, 2))),
+                 "theta", id="KrausSet-0d-bool-array"),
+    pytest.param(lambda: real("x", np.array(False, dtype=object)), "x",
+                 id="real-0d-object-bool-array"),
+    # batch axes that do not broadcast are refused naming both arguments
+    pytest.param(lambda: trace_distance(np.zeros((2, 2, 2)), np.zeros((3, 2, 2))),
+                 "rho and sigma", id="trace_distance-batches"),
+    pytest.param(lambda: holevo_max_batch(np.stack([RHO_UP] * 2), np.stack([RHO_DOWN] * 3)),
+                 "out1 and out2", id="holevo_max_batch-batches"),
+    pytest.param(lambda: apply_superoperators(np.stack([np.eye(4)] * 2),
+                                              np.stack([RHO_UP] * 3)),
+                 "superops and states", id="apply_superoperators-batches"),
 ])
 def test_library_arguments_are_refused_by_name(call, name):
     with pytest.raises(ValueError) as info:

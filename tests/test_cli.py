@@ -47,6 +47,7 @@ from qwchannel.witnesses import (
     mixedness,
     purity,
     td_series,
+    td_values,
     trace_distance,
 )
 
@@ -1138,6 +1139,12 @@ _OVERSIZED = {
                                "--steps", "10000"],
                               lambda: repeated(np.zeros(501), range(1, 10_001), _ORTHOGONAL),
                               "thetas x steps x states"),
+    # 6 * 10^6 channels, under the channel cap, but each series reads the images of
+    # two inputs, 1.2 * 10^7 outputs
+    "trace-distance nstep": (["trace-distance", "--theta-grid", "0:1:100000", "--steps", "60",
+                              "--mode", "nstep"],
+                             lambda: td_values(np.zeros(100_000), range(1, 61)),
+                             "thetas x steps x states"),
 }
 
 

@@ -43,6 +43,7 @@ from qwchannel.verification import generating_function_gap  # noqa: E402
 from qwchannel.witnesses import (  # noqa: E402
     holevo_max,
     holevo_max_batch,
+    td_regimes,
     td_series,
     trace_distance,
 )
@@ -155,13 +156,23 @@ rtn_params = st.builds(RTNParams, a=st.floats(0.0, 5.0), gamma=st.floats(1e-2, 5
                        dt=st.floats(1e-2, 3.0))
 
 
-@given(theta=finite_angles, n=st.integers(1, 40), rtn=rtn_params)
-def test_the_scalar_maps_and_the_batched_series_are_one_definition(theta, n, rtn):
+@given(theta=finite_angles, other=finite_angles, n=st.integers(1, 40), rtn=rtn_params)
+def test_the_scalar_maps_and_the_batched_series_are_one_definition(theta, other, n, rtn):
     for mode, channel in (("nstep", lambda rho: n_step_map(theta, n, rho)),
                           ("concat", lambda rho: concatenated_map(theta, n, rho)),
                           ("composite", lambda rho: composite_map(rtn, theta, n, rho))):
         series = td_series(theta, n, mode=mode, rtn=rtn if mode == "composite" else None)
         assert trace_distance(channel(_UP), channel(_DOWN)) == series.values[-1]
+    # a batch of angles and of regimes, the walk alone around the dephased walk:
+    # each of its values is the scalar maps' at that angle, regime and step
+    steps = sorted({1, (n + 1) // 2, n})
+    batch = td_regimes([theta, other], steps, [None, rtn, None])
+    for angle, values in zip((theta, other), batch.transpose(1, 0, 2)):
+        for step, (alone, dephased, again) in zip(steps, values.T):
+            walked = [n_step_map(angle, step, rho) for rho in (_UP, _DOWN)]
+            composite = [composite_map(rtn, angle, step, rho) for rho in (_UP, _DOWN)]
+            assert alone == again == trace_distance(*walked)
+            assert dephased == trace_distance(*composite)
 
 
 @given(theta=finite_angles, n=st.integers(1, 40), rtn=rtn_params, rho=bloch_points)
