@@ -40,9 +40,9 @@ from .inputs import (
 from .inputs import states as qubit_states
 from .kraus import (
     KrausSet,
+    _walk_superoperators,
     residual_of,
     superoperator_of,
-    walk_superoperators,
 )
 from .walk import canonical_angle
 
@@ -148,13 +148,13 @@ def superoperators(thetas: Iterable[float], steps: Iterable[int]) -> np.ndarray:
     The step axis runs over the distinct step counts in ascending order.
     All angles are walked together, and each set's channel is one float64
     Gram product taken straight from the walk's buffer
-    (:func:`~qwchannel.kraus.walk_superoperators`); the whole array passes the
+    (:func:`~qwchannel.kraus._walk_superoperators`); the whole array passes the
     completeness gate once.  At most ``MAX_OUTPUTS`` channels, refused before
     any walk.
     """
     thetas, steps = list(thetas), step_list("steps", steps)
     outputs("thetas x steps", len(thetas), len(steps))
-    return _complete(walk_superoperators(thetas, steps))
+    return _complete(_walk_superoperators(thetas, steps))
 
 
 def channel_outputs(thetas: Iterable[float], steps: Iterable[int],

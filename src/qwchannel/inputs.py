@@ -18,17 +18,21 @@ MAX_COUNT = 100_000
 # most channel outputs (angles x step counts x input states) one call may ask for
 MAX_OUTPUTS = 100 * MAX_COUNT
 
-# a bool, Python's or numpy's, equals 0 or 1, but it is no number and no label
-BOOLS = (bool, np.bool_)
-
 
 def refuse(name: str, expected: str, value) -> ValueError:
     return ValueError(f"{name} must be {expected}, got {value!r}")
 
 
+def is_bool(value) -> bool:
+    """Whether ``value`` is a bool, Python's or numpy's, bare or held in a 0-d
+    array: it equals 0 or 1, but it is no number and no label."""
+    return isinstance(value.item() if getattr(value, "ndim", None) == 0 else value,
+                      (bool, np.bool_))
+
+
 def real(name: str, value) -> float:
-    """A finite real number; a bool (:data:`BOOLS`), bare or as a 0-d array, is not one."""
-    if isinstance(value.item() if getattr(value, "ndim", None) == 0 else value, BOOLS):
+    """A finite real number; a bool (:func:`is_bool`) is not one."""
+    if is_bool(value):
         raise refuse(name, "a number", value)
     try:
         number = float(value)

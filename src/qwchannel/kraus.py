@@ -12,8 +12,9 @@ provided:
   walks every label in float64, in the coin's real frame, in 64 (t + 1)
   bytes per angle; :func:`iter_kraus_steps` is its one-angle case and
   :func:`extract_kraus_direct` its one-angle, single-step case (ground
-  truth).  :func:`walk_superoperators` takes the channels of the same walk
-  straight from its float64 buffer, with no complex set,
+  truth).  :func:`_walk_superoperators` takes the channels of the same walk
+  straight from its float64 buffer, with no complex set and no gate; they are
+  handed out by :func:`~qwchannel.channels.superoperators`, which gates them,
 * :func:`extract_kraus_binomial` applies the ordered binomial expansion of
   ``(P + Q)^t`` plus commutator correction terms to the two origin inputs
   on a guarded lattice, then gathers each site's block (validator).
@@ -42,7 +43,7 @@ from math import comb
 import numpy as np
 
 from . import inputs
-from .inputs import BOOLS, MAX_COUNT, count, real, step_list
+from .inputs import MAX_COUNT, count, is_bool, real, step_list
 from .walk import (
     Lattice,
     build_shifts,
@@ -112,7 +113,7 @@ class KrausSet:
         operators = self.entries
         if not isinstance(operators, np.ndarray):
             labels = [mu for mu, _ in operators]
-            if labels != list(expected) or any(isinstance(mu, BOOLS) for mu in labels):
+            if labels != list(expected) or any(map(is_bool, labels)):
                 raise ValueError(f"{self.kind} set of {self.t} steps needs labels "
                                  f"{list(expected)}, got {labels}")
             operators = [matrix for _, matrix in operators]
@@ -141,7 +142,7 @@ class KrausSet:
 
     def operator(self, mu: int) -> np.ndarray:
         labels = self._label_range()
-        if isinstance(mu, BOOLS) or mu not in labels:
+        if is_bool(mu) or mu not in labels:
             raise KeyError(f"no operator with label {mu}")
         return self._operators[labels.index(mu)]
 
@@ -232,7 +233,7 @@ def superoperator_of(operators) -> np.ndarray:
     permuted to ``(i, k, j, l)``.  Leading axes of ``operators`` (before
     ``(label, 2, 2)``) are a batch of sets and give one 4x4 matrix each.  The
     general route, for any operators; the walk's channels are taken from its
-    float64 buffer by :func:`walk_superoperators`.
+    float64 buffer by :func:`_walk_superoperators`.
     """
     ops = np.asarray(operators, dtype=np.complex128)
     batch = ops.shape[:-3]
@@ -288,7 +289,7 @@ def iter_kraus_batches(thetas: Iterable[float], steps: Iterable[int]
             for chunk, t, rows in _walk_chunks(angles, step_list("steps", steps)))
 
 
-def walk_superoperators(thetas: Iterable[float], steps: Iterable[int]) -> np.ndarray:
+def _walk_superoperators(thetas: Iterable[float], steps: Iterable[int]) -> np.ndarray:
     """The channel of every angle and step count, shape ``(B, S, 4, 4)``.
 
     The same walk as :func:`iter_kraus_batches`, in the same chunks, but each

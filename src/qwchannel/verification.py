@@ -85,26 +85,22 @@ def check_completeness() -> tuple[bool, str]:
     return _result(worst, 1e-10)
 
 
+def _set_gap(kset, expected) -> float:
+    """Max-entry gap between a set's operators and ``expected``, both in label order."""
+    return float(np.abs(np.subtract(kset.operators(), expected)).max())
+
+
 def check_table_fidelity_standard() -> tuple[bool, str]:
-    worst = 0.0
-    for theta in (math.pi / 6, math.pi / 4, math.pi / 3):
-        for t in range(1, 5):
-            table = reference.standard_walk_operators(theta, t)
-            extracted = extract_kraus_direct(theta, t)
-            for mu, expected in table.items():
-                worst = max(worst, float(np.abs(extracted.operator(mu) - expected).max()))
+    worst = max(_set_gap(extract_kraus_direct(theta, t),
+                         list(reference.standard_walk_operators(theta, t).values()))
+                for theta in (math.pi / 6, math.pi / 4, math.pi / 3) for t in range(1, 5))
     return _result(worst, 1e-12)
 
 
 def check_table_fidelity_split_step() -> tuple[bool, str]:
-    worst = 0.0
-    for theta in (math.pi / 6, math.pi / 4, math.pi / 3):
-        for n in range(1, 4):
-            expected = reference.split_step_operators(theta, n)
-            got = extract_kraus_split_step(theta, n).operators()
-            for matrix in expected:
-                best = min(float(np.abs(g - matrix).max()) for g in got)
-                worst = max(worst, best)
+    worst = max(_set_gap(extract_kraus_split_step(theta, n),
+                         reference.split_step_operators(theta, n))
+                for theta in (math.pi / 6, math.pi / 4, math.pi / 3) for n in range(1, 4))
     return _result(worst, 1e-12)
 
 
@@ -192,15 +188,13 @@ def check_minor_symmetry() -> tuple[bool, str]:
 
 
 def check_half_pi_degeneracy() -> tuple[bool, str]:
+    # at theta = pi/2 the coin only swaps its two states, so t even steps return
+    # every input to the origin: K_0 = (-1)^(t/2) I and every other label empty
     worst = 0.0
     for t in range(2, 13, 2):
-        kset = extract_kraus_direct(math.pi / 2, t)
-        for mu, matrix in kset.entries:
-            if mu == 0:
-                sign = 1.0 if matrix[0, 0].real > 0 else -1.0
-                worst = max(worst, float(np.abs(matrix - sign * np.eye(2)).max()))
-            else:
-                worst = max(worst, float(np.abs(matrix).max()))
+        expected = np.zeros((t + 1, 2, 2))
+        expected[t // 2] = (-1) ** (t // 2) * np.eye(2)
+        worst = max(worst, _set_gap(extract_kraus_direct(math.pi / 2, t), expected))
     return _result(worst, 1e-14)
 
 

@@ -159,18 +159,29 @@ def nonmonotonicity(series) -> float:
 # -- purity and entropy -------------------------------------------------------
 
 def purity(rho: np.ndarray) -> float:
-    """Tr rho^2 = sum_ij rho_ij rho_ji; 1 for pure states, 1/2 for the maximally mixed qubit."""
+    """Tr rho^2 = sum_ij rho_ij rho_ji; 1 for pure states, 1/2 for the maximally mixed qubit.
+
+    Any finite 2x2 matrix is taken, with no state rule: ``diag(2, -1)`` gives 5.0.
+    """
     m = matrices("rho", rho)
     return _as_value(np.einsum("...ij,...ji->...", m, m).real)
 
 
 def mixedness(rho: np.ndarray) -> float:
-    """Complement of purity, scaled to [0, 1]: (d/(d-1)) (1 - Tr rho^2) at d = 2."""
+    """Complement of purity, scaled to [0, 1]: (d/(d-1)) (1 - Tr rho^2) at d = 2.
+
+    In [0, 1] for states only; like :func:`purity` it takes any finite 2x2
+    matrix, so ``diag(2, -1)`` gives -8.0.
+    """
     return 2.0 * (1.0 - purity(rho))
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy -sum l log2 l over the eigenvalues, with 0 log 0 = 0."""
+    """Entropy -sum l log2 l over the eigenvalues, with 0 log 0 = 0.
+
+    Any finite 2x2 matrix is taken, with no state rule, and its eigenvalues
+    are clipped into [0, 1] first: ``diag(2, -1)`` gives 0.0.
+    """
     ev = np.clip(np.stack(_eigenvalues(matrices("rho", rho))), 0.0, 1.0)
     positive = ev > 0.0
     terms = np.where(positive, ev * np.log2(np.where(positive, ev, 1.0)), 0.0)
@@ -227,7 +238,8 @@ def holevo_max_batch(out1: np.ndarray, out2: np.ndarray) -> tuple[np.ndarray, np
     ``chi'(p) = -(atanh|r| / |r|) r.(r1 - r2) / ln 2 - S1 + S2``,
     found by bisecting [0, 1] for all channels in lockstep.  Equal outputs
     (chi = 0 at every p) give p1 = 0.  Returns the maxima and their argmaxes,
-    each of the leading shape.
+    each of the leading shape.  The outputs are checked only as finite 2x2
+    matrices, not as states; for one that is no state the result means nothing.
     """
     out1, out2 = batches("out1 and out2", matrices("out1", out1), matrices("out2", out2))
     s1, s2 = von_neumann_entropy(out1), von_neumann_entropy(out2)

@@ -154,7 +154,7 @@ def test_split_step_single_step():
     assert kset.kind == "split_step"
     assert kset.labels() == [-1, 0, 1]
     target = np.array([[c ** 2, -1j * c * s], [0, 0]])
-    assert any(np.abs(op - target).max() <= 1e-13 for op in kset.operators())
+    assert np.abs(kset.operator(1) - target).max() <= 1e-13
     standard = extract_kraus_direct(theta, 2)
     assert np.abs(kset.operator(0) - standard.operator(0)).max() <= 1e-14
 
@@ -165,8 +165,21 @@ def test_split_step_reference_sets(theta, n):
     expected = reference.split_step_operators(theta, n)
     got = extract_kraus_split_step(theta, n).operators()
     assert len(got) == len(expected) == 2 * n + 1
-    for matrix in expected:
-        assert min(np.abs(g - matrix).max() for g in got) <= 1e-12
+    assert np.abs(np.subtract(got, expected)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2, 2.9])
+def test_a_split_step_set_is_the_standard_set_of_twice_the_steps_label_by_label(theta):
+    for n in range(1, 51):
+        kset, base = extract_kraus_split_step(theta, n), extract_kraus_direct(theta, 2 * n)
+        for mu in kset.labels():
+            assert np.array_equal(kset.operator(mu), base.operator(2 * mu))
+    # the reference lists are the standard tables of twice the steps, labels halved
+    for n in (1, 2):
+        table = reference.standard_walk_operators(theta, 2 * n)
+        halved = [table[2 * mu] for mu in range(-n, n + 1)]
+        gap = np.abs(np.subtract(reference.split_step_operators(theta, n), halved)).max()
+        assert gap <= 4.4e-16
 
 
 def test_split_step_completeness():
@@ -240,8 +253,10 @@ def test_kraus_set_validation():
         extract_kraus_direct(0.5, 2).operator(1)
 
 
-@pytest.mark.parametrize("label", [True, False, np.True_, np.False_],
-                         ids=["True", "False", "np.True_", "np.False_"])
+@pytest.mark.parametrize("label", [True, False, np.True_, np.False_, np.array(True),
+                                   np.array(False)],
+                         ids=["True", "False", "np.True_", "np.False_", "np.array(True)",
+                              "np.array(False)"])
 def test_a_bool_is_no_label(label):
     kset = extract_kraus_split_step(0.3, 1)  # labels -1, 0 and 1
     with pytest.raises(KeyError, match="no operator with label"):
