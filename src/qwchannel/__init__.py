@@ -30,116 +30,12 @@ if "numpy" not in sys.modules and not any(
     del numpy
 del os, sys
 
-from .channels import (
-    RTNParams,
-    apply_kraus,
-    apply_superoperators,
-    channel_outputs,
-    closed_form_p,
-    closed_form_q,
-    coin_state,
-    coin_state_from_angle,
-    composite_map,
-    concatenated_map,
-    density_matrix,
-    dephasers,
-    hermitian_eigenvalues,
-    is_density_matrix,
-    n_step_map,
-    repeated,
-    rtn_kraus,
-    rtn_lambda,
-    superoperators,
-)
-from .kraus import (
-    KrausSet,
-    commutator_corrections,
-    extract_kraus_binomial,
-    extract_kraus_direct,
-    extract_kraus_split_step,
-    iter_kraus_batches,
-    iter_kraus_steps,
-    kraus_closed_form_first_term,
-    minor_map,
-)
-from .walk import (
-    Lattice,
-    build_coin,
-    build_shifts,
-    build_split_step_unitary,
-    build_walk_unitary,
-    canonical_angle,
-    coin_projections,
-    evolve,
-    joint_state,
-    position_distribution,
-)
-from .witnesses import (
-    TDSeries,
-    holevo,
-    holevo_max,
-    holevo_max_batch,
-    mixedness,
-    nonmonotonicity,
-    purity,
-    td_regimes,
-    td_series,
-    td_values,
-    trace_distance,
-    von_neumann_entropy,
-)
+from .channels import *
+from .kraus import *
+from .walk import *
+from .witnesses import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "KrausSet",
-    "Lattice",
-    "RTNParams",
-    "TDSeries",
-    "apply_kraus",
-    "apply_superoperators",
-    "build_coin",
-    "build_shifts",
-    "build_split_step_unitary",
-    "build_walk_unitary",
-    "canonical_angle",
-    "channel_outputs",
-    "closed_form_p",
-    "closed_form_q",
-    "coin_projections",
-    "coin_state",
-    "coin_state_from_angle",
-    "commutator_corrections",
-    "composite_map",
-    "concatenated_map",
-    "density_matrix",
-    "dephasers",
-    "evolve",
-    "extract_kraus_binomial",
-    "extract_kraus_direct",
-    "extract_kraus_split_step",
-    "hermitian_eigenvalues",
-    "holevo",
-    "holevo_max",
-    "holevo_max_batch",
-    "is_density_matrix",
-    "iter_kraus_batches",
-    "iter_kraus_steps",
-    "joint_state",
-    "kraus_closed_form_first_term",
-    "minor_map",
-    "mixedness",
-    "n_step_map",
-    "nonmonotonicity",
-    "position_distribution",
-    "purity",
-    "repeated",
-    "rtn_kraus",
-    "rtn_lambda",
-    "superoperators",
-    "td_regimes",
-    "td_series",
-    "td_values",
-    "trace_distance",
-    "von_neumann_entropy",
-]
+# each import above binds its submodule here too, so its list can be read
+__all__ = channels.__all__ + kraus.__all__ + walk.__all__ + witnesses.__all__

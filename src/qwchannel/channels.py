@@ -305,6 +305,13 @@ class RTNParams:
         return (self.a / self.gamma) ** 2 > 0.25
 
 
+def _telegraph(name: str, params) -> RTNParams:
+    """``params``, once it is an :class:`RTNParams`; refused as ``name`` otherwise."""
+    if not isinstance(params, RTNParams):
+        raise refuse(name, "RTNParams", params)
+    return params
+
+
 def _check_kernel_span(params: RTNParams, elapsed: float, name: str) -> None:
     """Refuse, as ``name``, a time whose kernel arguments overflow.
 
@@ -326,7 +333,7 @@ def rtn_lambda(params: RTNParams, elapsed) -> float | np.ndarray:
     must be finite.  An array of times gives an array, checked once, by its
     smallest time and its largest.
     """
-    times = np.asarray(elapsed)
+    params, times = _telegraph("params", params), np.asarray(elapsed)
     if times.dtype.kind not in "iuf" or times.size == 0:
         raise refuse("elapsed", "a time or a non-empty array of times", elapsed)
     nonnegative("elapsed", times.min().item())
@@ -372,7 +379,7 @@ def dephasers(params: RTNParams, steps: Iterable[int]) -> np.ndarray:
     pair, taken in closed form.  It is complete by construction, so it needs no
     gate, and it leaves populations untouched to the bit.
     """
-    steps = step_list("steps", steps)
+    params, steps = _telegraph("params", params), step_list("steps", steps)
     # the span of the longest time bounds every shorter one
     _check_kernel_span(params, steps[-1] * params.dt,
                        "max(gamma, 2a) * n * dt of a, gamma, dt and steps")
@@ -387,3 +394,26 @@ def composite_map(params: RTNParams, theta: float, n: int,
     """n-step walk channel followed by telegraph dephasing at time n * dt."""
     dephaser = dephasers(params, [count("n", n)])[0]
     return _apply(dephaser, n_step_map(theta, n, rho))
+
+
+__all__ = [
+    "RTNParams",
+    "apply_kraus",
+    "apply_superoperators",
+    "channel_outputs",
+    "closed_form_p",
+    "closed_form_q",
+    "coin_state",
+    "coin_state_from_angle",
+    "composite_map",
+    "concatenated_map",
+    "density_matrix",
+    "dephasers",
+    "hermitian_eigenvalues",
+    "is_density_matrix",
+    "n_step_map",
+    "repeated",
+    "rtn_kraus",
+    "rtn_lambda",
+    "superoperators",
+]

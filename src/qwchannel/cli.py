@@ -39,14 +39,20 @@ counts (``t``, step and grid counts) whole numbers up to ``MAX_COUNT``,
 ``format`` and ``mode`` one of their choices.  A refused value exits 2 with
 a message naming the option.
 
-Each sweep is one batched walk of all its coin angles
-(:func:`~qwchannel.channels.channel_outputs`); the ``concat`` rows of
-``trace-distance`` come from one batched one-step walk, whose channels are
-applied n times.  A walk goes in chunks of at most ``(MAX_COUNT + 1) //
+Each sweep is one batched walk of all its coin angles.  ``probability``,
+``purity`` and ``holevo`` apply its channels to their input states
+(:func:`~qwchannel.channels.channel_outputs`); the ``nstep`` rows of
+``trace-distance`` and ``rtn-composite`` come from
+:func:`~qwchannel.witnesses.td_values` and
+:func:`~qwchannel.witnesses.td_regimes`, which read columns 0 and 3 of its
+channels (:func:`~qwchannel.channels.superoperators`); the ``concat`` rows
+of ``trace-distance`` come from one batched one-step walk, whose channels
+are applied n times.  A walk goes in chunks of at most ``(MAX_COUNT + 1) //
 (largest step + 1)`` angles, so a sweep never holds more operators than one
 angle walked ``MAX_COUNT`` steps.  The input states of a sweep are built as
 one array by the batched :func:`~qwchannel.channels.density_matrix` and
-applied as one array.  The module uses only public names of the package.
+applied as one array.  The module imports from the package only names
+without a leading underscore.
 Rows run in C order over the arrays that hold them: coin angle, then input
 angle (or series mode, or noise regime), then step count.  Each grid is
 sorted once, by its check, so nothing is sorted afterwards, and a point a

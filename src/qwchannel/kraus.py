@@ -43,7 +43,7 @@ from math import comb
 import numpy as np
 
 from . import inputs
-from .inputs import MAX_COUNT, count, is_bool, real, step_list
+from .inputs import MAX_COUNT, count, finite, is_bool, real, step_list
 from .walk import (
     Lattice,
     build_shifts,
@@ -420,9 +420,12 @@ def commutator_corrections(p: np.ndarray, q: np.ndarray, t: int) -> list[np.ndar
     ``D_0 = 0`` and ``D_{k+1} = [Q, P^k] + P D_k + [Q, D_k]``; in particular
     ``D_1 = 0`` because ``[Q, P^0]`` vanishes.  These restore the terms the
     ordered products ``P^k Q^{t-k}`` miss when P and Q do not commute.
+    P and Q are finite square matrices of one shape.
     """
-    t = count("t", t, low=0)
-    dim = p.shape[0]
+    p = finite("p", p, "a finite square matrix",
+               lambda shape: len(shape) == 2 and shape[0] == shape[1])
+    q = finite("q", q, f"a finite matrix of p's shape {p.shape}", lambda shape: shape == p.shape)
+    t, dim = count("t", t, low=0), p.shape[0]
     p_pow = np.eye(dim, dtype=np.complex128)
     table = [np.zeros((dim, dim), dtype=np.complex128)]
     for _ in range(t):
@@ -499,3 +502,16 @@ def extract_kraus_split_step(theta: float, n: int) -> KrausSet:
     """
     base = extract_kraus_direct(theta, 2 * count("n", n, high=inputs.MAX_COUNT // 2))
     return KrausSet(theta=base.theta, t=n, entries=base._operators, kind=SPLIT_STEP)
+
+
+__all__ = [
+    "KrausSet",
+    "commutator_corrections",
+    "extract_kraus_binomial",
+    "extract_kraus_direct",
+    "extract_kraus_split_step",
+    "iter_kraus_batches",
+    "iter_kraus_steps",
+    "kraus_closed_form_first_term",
+    "minor_map",
+]

@@ -198,3 +198,17 @@ def position_distribution(psi: np.ndarray) -> dict[int, float]:
         for j, p in enumerate(probs)
         if p > 0.0
     }
+
+
+__all__ = [
+    "Lattice",
+    "build_coin",
+    "build_shifts",
+    "build_split_step_unitary",
+    "build_walk_unitary",
+    "canonical_angle",
+    "coin_projections",
+    "evolve",
+    "joint_state",
+    "position_distribution",
+]

@@ -31,6 +31,7 @@ from .channels import (
     _apply,
     _as_value,
     _eigenvalues,
+    _telegraph,
     density_matrix,
     dephasers,
     repeated,
@@ -42,6 +43,7 @@ from .walk import canonical_angle
 MODE_NSTEP = "nstep"
 MODE_CONCAT = "concat"
 MODE_COMPOSITE = "composite"
+_MODES = (MODE_NSTEP, MODE_CONCAT, MODE_COMPOSITE)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -67,7 +69,12 @@ def _check_distances(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TDSeries:
-    """Trace-distance values d(n) between two evolved orthogonal inputs."""
+    """Trace-distance values d(n) between two evolved orthogonal inputs.
+
+    Each field is checked when the series is built: ``theta`` finite,
+    ``mode`` one of ``MODE_NSTEP``, ``MODE_CONCAT`` and ``MODE_COMPOSITE``,
+    ``steps`` ascending distinct step counts, and one value in [0, 1] per step.
+    """
 
     theta: float
     mode: str
@@ -75,6 +82,11 @@ class TDSeries:
     values: tuple
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "theta", real("theta", self.theta))
+        if self.mode not in _MODES:
+            raise refuse("mode", f"one of {_MODES}", self.mode)
+        if tuple(step_list("steps", self.steps)) != tuple(self.steps):
+            raise refuse("steps", "ascending distinct step counts", self.steps)
         if len(self.steps) != len(self.values):
             raise ValueError("steps and values must have equal length")
         _check_distances(self.values)
@@ -90,7 +102,8 @@ def td_series(theta: float, n_max: int, mode: str = MODE_NSTEP,
     n-step channel.  The one-angle case of :func:`td_values`.
     """
     theta = canonical_angle(theta)
-    steps = tuple(range(1, count("n_max", n_max) + 1))
+    # checked once, here: td_values and TDSeries take the Steps as they are
+    steps = step_list("steps", range(1, count("n_max", n_max) + 1))
     values = td_values([theta], steps, mode=mode, rtn=rtn)[0]
     return TDSeries(theta=theta, mode=mode, steps=steps, values=tuple(values.tolist()))
 
@@ -112,9 +125,9 @@ def td_values(thetas: Iterable[float], steps: Iterable[int], mode: str = MODE_NS
         # the images of the pair |0><0|, |1><1|: (angle, step, input, 2, 2)
         pairs = repeated(thetas, steps, density_matrix(np.eye(2)))
         return _check_distances(trace_distance(pairs[:, :, 0], pairs[:, :, 1]))
+    if mode == MODE_COMPOSITE:
+        rtn = _telegraph("rtn", rtn)
     if mode in (MODE_NSTEP, MODE_COMPOSITE):
-        if mode == MODE_COMPOSITE and rtn is None:
-            raise ValueError("composite mode needs telegraph-noise parameters")
         return td_regimes(thetas, steps, [rtn])[0]
     raise ValueError(f"unknown series mode {mode!r}")
 
@@ -130,7 +143,7 @@ def td_regimes(thetas: Iterable[float], steps: Iterable[int],
     """
     steps, thetas = step_list("steps", steps), list(thetas)
     # every regime's dephasers are checked before the walk starts
-    chained = [None if params is None else dephasers(params, steps)[:, None]
+    chained = [None if params is None else dephasers(_telegraph("regimes", params), steps)[:, None]
                for params in regimes]
     outputs("thetas x steps x states", len(thetas), len(steps), 2)
     columns = superoperators(thetas, steps)[..., ::3]  # columns 0 and 3: the pair's images
@@ -212,10 +225,12 @@ def holevo_max(rho1: np.ndarray, rho2: np.ndarray, channel) -> tuple[float, floa
     """Maximize the two-state Holevo quantity over the first weight.
 
     Returns the maximum and its argmax p1.  The outputs ``channel(rho1)``
-    and ``channel(rho2)`` must be qubit states.  The one-channel case of
+    and ``channel(rho2)`` must be qubit states, and are refused by those
+    names otherwise.  The one-channel case of
     :func:`holevo_max_batch`, which says how the argmax is found.
     """
-    out1, out2 = channel(states("rho1", rho1)), channel(states("rho2", rho2))
+    out1 = states("channel(rho1)", channel(states("rho1", rho1)))
+    out2 = states("channel(rho2)", channel(states("rho2", rho2)))
     chi, p_star = holevo_max_batch(out1, out2)
     return float(chi), float(p_star)
 

@@ -41,11 +41,14 @@ from qwchannel.kraus import (
 )
 from qwchannel.walk import Lattice, evolve, joint_state, position_distribution
 from qwchannel.witnesses import (
+    TDSeries,
     holevo,
+    holevo_max,
     holevo_max_batch,
     mixedness,
     nonmonotonicity,
     purity,
+    td_regimes,
     td_series,
     td_values,
     trace_distance,
@@ -586,6 +589,38 @@ _NOT_HERMITIAN = np.diag([1, 1 + 0.5j, 1, 1])
     pytest.param(lambda: apply_superoperators(np.stack([np.eye(4)] * 2),
                                               np.stack([RHO_UP] * 3)),
                  "superops and states", id="apply_superoperators-batches"),
+    # telegraph parameters are RTNParams, refused before any walk
+    pytest.param(lambda: rtn_lambda("x", 1.0), "params", id="rtn_lambda-not-rtn-params"),
+    pytest.param(lambda: dephasers("x", [1]), "params", id="dephasers-not-rtn-params"),
+    pytest.param(lambda: composite_map("x", 0.1, 1, RHO_UP), "params",
+                 id="composite_map-not-rtn-params"),
+    pytest.param(lambda: td_series(0.1, 3, mode="composite", rtn="x"), "rtn",
+                 id="td_series-not-rtn-params"),
+    pytest.param(lambda: td_values([0.1], [1, 2], mode="composite", rtn="x"), "rtn",
+                 id="td_values-not-rtn-params"),
+    pytest.param(lambda: td_regimes([0.1], [1], [None, 1.0]), "regimes",
+                 id="td_regimes-not-rtn-params"),
+    # the binomial route's operators are finite square matrices of one shape
+    pytest.param(lambda: commutator_corrections(np.diag([math.inf, 1.0]), np.eye(2), 2), "p",
+                 id="commutator_corrections-infinite-p"),
+    pytest.param(lambda: commutator_corrections(np.ones((2, 3)), np.ones((2, 3)), 2), "p",
+                 id="commutator_corrections-oblong-p"),
+    pytest.param(lambda: commutator_corrections([[1, 0], [0, 1]], [[1, 0], [0, "a"]], 2), "q",
+                 id="commutator_corrections-text-q"),
+    pytest.param(lambda: commutator_corrections(np.eye(2), np.eye(3), 2), "q",
+                 id="commutator_corrections-shapes"),
+    # a series is checked field by field when it is built
+    pytest.param(lambda: TDSeries(theta=math.inf, mode="nstep", steps=(1,), values=(0.5,)),
+                 "theta", id="TDSeries-theta"),
+    pytest.param(lambda: TDSeries(theta=0.1, mode="bogus", steps=(1,), values=(0.5,)),
+                 "mode", id="TDSeries-mode"),
+    pytest.param(lambda: TDSeries(theta=0.1, mode="nstep", steps=("a",), values=(0.5,)),
+                 "steps", id="TDSeries-steps-text"),
+    pytest.param(lambda: TDSeries(theta=0.1, mode="nstep", steps=(3, 1), values=(0.5, 0.5)),
+                 "steps", id="TDSeries-steps-descending"),
+    # the channel's outputs must be states, as its inputs must
+    pytest.param(lambda: holevo_max(np.eye(2) / 2, RHO_UP, lambda rho: 2 * rho), "channel(rho1)",
+                 id="holevo_max-output-no-state"),
 ])
 def test_library_arguments_are_refused_by_name(call, name):
     with pytest.raises(ValueError) as info:
